@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .polyarith import IntPoly, FactoredPoly, parse_poly, build_factored, t0
 from .modroots import RootSet, roots_mod_p, lift_roots, omega, mangoldt
 from .smoothsieve import SmoothTable, psi, pplus_table, psi_oracle
-from .dickman import rho, martin_prediction, RhoTable, build_rho_table
+from .dickman import rho, martin_prediction
 from .bounds import (
     BoundReport,
     gamma_f,

@@ -10,6 +10,8 @@ The quick level drives the same code paths at reduced scale and skips the
 10^6-scale criteria (4, 5) and the determinism double-run (10).
 """
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -70,7 +72,7 @@ _POLY_SPECS = {
 
 # --------------------------------------------------------------- criterion 1
 
-def criterion_1(quick=False, threads=1):
+def criterion_1(quick=False):
     details = {}
     ok = True
     g211 = gamma_f(2, 1, 1)
@@ -90,7 +92,7 @@ def criterion_1(quick=False, threads=1):
 
 # --------------------------------------------------------------- criterion 2
 
-def criterion_2(quick=False, threads=1):
+def criterion_2(quick=False):
     details = {}
     ok = True
     steps = 128 if quick else 512
@@ -123,7 +125,7 @@ def criterion_2(quick=False, threads=1):
 
 # --------------------------------------------------------------- criterion 3
 
-def criterion_3(quick=False, threads=1):
+def criterion_3(quick=False):
     details = {}
     ok = True
     x = 300 if quick else 2000
@@ -132,12 +134,11 @@ def criterion_3(quick=False, threads=1):
     for label in _POLY_SPECS:
         f = _poly(label)
         oracle_pp = [pplus_oracle(f(n)) for n in range(1, x + 1)]
-        tab_pp = pplus_table(f, x, isqrt(coeff_bound(f, x)) + 1,
-                             threads=threads)
+        tab_pp = pplus_table(f, x, isqrt(coeff_bound(f, x)) + 1)
         if [tab_pp.pplus_of(n) for n in range(1, x + 1)] != oracle_pp:
             mismatches += 1
         for y in y_grid:
-            table = psi(f, x, y, threads=threads)
+            table = psi(f, x, y)
             expect = bytearray(
                 1 if (f(n) != 0 and oracle_pp[n - 1] <= y) else 0
                 for n in range(1, x + 1)
@@ -211,14 +212,14 @@ def _debruijn_lambda(x, y, order=10):
     return floor(x) - x * (series - fsum(terms))
 
 
-def criterion_4(quick=False, threads=1):
+def criterion_4(quick=False):
     # x = y^2: u = 2.  The count is checked twice (sieve and enumeration) and
     # compared with Lambda(x, y)/x at the stated 0.02 tolerance; rho(2) and
     # the second-order estimate rho(u) + (1 - gamma) rho(u-1)/log x are
     # recorded to show where the gap to the limit comes from.
     x, y, u = 10**6, 10**3, 2.0
     f = _poly("t")
-    count = psi(f, x, y, threads=threads).psi
+    count = psi(f, x, y).psi
     enum = _enumerate_smooth(x, y)
     ratio = count / x
     rho2 = rho(u)
@@ -241,12 +242,12 @@ def criterion_4(quick=False, threads=1):
 
 # --------------------------------------------------------------- criterion 5
 
-def criterion_5(quick=False, threads=1):
+def criterion_5(quick=False):
     details = {"ratios": {}}
     ok = True
     f = _poly("t^2+1")
     x = 10**6
-    psi_full = psi(f, x, x, threads=threads).psi
+    psi_full = psi(f, x, x).psi
     main_1 = thm11_main_term(f, x, 1)
     details["psi_x_x"] = psi_full
     details["thm11_main_u1"] = main_1
@@ -254,7 +255,7 @@ def criterion_5(quick=False, threads=1):
     ok &= psi_full < main_1
     for u in (1.5, 2.0):
         y = smooth_bound(x, u)
-        count = psi(f, x, y, threads=threads).psi
+        count = psi(f, x, y).psi
         main = thm11_main_term(f, x, u)
         ratio = count / main
         details["ratios"][str(u)] = ratio
@@ -351,7 +352,7 @@ def _oracle_depth2(f, x, z, y):
     return v2p, v2m, w2p, w2m
 
 
-def criterion_6(quick=False, threads=1):
+def criterion_6(quick=False):
     details = {}
     ok = True
     if quick:
@@ -443,7 +444,7 @@ def criterion_6(quick=False, threads=1):
 
 # --------------------------------------------------------------- criterion 7
 
-def criterion_7(quick=False, threads=1):
+def criterion_7(quick=False):
     details = {}
     ok = True
     prod_cap = 2000 if quick else 10**4
@@ -535,7 +536,7 @@ def criterion_7(quick=False, threads=1):
 
 # --------------------------------------------------------------- criterion 8
 
-def criterion_8(quick=False, threads=1):
+def criterion_8(quick=False):
     details = {}
     ok = True
     ctx2 = make_context(2)
@@ -638,7 +639,7 @@ def _primitive_definition_oracle(b, n):
     return False
 
 
-def criterion_9(quick=False, threads=1):
+def criterion_9(quick=False):
     details = {}
     ok = True
     res10 = r_b(1, 10, collect_records=True)
@@ -687,45 +688,52 @@ def criterion_9(quick=False, threads=1):
 
 # -------------------------------------------------------------- criterion 10
 
-def criterion_10(quick=False, threads=1):
+def criterion_10(quick=False):
+    # Two quick verify runs must write the same bytes, and psi must not
+    # depend on the segment size: the --dump CSV byte for byte, the JSON
+    # record up to the echoed --out and --segment-size.  The nested runs
+    # print their own tables; those are captured, not shown.
     from . import cli
+
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(list(argv))
+
+    def read(path):
+        with open(path, "rb") as fh:
+            return fh.read()
 
     details = {}
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, f"verify{i}.jsonl") for i in range(3)]
-        rc0 = cli.main(["verify", "--level", "quick", "--threads", "1",
-                        "--out", paths[0]])
-        rc1 = cli.main(["verify", "--level", "quick", "--threads", "1",
-                        "--out", paths[1]])
-        rc2 = cli.main(["verify", "--level", "quick", "--threads", "2",
-                        "--out", paths[2]])
-        blobs = []
-        for p in paths:
-            with open(p, "rb") as fh:
-                blobs.append(fh.read())
-        details["verify_rc"] = [rc0, rc1, rc2]
+        paths = [os.path.join(tmp, f"verify{i}.jsonl") for i in range(2)]
+        rcs = [run("verify", "--level", "quick", "--out", p) for p in paths]
+        blobs = [read(p) for p in paths]
+        details["verify_rc"] = rcs
         details["bytes"] = [len(b) for b in blobs]
-        ok &= blobs[0] == blobs[1] == blobs[2]
-        ok &= rc0 == rc1 == rc2 == 0
+        ok &= blobs[0] == blobs[1]
+        ok &= rcs == [0, 0]
 
-        ppaths = [os.path.join(tmp, f"psi{i}.json") for i in range(2)]
-        for i, th in enumerate(("1", "4")):
-            cli.main(["psi", "--poly", "t^2+1", "--x", "200000", "--u", "2",
-                      "--threads", th, "--segment-size", "16384",
-                      "--out", ppaths[i]])
-        with open(ppaths[0], "rb") as fh:
-            a = fh.read()
-        with open(ppaths[1], "rb") as fh:
-            b = fh.read()
-        # the config echo records the thread count; strip it before comparing
-        ja = json.loads(a)
-        jb = json.loads(b)
-        for j in (ja, jb):
-            j["config"].pop("threads")
+        small = ["--segment-size", "16384"]
+        # x = 50000 is three full segments of 16384 and a partial fourth
+        dump_args = ["psi", "--poly", "t^2+1", "--x", "50000", "--u", "2",
+                     "--dump"]
+        dumps = [os.path.join(tmp, f"dump{i}.csv") for i in range(2)]
+        run(*dump_args, *small, "--out", dumps[0])
+        run(*dump_args, "--out", dumps[1])
+        details["dump_bytes_equal"] = read(dumps[0]) == read(dumps[1])
+        ok &= details["dump_bytes_equal"]
+
+        psi_args = ["psi", "--poly", "t^2+1", "--x", "200000", "--u", "2"]
+        recs = [os.path.join(tmp, f"psi{i}.json") for i in range(2)]
+        run(*psi_args, *small, "--out", recs[0])
+        run(*psi_args, "--out", recs[1])
+        js = [json.loads(read(p)) for p in recs]
+        for j in js:
             j["config"].pop("out")
-        ok &= ja == jb
-        details["psi_runs_equal"] = ja == jb
+            j["config"]["options"].pop("segment_size")
+        details["psi_record_equal"] = js[0] == js[1]
+        ok &= details["psi_record_equal"]
     return ok, details
 
 
@@ -739,13 +747,13 @@ _CRITERIA = [
     (7, "omega suite: multiplicativity, Hensel, Huxley, lemma 4.2", criterion_7),
     (8, "quadratic-field bridge", criterion_8),
     (9, "applications: R_b, N(x), prop 6.3 trend", criterion_9),
-    (10, "determinism across runs and thread counts", criterion_10),
+    (10, "determinism across runs and segment sizes", criterion_10),
 ]
 
 _QUICK_SET = {1, 2, 3, 6, 7, 8, 9}
 
 
-def run_all(level="full", threads=1):
+def run_all(level="full"):
     """Run the acceptance criteria; quick level = reduced scales, skipping
     the 10^6-scale criteria (4, 5) and the determinism double-run (10)."""
     quick = level == "quick"
@@ -754,7 +762,7 @@ def run_all(level="full", threads=1):
         if quick and cid not in _QUICK_SET:
             continue
         start = time.time()
-        passed, details = fn(quick=quick, threads=threads)
+        passed, details = fn(quick=quick)
         results.append(
             CriterionResult(
                 cid=cid,

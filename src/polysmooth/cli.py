@@ -9,7 +9,6 @@ error (or failed verify), 2 usage error.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, is_dataclass
 
@@ -88,8 +87,6 @@ class RunConfig:
     options: dict
     format: str
     out: str
-    threads: int
-    seed: int
     version: str = __version__
 
 
@@ -97,7 +94,7 @@ def _config(args, **extra):
     opts = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("func", "schema", "cmd", "format", "out", "threads", "seed")
+        if k not in ("func", "schema", "cmd", "format", "out")
     }
     opts.update(extra)
     cfg = RunConfig(
@@ -105,8 +102,6 @@ def _config(args, **extra):
         options=opts,
         format=args.format,
         out=args.out,
-        threads=args.threads,
-        seed=args.seed,
     )
     return asdict(cfg)
 
@@ -180,6 +175,8 @@ def _maybe_schema(args):
 def _cmd_psi(args):
     if _maybe_schema(args):
         return 0
+    if args.x < 1:
+        raise ValueError("x must be >= 1")
     f = _poly_from_args(args)
     if args.u is not None:
         y = smooth_bound(args.x, args.u)
@@ -188,7 +185,7 @@ def _cmd_psi(args):
     else:
         raise ValueError("one of --y / --u is required")
     table = sieve_range(f, 1, args.x, y, need_pplus=args.dump,
-                        segment_size=args.segment_size, threads=args.threads)
+                        segment_size=args.segment_size)
     rec = {
         "psi": table.psi,
         "x": args.x,
@@ -372,7 +369,7 @@ def _cmd_verify(args):
         return 0
     from .acceptance import run_all
 
-    results = run_all(level=args.level, threads=args.threads)
+    results = run_all(level=args.level)
     records = []
     all_pass = True
     for res in results:
@@ -392,11 +389,6 @@ def _cmd_verify(args):
 def _add_common(sp, poly=False):
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("POLYSMOOTH_THREADS", "1")))
-    sp.add_argument("--seed", type=int, default=0,
-                    help="recorded in the config echo; all algorithms are "
-                         "internally deterministic")
     sp.add_argument("--schema", action="store_true",
                     help="print column documentation and exit")
     if poly:

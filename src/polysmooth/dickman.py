@@ -12,14 +12,13 @@ A second, independent solver (fixed-step RK4 on u*rho'(u) = -rho(u-1),
 step 1e-5) exists solely as a cross-check oracle.
 """
 
-from dataclasses import dataclass
 from math import log
 
 import numpy as np
 from numpy.polynomial import legendre as L
 
-__all__ = ["rho", "martin_prediction", "RhoTable", "build_rho_table",
-           "rho_rk4_oracle", "delay_residual", "U_MAX"]
+__all__ = ["rho", "martin_prediction", "rho_rk4_oracle", "delay_residual",
+           "U_MAX"]
 
 U_MAX = 20.0
 _N_COEF = 40    # Legendre series length per unit interval
@@ -116,27 +115,6 @@ def martin_prediction(degrees, u):
     for d in degrees:
         out *= rho(d * u)
     return out
-
-
-@dataclass
-class RhoTable:
-    """rho sampled on a uniform mesh of [0, u_max]."""
-
-    step: float
-    u_max: float
-    values: list
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("empty table")
-
-
-def build_rho_table(step=1.0 / 64, u_max=U_MAX):
-    n = int(round(u_max / step))
-    if abs(n * step - u_max) > 1e-12:
-        raise ValueError("step must divide u_max")
-    vals = [rho(i * step) for i in range(n + 1)]
-    return RhoTable(step=step, u_max=u_max, values=vals)
 
 
 def rho_rk4_oracle(u_max=10.0, step=1e-5):

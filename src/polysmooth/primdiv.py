@@ -132,11 +132,9 @@ class NArctanResult:
     n1_by_definition: bool = True  # n = 1 counted by the definition, not the criterion
 
 
-def n_arctan(x: int, check_rb: bool = True) -> NArctanResult:
+def n_arctan(x: int) -> NArctanResult:
     """N(x): the number of n <= x with arctan n irreducible, via the
-    P+(n^2+1) > 2n criterion for n >= 2 and the definition at n = 1.
-
-    Cross-asserts N(x) = R_1(x) when check_rb is set."""
+    P+(n^2+1) > 2n criterion for n >= 2 and the definition at n = 1."""
     if x < 1:
         raise ValueError("x must be >= 1")
     if x > MAX_X:
@@ -148,10 +146,6 @@ def n_arctan(x: int, check_rb: bool = True) -> NArctanResult:
         for n in range(2, x + 1):
             if table.pplus_of(n) > 2 * n:
                 count += 1
-    if check_rb:
-        rb = r_b(1, x).count
-        if rb != count:
-            raise AssertionError(f"N(x) = {count} != R_1(x) = {rb}")
     return NArctanResult(x=x, count=count)
 
 

@@ -9,7 +9,6 @@ isqrt(max |f|) the sieve switches to cofactor-primality mode: any surviving
 cofactor is prime, so P+ is known exactly and flags become P+ <= y.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import exp, isqrt, log
@@ -137,7 +136,7 @@ def _sieve_segment(f, seg_lo, seg_len, roots, need_best):
 
 
 def sieve_range(f, lo, hi, y, *, need_pplus=False, pplus_bound=None,
-                segment_size=DEFAULT_SEGMENT, threads=1):
+                segment_size=DEFAULT_SEGMENT):
     """SmoothTable for n in [lo, hi] (lo >= 0).
 
     `y` is the smoothness bound (real).  With need_pplus, `pplus_bound` B must
@@ -152,6 +151,8 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, pplus_bound=None,
         raise ValueError("range must start at a nonnegative integer")
     if y < 1:
         raise ValueError("y must be >= 1")
+    if segment_size < 1:
+        raise ValueError("segment_size must be >= 1")
     count = hi - lo + 1
     if count <= 0:
         return SmoothTable(f, lo, hi, y, bytearray(), 0,
@@ -183,29 +184,14 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, pplus_bound=None,
         if rs.residues:
             roots.append((p, rs.residues))
 
-    segments = []
-    s = lo
-    while s <= hi:
-        seg_len = min(segment_size, hi - s + 1)
-        segments.append((s, seg_len))
-        s += seg_len
-
     need_best = need_pplus or prime_mode
-
-    def work(seg):
-        return _sieve_segment(f, seg[0], seg[1], roots, need_best)
-
-    if threads > 1 and len(segments) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, segments))
-    else:
-        results = [work(seg) for seg in segments]
-
     flags = bytearray(count)
     pplus = [0] * count if need_pplus else None
     total = 0
     pos = 0
-    for (seg_lo, seg_len), (vals, best) in zip(segments, results):
+    for seg_lo in range(lo, hi + 1, segment_size):
+        seg_len = min(segment_size, hi - seg_lo + 1)
+        vals, best = _sieve_segment(f, seg_lo, seg_len, roots, need_best)
         for i in range(seg_len):
             v = vals[i]
             if v == 0:
@@ -227,14 +213,14 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, pplus_bound=None,
                        sieve_bound=effective)
 
 
-def psi(f, x, y, *, segment_size=DEFAULT_SEGMENT, threads=1):
+def psi(f, x, y, *, segment_size=DEFAULT_SEGMENT):
     """Exact Psi_f(x, y): the number of n in [1, x] with f(n) y-smooth."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    return sieve_range(f, 1, x, y, segment_size=segment_size, threads=threads)
+    return sieve_range(f, 1, x, y, segment_size=segment_size)
 
 
-def pplus_table(f, x, B, *, segment_size=DEFAULT_SEGMENT, threads=1):
+def pplus_table(f, x, B, *, segment_size=DEFAULT_SEGMENT):
     """SmoothTable over [1, x] carrying exact P+(|f(n)|) for every n.
 
     Requires B^2 > max_{n<=x} |f(n)| (checked via the coefficient bound), so
@@ -243,7 +229,7 @@ def pplus_table(f, x, B, *, segment_size=DEFAULT_SEGMENT, threads=1):
     if x < 1:
         raise ValueError("x must be >= 1")
     return sieve_range(f, 1, x, B, need_pplus=True, pplus_bound=B,
-                       segment_size=segment_size, threads=threads)
+                       segment_size=segment_size)
 
 
 def psi_oracle(f, x, y):

@@ -85,6 +85,8 @@ def test_criterion_9_applications():
     assert passed, details
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(capsys):
     passed, details = _run(10)
     assert passed, details
+    # the nested verify runs must not print their tables
+    assert "verify: ALL PASS" not in capsys.readouterr().out

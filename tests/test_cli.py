@@ -138,6 +138,19 @@ def test_domain_error_exit_code(capsys):
     err = capsys.readouterr  # stderr captured separately above
 
 
+def test_psi_rejects_bad_sieve_inputs(capsys):
+    base = ["psi", "--poly", "t", "--y", "5"]
+    for extra, msg in [
+        (["--x", "10", "--segment-size", "0"], "segment_size must be >= 1"),
+        (["--x", "10", "--segment-size", "-3"], "segment_size must be >= 1"),
+        (["--x", "0"], "x must be >= 1"),
+    ]:
+        assert cli.main(base + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert msg in captured.err
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["nonsense"]) == 2
     capsys.readouterr()

@@ -5,7 +5,6 @@ import pytest
 
 from polysmooth.dickman import (
     U_MAX,
-    build_rho_table,
     delay_residual,
     martin_prediction,
     rho,
@@ -53,14 +52,6 @@ def test_rho_decreasing_positive():
         v = rho(float(u))
         assert 0 < v < prev
         prev = v
-
-
-def test_rho_table():
-    tab = build_rho_table(step=1 / 64)
-    assert tab.values[0] == 1.0
-    assert tab.values[64] == 1.0  # u = 1
-    assert len(tab.values) == 64 * 20 + 1
-    assert all(v > 0 for v in tab.values)
 
 
 def test_martin_prediction():

@@ -99,18 +99,25 @@ def test_unit_values_always_smooth():
 
 
 def test_segment_independence():
+    base = psi(T2P1, 500, 20)
+    base_pp = pplus_table(T_T2P1, 400, 10**4)
     for seg in [8, 64, 1 << 20]:
         tab = psi(T2P1, 500, 20, segment_size=seg)
-        assert tab.psi == psi(T2P1, 500, 20).psi
-        assert tab.flags == psi(T2P1, 500, 20).flags
-
-
-def test_thread_independence():
-    base = pplus_table(T_T2P1, 400, 10**4, segment_size=64)
-    for threads in [2, 4]:
-        tab = pplus_table(T_T2P1, 400, 10**4, segment_size=64, threads=threads)
+        assert tab.psi == base.psi
         assert tab.flags == base.flags
-        assert tab.pplus == base.pplus
+        tab = pplus_table(T_T2P1, 400, 10**4, segment_size=seg)
+        assert tab.flags == base_pp.flags
+        assert tab.pplus == base_pp.pplus
+
+
+def test_segment_size_not_dividing_range():
+    # 900 values in segments of 7: the last segment holds 4; y = 10^7 takes
+    # the cofactor-primality path
+    for y in [13, 10**7]:
+        whole = sieve_range(T2P1, 101, 1000, y)
+        tab = sieve_range(T2P1, 101, 1000, y, segment_size=7)
+        assert tab.psi == whole.psi
+        assert tab.flags == whole.flags
 
 
 def test_monotone_in_x_and_y():

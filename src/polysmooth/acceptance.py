@@ -11,6 +11,7 @@ The quick level drives the same code paths at reduced scale and skips the
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -18,7 +19,8 @@ import random
 import tempfile
 import time
 from dataclasses import dataclass
-from math import ceil, floor, fsum, isqrt, log, sqrt
+from itertools import product
+from math import ceil, floor, fsum, isqrt, log, prod, sqrt
 
 from numpy.polynomial.legendre import leggauss
 
@@ -283,6 +285,7 @@ def _osmooth(f, x, z, y):
             if f(n) != 0 and pplus_oracle(f(n)) <= y}
 
 
+@functools.cache
 def _oomega(f, k):
     return omega_scan(f, k) if k <= 3 * 10**4 else omega(f, k)
 
@@ -304,52 +307,56 @@ def _oracle_v_w(f, x, z, y):
     return V, W
 
 
-def _oracle_depth2(f, x, z, y):
-    """Literal V_2^+, V_2^-, W_2^+, W_2^- sums."""
+def _oracle_split(f, x, z, y, m):
+    """Literal depth-m split (V_m^+, W_m^+, [V_1^- .. V_m^-],
+    [W_1^- .. W_m^-]): every sum over all ordered tuples of the pools, the
+    logs multiplied left to right.  A V tuple's modulus is k1 k2 ...; a W
+    tuple's is lcm(k1, k2) k3 ...."""
     fx, h = f(x), x - z
     log_fz = log(f(z))
     log_fzx = log_fz - log(x)
     smooth = _osmooth(f, x, z, y)
-    v2p = fsum(
-        log(p1) * log(p2) * sum(1 for n in smooth if f(n) % (k1 * k2) == 0)
-        for k1, p1 in _opp(h, sqrt(y), y)
-        for k2, p2 in _opp(h, 1, y)
-        if k1 * k2 <= h
-    ) / (log_fz * log_fzx)
-    v2m = fsum(
-        log(p1) * log(p2) * _oomega(f, k1 * k2)
-        for k1, p1 in _opp(h, 1, y)
-        for k2, p2 in _opp(fx, 1, y)
-        if k1 * k2 > h
-    ) / (log_fz * log_fzx)
-    sq = _opp(h, 1, sqrt(y))
-    yy = _opp(h, 1, y)
-    w2p_terms = []
-    for k1, p1 in sq:
-        for k2, p2 in sq:
-            lcm = max(k1, k2) if p1 == p2 else k1 * k2
-            if lcm > h:
-                continue
-            for k3, p3 in yy:
-                if lcm * k3 > h:
-                    continue
-                cnt = sum(1 for n in smooth if f(n) % (lcm * k3) == 0)
-                w2p_terms.append(log(p1) * log(p2) * log(p3) * cnt)
-    w2p = fsum(w2p_terms) / (log_fz**2 * log_fzx)
-    w2m_terms = []
-    for k1, p1 in yy:
-        for k2, p2 in yy:
-            lcm = max(k1, k2) if p1 == p2 else k1 * k2
-            if lcm > h:
-                continue
-            for k3, p3 in _opp(fx, 1, y):
-                if lcm * k3 <= h:
-                    continue
-                w2m_terms.append(
-                    log(p1) * log(p2) * log(p3) * _oomega(f, lcm * k3)
-                )
-    w2m = fsum(w2m_terms) / (log_fz**2 * log_fzx)
-    return v2p, v2m, w2p, w2m
+    big, sq = _opp(h, sqrt(y), y), _opp(h, 1, sqrt(y))
+    yh, yfx = _opp(h, 1, y), _opp(fx, 1, y)
+
+    def v_mod(tup):
+        return prod(k for k, _ in tup)
+
+    def w_mod(tup):
+        (k1, p1), (k2, p2), *rest = tup
+        return (max(k1, k2) if p1 == p2 else k1 * k2) * v_mod(rest)
+
+    def term(tup, value):
+        return prod([log(p) for _, p in tup] + [value])
+
+    def count(mod):
+        return sum(1 for n in smooth if f(n) % mod == 0)
+
+    def plus(pools, mod):
+        return fsum(term(t, count(mod(t))) for t in product(*pools)
+                    if mod(t) <= h)
+
+    def minus(pools, mod, inner):
+        return fsum(term(t, _oomega(f, mod(t))) for t in product(*pools)
+                    if inner(t) and mod(t) > h)
+
+    def inside(mod):
+        return lambda t: mod(t[:-1]) <= h
+
+    v_plus = plus([big] + [yh] * (m - 1), v_mod) / (log_fz * log_fzx ** (m - 1))
+    w_plus = plus([sq, sq] + [yh] * (m - 1), w_mod) / (
+        log_fz**2 * log_fzx ** (m - 1))
+    v_minus = [
+        minus([yh] * (i - 1) + [yfx], v_mod, inside(v_mod))
+        / (log_fz * log_fzx ** (i - 1))
+        for i in range(1, m + 1)
+    ]
+    w_minus = [minus([yfx, yfx], w_mod, lambda t: True) / log_fz**2] + [
+        minus([yh] * i + [yfx], w_mod, inside(w_mod))
+        / (log_fz**2 * log_fzx ** (i - 1))
+        for i in range(2, m + 1)
+    ]
+    return v_plus, w_plus, v_minus, w_minus
 
 
 def criterion_6(quick=False):
@@ -417,12 +424,12 @@ def criterion_6(quick=False):
     for label, x, z, y in depth_grid[:1 if quick else 2]:
         f = _poly(label)
         rep = vw_prop32(VWInstance(f, x, z, y, depth=2))
-        v2p, v2m, w2p, w2m = _oracle_depth2(f, x, z, y)
+        v2p, w2p, v_minus, w_minus = _oracle_split(f, x, z, y, 2)
         for got, want in [
             (rep.v_plus, v2p),
-            (rep.v_minus[1], v2m),
+            (rep.v_minus[1], v_minus[1]),
             (rep.w_plus, w2p),
-            (rep.w_minus[1], w2m),
+            (rep.w_minus[1], w_minus[1]),
         ]:
             oracle2_worst = max(
                 oracle2_worst, abs(got - want) / max(1.0, abs(want))

@@ -165,16 +165,7 @@ _SCHEMAS = {
 }
 
 
-def _maybe_schema(args):
-    if getattr(args, "schema", False):
-        sys.stdout.write(json.dumps(_SCHEMAS[args.cmd], indent=2, sort_keys=True) + "\n")
-        return True
-    return False
-
-
 def _cmd_psi(args):
-    if _maybe_schema(args):
-        return 0
     if args.x < 1:
         raise ValueError("x must be >= 1")
     f = _poly_from_args(args)
@@ -222,8 +213,6 @@ def _parse_grid(text, conv):
 
 
 def _cmd_bound(args):
-    if _maybe_schema(args):
-        return 0
     records = []
     for d in _parse_grid(args.d, int):
         for g in _parse_grid(args.g, int):
@@ -237,8 +226,10 @@ def _cmd_bound(args):
 
 
 def _cmd_dickman(args):
-    if _maybe_schema(args):
-        return 0
+    if not args.step > 0:
+        raise ValueError("--step must be > 0")
+    if not 0 <= args.u_max <= U_MAX:
+        raise ValueError(f"--u-max must lie in [0, {U_MAX}]")
     n = int(round(args.u_max / args.step))
     rows = []
     for i in range(n + 1):
@@ -252,8 +243,6 @@ def _cmd_dickman(args):
 
 
 def _cmd_omega(args):
-    if _maybe_schema(args):
-        return 0
     from .modroots import omega
 
     f = _poly_from_args(args)
@@ -284,15 +273,19 @@ def _vw_one(spec):
 
 
 def _cmd_vw(args):
-    if _maybe_schema(args):
-        return 0
     specs = []
     if args.config:
         with open(args.config) as fh:
             specs = json.load(fh)
-        if not isinstance(specs, list):
-            raise ValueError("vw config must be a JSON array of instances")
+        if not isinstance(specs, list) or not all(
+            isinstance(spec, dict) and {"factors", "x", "z", "y"} <= spec.keys()
+            for spec in specs
+        ):
+            raise ValueError("vw config must be a JSON array of instances, "
+                             "each with factors, x, z and y")
     else:
+        if None in (args.x, args.z, args.y):
+            raise ValueError("vw-verify needs --x, --z and --y, or --config")
         f = _poly_from_args(args)
         spec = {"factors": [list(p.coeffs) for p in f.factors],
                 "x": args.x, "z": args.z, "y": args.y}
@@ -311,12 +304,16 @@ def _cmd_vw(args):
 
 
 def _cmd_calpha(args):
-    if _maybe_schema(args):
-        return 0
     ctx = make_context(args.m)
+    if args.prop54 and args.x is None:
+        raise ValueError("--prop54 needs --x")
     if args.window:
-        n_str, m_str = args.window.split(",")
-        res = windowed_cassels(ctx, int(n_str), int(m_str),
+        try:
+            n_str, m_str = args.window.split(",")
+            N, M = int(n_str), int(m_str)
+        except ValueError:
+            raise ValueError("--window wants N,M: two integers") from None
+        res = windowed_cassels(ctx, N, M,
                                include_zero=not args.exclude_zero,
                                collect_witnesses=args.dump)
     elif args.x is not None:
@@ -338,8 +335,6 @@ def _cmd_calpha(args):
 
 
 def _cmd_rb(args):
-    if _maybe_schema(args):
-        return 0
     res = r_b(args.b, args.x, collect_records=args.dump)
     if args.dump:
         rows = [asdict(r) for r in res.records]
@@ -354,8 +349,6 @@ def _cmd_rb(args):
 
 
 def _cmd_arctan(args):
-    if _maybe_schema(args):
-        return 0
     res = n_arctan(args.x)
     rec = {"x": args.x, "count": res.count,
            "n1_by_definition": res.n1_by_definition,
@@ -365,8 +358,6 @@ def _cmd_arctan(args):
 
 
 def _cmd_verify(args):
-    if _maybe_schema(args):
-        return 0
     from .acceptance import run_all
 
     results = run_all(level=args.level)
@@ -487,9 +478,12 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else 0
+    if args.schema:
+        sys.stdout.write(json.dumps(_SCHEMAS[args.cmd], indent=2, sort_keys=True) + "\n")
+        return 0
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

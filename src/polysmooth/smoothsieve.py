@@ -83,15 +83,20 @@ def smooth_bound(x, u):
 
     For u with a small exact rational representation (every test grid value),
     the bound is the exact integer floor of x^(1/u):  p <= x^(b/a)  iff
-    p^a <= x^b.  Irrational-looking u falls back to extended-precision float.
+    p^a <= x^b.  Irrational-looking u falls back to extended-precision float;
+    a bound past the float range (tiny u) is inf, which admits every prime,
+    as x^(1/u) does for every |f(n)| below it.
     """
-    if u <= 0:
-        raise ValueError("u must be positive")
+    if not 0 < u < float("inf"):
+        raise ValueError("u must be positive and finite")
     fr = Fraction(u).limit_denominator(64)
     if float(fr) == float(u) and fr.numerator <= 64:
         a, b = fr.numerator, fr.denominator
         return iroot(x**b, a)
-    return exp(log(x) / u)
+    try:
+        return exp(log(x) / u)
+    except OverflowError:
+        return float("inf")
 
 
 def eval_range(poly, n0, count):
@@ -149,7 +154,7 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, pplus_bound=None,
     """
     if lo < 0:
         raise ValueError("range must start at a nonnegative integer")
-    if y < 1:
+    if not y >= 1:
         raise ValueError("y must be >= 1")
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
@@ -169,14 +174,12 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, pplus_bound=None,
             )
         effective = min(pplus_bound, b0)
         prime_mode = True
+    elif y >= b0:  # before flooring: y may be infinite
+        effective = b0
+        prime_mode = True
     else:
-        yf = int(y)  # floor for y >= 1
-        if yf >= b0:
-            effective = b0
-            prime_mode = True
-        else:
-            effective = yf
-            prime_mode = False
+        effective = int(y)  # floor for y >= 1
+        prime_mode = False
     primes = primes_up_to(effective)
     roots = []
     for p in primes:

@@ -5,9 +5,15 @@ V and W are the Cauchy-Schwarz parameters that bound the count of n in
 lhs < V + W/2 + sqrt(VW + W^2/4).  The depth-m refinement splits each of V, W
 into a "+" part (multiple sums over prime-power tuples with product <= h,
 inner counts smooth-restricted) and tail "-" parts (products escaping h,
-bounded through the root-count omega_f).  Every sum here is a literal
-evaluation of its defining display; Lambda-weighted terms accumulate via
-math.fsum.
+bounded through the root-count omega_f).
+
+Every sum is a walk over ordered prime-power tuples (`_walk`, `_extend`)
+closed by one of two reducers: the smooth count of the tuple's modulus, or
+omega_f of it.  The symmetric pair sums of W enumerate each pair k1 <= k2
+once with the off-diagonal weight doubled (`_pairs`).  Doubling is exact and
+the Lambda-weighted terms accumulate via math.fsum, which rounds the exact
+sum, so the halved enumeration gives the same bits as the ordered one.  The
+literal forms of the sums live with the oracles in `acceptance`.
 """
 
 from dataclasses import dataclass, field
@@ -204,6 +210,59 @@ def _count_smooth(f, fact, table):
     return count
 
 
+def _times(fact, p, v):
+    """fact with p^v multiplied in (a new dict)."""
+    return {**fact, p: fact.get(p, 0) + v}
+
+
+def _pairs(pool, keep):
+    """(fact, lcm, weight) for the pairs k1 <= k2 of `pool` with keep(lcm).
+
+    The ordered pair sums visit (k1, k2) and (k2, k1) with equal terms, so
+    each off-diagonal pair stands for both with its weight doubled (exact in
+    floating point, and fsum rounds the exact sum)."""
+    for i, (k1, p1, v1, lp1) in enumerate(pool):
+        for k2, p2, v2, lp2 in pool[i:]:
+            if p1 == p2:
+                fact, lcm = {p1: max(v1, v2)}, max(k1, k2)
+            else:
+                fact, lcm = {p1: v1, p2: v2}, k1 * k2
+            if keep(lcm):
+                weight = lp1 * lp2
+                yield fact, lcm, weight if k1 == k2 else 2 * weight
+
+
+def _extend(heads, pool, keep):
+    """Each (fact, mod, weight) head times one prime power k of `pool` with
+    keep(mod * k); the weight takes the factor log p."""
+    return ((_times(fact, p, v), mod * k, weight * lp)
+            for fact, mod, weight in heads
+            for k, p, v, lp in pool
+            if keep(mod * k))
+
+
+def _walk(heads, pool, h, steps):
+    """The heads extended by `steps` ordered prime powers of `pool`, keeping
+    the product <= h."""
+    for _ in range(steps):
+        heads = _extend(heads, pool, lambda mod: mod <= h)
+    return heads
+
+
+def _smooth_sum(f, table, tuples):
+    """fsum of weight * #{n in the table : f(n) smooth, mod | f(n)}."""
+    return fsum(weight * _count_smooth(f, fact, table)
+                for fact, _, weight in tuples)
+
+
+def _omega_sum(f, tuples):
+    """fsum of weight * omega_f(mod)."""
+    return fsum(weight * omega_factored(f, fact) for fact, _, weight in tuples)
+
+
+_ROOT = (({}, 1, 1.0),)
+
+
 def vw_prop21(inst: VWInstance) -> VWReport:
     """Exact V and W of the initial (depth-free) inequality.
 
@@ -214,33 +273,13 @@ def vw_prop21(inst: VWInstance) -> VWReport:
     fx = _check_scale(inst)
     f, x, z, y = inst.f, inst.x, inst.z, inst.y
     table = sieve_range(f, z + 1, x, y)
-    lhs = table.psi
     log_fz = _log_big(f(z))
-    primes = primes_up_to(int(y))
-
-    v_terms = []
-    for k, p, v, lp in _prime_powers(fx, primes, lambda p: p * p > y):
-        cnt = _count_smooth(f, {p: v}, table)
-        if cnt:
-            v_terms.append(lp * cnt)
-    V = fsum(v_terms) / log_fz
-
-    w_terms = []
-    sq_pool = _prime_powers(fx, primes, lambda p: p * p <= y)
-    for i, (k1, p1, v1, lp1) in enumerate(sq_pool):
-        for j in range(i, len(sq_pool)):
-            k2, p2, v2, lp2 = sq_pool[j]
-            if p1 == p2:
-                fact = {p1: max(v1, v2)}
-            else:
-                fact = {p1: v1, p2: v2}
-            cnt = _count_smooth(f, fact, table)
-            if cnt:
-                weight = lp1 * lp2 * cnt
-                w_terms.append(weight if i == j else 2 * weight)
-    W = fsum(w_terms) / (log_fz * log_fz)
-
-    return _finish_report(lhs, V, W, V, W, [], [], 1, "prop21", inst)
+    primes = primes_up_to(int(min(y, fx)))
+    big = _prime_powers(fx, primes, lambda p: p * p > y)
+    small = _prime_powers(fx, primes, lambda p: p * p <= y)
+    V = _smooth_sum(f, table, _walk(_ROOT, big, fx, 1)) / log_fz
+    W = _smooth_sum(f, table, _pairs(small, lambda lcm: True)) / (log_fz * log_fz)
+    return _finish_report(table.psi, V, W, V, W, [], [], 1, "prop21", inst)
 
 
 def _finish_report(lhs, V, W, v_plus, w_plus, v_minus, w_minus, depth, method, inst):
@@ -282,159 +321,47 @@ def vw_prop32(inst: VWInstance) -> VWReport:
         raise ValueError(f"depth recursion requires f(z) > x, got f(z)={fz}")
     h = inst.h
     table = sieve_range(f, z + 1, x, y)
-    lhs = table.psi
     log_fz = _log_big(fz)
     log_fzx = _log_big(fz) - log(x)
-    primes = primes_up_to(int(y))
+    primes = primes_up_to(int(min(y, fx)))
 
     pool_y_h = _prime_powers(h, primes, lambda p: True)
     pool_v1 = _prime_powers(h, primes, lambda p: p * p > y)
     pool_sq_h = _prime_powers(h, primes, lambda p: p * p <= y)
     pool_y_fx = _prime_powers(fx, primes, lambda p: True)
 
-    def descend(fact, p, v):
-        old = fact.get(p, 0)
-        fact[p] = old + v
-        return old
+    def inside(lcm):
+        return lcm <= h
 
-    def undo(fact, p, old):
-        if old:
-            fact[p] = old
-        else:
-            del fact[p]
+    def escapes(mod):
+        return mod > h
 
-    # ---- V_m^+ ----------------------------------------------------------
-    v_plus_terms = []
+    v_plus = _smooth_sum(
+        f, table, _walk(_walk(_ROOT, pool_v1, h, 1), pool_y_h, h, m - 1)
+    ) / (log_fz * log_fzx ** (m - 1))
+    w_plus = _smooth_sum(
+        f, table, _walk(_pairs(pool_sq_h, inside), pool_y_h, h, m - 1)
+    ) / (log_fz * log_fz * log_fzx ** (m - 1))
 
-    def v_rec(idx, budget, fact, weight):
-        if idx == m:
-            cnt = _count_smooth(f, fact, table)
-            if cnt:
-                v_plus_terms.append(weight * cnt)
-            return
-        for k, p, v, lp in pool_y_h:
-            if k > budget:
-                continue
-            old = descend(fact, p, v)
-            v_rec(idx + 1, budget // k, fact, weight * lp)
-            undo(fact, p, old)
-
-    for k1, p1, v1, lp1 in pool_v1:
-        v_rec(1, h // k1, {p1: v1}, lp1)
-    v_plus = fsum(v_plus_terms) / (log_fz * log_fzx ** (m - 1))
-
-    # ---- W_m^+ ----------------------------------------------------------
-    w_plus_terms = []
-
-    def w_rec(idx, budget, fact, weight):
-        # idx counts k_3 .. k_{m+1}
-        if idx == m - 1:
-            cnt = _count_smooth(f, fact, table)
-            if cnt:
-                w_plus_terms.append(weight * cnt)
-            return
-        for k, p, v, lp in pool_y_h:
-            if k > budget:
-                continue
-            old = descend(fact, p, v)
-            w_rec(idx + 1, budget // k, fact, weight * lp)
-            undo(fact, p, old)
-
-    for k1, p1, v1, lp1 in pool_sq_h:
-        for k2, p2, v2, lp2 in pool_sq_h:
-            if p1 == p2:
-                fact = {p1: max(v1, v2)}
-                lcm = p1 ** fact[p1]
-            else:
-                fact = {p1: v1, p2: v2}
-                lcm = k1 * k2
-            if lcm > h:
-                continue
-            w_rec(0, h // lcm, fact, lp1 * lp2)
-    w_plus = fsum(w_plus_terms) / (log_fz * log_fz * log_fzx ** (m - 1))
-
-    # ---- V_i^- ----------------------------------------------------------
+    # V_i^-: i - 1 prime powers inside h, the i-th escaping it.  W_i^-: the
+    # pair and k_3 .. k_i inside h, k_{i+1} escaping; W_1^-'s pair escapes.
     v_minus = []
-    for i in range(1, m + 1):
-        terms = []
-
-        def tail_v(idx, prefix_prod, fact, weight):
-            if idx == i - 1:
-                for k, p, v, lp in pool_y_fx:
-                    if k * prefix_prod <= h:
-                        continue
-                    old = descend(fact, p, v)
-                    w = omega_factored(f, fact)
-                    if w:
-                        terms.append(weight * lp * w)
-                    undo(fact, p, old)
-                return
-            for k, p, v, lp in pool_y_h:
-                if k * prefix_prod > h:
-                    continue
-                old = descend(fact, p, v)
-                tail_v(idx + 1, prefix_prod * k, fact, weight * lp)
-                undo(fact, p, old)
-
-        tail_v(0, 1, {}, 1.0)
-        v_minus.append(fsum(terms) / (log_fz * log_fzx ** (i - 1)))
-
-    # ---- W_i^- ----------------------------------------------------------
     w_minus = []
     for i in range(1, m + 1):
-        terms = []
+        heads = _walk(_ROOT, pool_y_h, h, i - 1)
+        v_minus.append(_omega_sum(f, _extend(heads, pool_y_fx, escapes))
+                       / (log_fz * log_fzx ** (i - 1)))
         if i == 1:
-            for k1, p1, v1, lp1 in pool_y_fx:
-                for k2, p2, v2, lp2 in pool_y_fx:
-                    if p1 == p2:
-                        lcm_fact = {p1: max(v1, v2)}
-                        lcm = p1 ** lcm_fact[p1]
-                    else:
-                        lcm_fact = {p1: v1, p2: v2}
-                        lcm = k1 * k2
-                    if lcm <= h:
-                        continue
-                    w = omega_factored(f, lcm_fact)
-                    if w:
-                        terms.append(lp1 * lp2 * w)
-            w_minus.append(fsum(terms) / (log_fz * log_fz))
-            continue
-
-        def tail_w(idx, base_prod, fact, weight):
-            # idx counts k_3 .. k_i; then k_{i+1} is the escaping index
-            if idx == i - 2:
-                for k, p, v, lp in pool_y_fx:
-                    if k * base_prod <= h:
-                        continue
-                    old = descend(fact, p, v)
-                    w = omega_factored(f, fact)
-                    if w:
-                        terms.append(weight * lp * w)
-                    undo(fact, p, old)
-                return
-            for k, p, v, lp in pool_y_h:
-                if k * base_prod > h:
-                    continue
-                old = descend(fact, p, v)
-                tail_w(idx + 1, base_prod * k, fact, weight * lp)
-                undo(fact, p, old)
-
-        for k1, p1, v1, lp1 in pool_y_h:
-            for k2, p2, v2, lp2 in pool_y_h:
-                if p1 == p2:
-                    base_fact = {p1: max(v1, v2)}
-                    lcm = p1 ** base_fact[p1]
-                else:
-                    base_fact = {p1: v1, p2: v2}
-                    lcm = k1 * k2
-                if lcm > h:
-                    continue
-                tail_w(0, lcm, base_fact, lp1 * lp2)
-        w_minus.append(fsum(terms) / (log_fz * log_fz * log_fzx ** (i - 1)))
+            tails = _pairs(pool_y_fx, escapes)
+        else:
+            heads = _walk(_pairs(pool_y_h, inside), pool_y_h, h, i - 2)
+            tails = _extend(heads, pool_y_fx, escapes)
+        w_minus.append(_omega_sum(f, tails)
+                       / (log_fz * log_fz * log_fzx ** (i - 1)))
 
     V = v_plus + fsum(v_minus)
     W = w_plus + fsum(w_minus)
-    return _finish_report(lhs, V, W, v_plus, w_plus, v_minus, w_minus, m,
+    return _finish_report(table.psi, V, W, v_plus, w_plus, v_minus, w_minus, m,
                           "prop32", inst)
 
 
@@ -467,25 +394,13 @@ def lemma31_check(inst: VWInstance, kappa: int) -> Lemma31Result:
     if fz <= x:
         raise ValueError("lemma requires f(z) > x")
     table = sieve_range(f, z + 1, x, y)
-    kfact = factorize(kappa) if kappa > 1 else {}
-    lhs = _count_smooth(f, dict(kfact), table)
+    kfact = factorize(kappa)
+    lhs = _count_smooth(f, kfact, table)
     log_fzx = _log_big(fz) - log(x)
-    primes = primes_up_to(int(y))
-    head = []
-    tail = []
-    for lam, p, v, lp in _prime_powers(fx, primes, lambda p: True):
-        fact = dict(kfact)
-        fact[p] = fact.get(p, 0) + v
-        if lam * kappa <= h:
-            cnt = _count_smooth(f, fact, table)
-            if cnt:
-                head.append(lp * cnt)
-        else:
-            w = omega_factored(f, fact)
-            if w:
-                tail.append(lp * w)
-    head_sum = fsum(head) / log_fzx
-    tail_sum = fsum(tail) / log_fzx
+    pool = _prime_powers(fx, primes_up_to(int(min(y, fx))), lambda p: True)
+    head = ((kfact, kappa, 1.0),)
+    head_sum = _smooth_sum(f, table, _walk(head, pool, h, 1)) / log_fzx
+    tail_sum = _omega_sum(f, _extend(head, pool, lambda mod: mod > h)) / log_fzx
     rhs = head_sum + tail_sum
     vacuous = lhs == 0
     return Lemma31Result(

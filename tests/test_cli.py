@@ -189,3 +189,44 @@ def test_output_file(tmp_path, capsys):
     assert rc == 0
     rec = json.loads(out_path.read_text())
     assert rec["psi"] == 34
+
+
+def test_infinite_and_tiny_bounds_give_exact_counts(capsys):
+    # y = inf (or x^(1/u) past the float range) admits every prime, as
+    # --y 1e300 already did: every n with f(n) != 0 is counted
+    for extra in (["--y", "inf"], ["--y", "1e300"], ["--u", "1e-9"]):
+        rc, out = run_cli(capsys, ["psi", "--poly", "t", "--x", "100", *extra])
+        assert rc == 0, extra
+        assert json.loads(out)["psi"] == 100
+    rc, out = run_cli(capsys, ["vw-verify", "--poly", "t^2+1", "--x", "50",
+                               "--z", "10", "--y", "inf"])
+    assert rc == 0
+    assert json.loads(out)["lhs"] == 40
+
+
+def test_bad_inputs_are_domain_errors(tmp_path, capsys):
+    bad_cfg = tmp_path / "bad.json"
+    bad_cfg.write_text(json.dumps([{"x": 100}]))
+    cases = [
+        (["psi", "--poly", "t", "--x", "100", "--y", "nan"], "y must be >= 1"),
+        (["psi", "--poly", "t", "--x", "100", "--u", "inf"], "u must be positive"),
+        (["dickman", "--step", "0"], "--step must be > 0"),
+        (["dickman", "--step", "-1"], "--step must be > 0"),
+        (["dickman", "--u-max", "inf"], "--u-max must lie in"),
+        (["vw-verify", "--poly", "t^2+1", "--x", "50", "--z", "10"],
+         "needs --x, --z and --y"),
+        (["vw-verify", "--config", str(tmp_path / "missing.json")],
+         "No such file"),
+        (["vw-verify", "--config", str(bad_cfg)], "each with factors, x, z and y"),
+        (["omega", "--poly", "t", "--k", "5",
+          "--out", str(tmp_path / "no" / "dir" / "f")], "No such file"),
+        (["calpha", "--m", "2", "--window", "5"], "--window wants N,M"),
+        (["calpha", "--m", "2", "--window", "5,x"], "--window wants N,M"),
+        (["calpha", "--m", "2", "--window", "5,6", "--prop54"],
+         "--prop54 needs --x"),
+    ]
+    for argv, msg in cases:
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: ") and msg in captured.err, argv

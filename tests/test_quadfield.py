@@ -2,6 +2,7 @@ from collections import defaultdict
 
 import pytest
 
+from polysmooth.acceptance import _windowed_oracle
 from polysmooth.modroots import lift_roots
 from polysmooth.primes import factorize, primes_up_to
 from polysmooth.quadfield import (
@@ -101,27 +102,6 @@ def test_c_alpha_against_oracle():
 def test_c_alpha_scale_guard():
     with pytest.raises(ValueError):
         c_alpha(CTX2, 10**5 + 1)
-
-
-def _windowed_oracle(m, N, M, include_zero):
-    lo = 0 if include_zero else 1
-    classes = defaultdict(list)
-    for k in range(lo, N + M + 1):
-        v = abs(k * k - m)
-        if v <= 1:
-            continue
-        for p in factorize(v):
-            classes[(p, k % p)].append(k)
-    count = 0
-    for n in range(N + 1, N + M + 1):
-        v = abs(n * n - m)
-        if v <= 1:
-            continue
-        for p in factorize(v):
-            if classes[(p, n % p)] == [n]:
-                count += 1
-                break
-    return count
 
 
 def test_windowed_cassels_oracle():

@@ -1,5 +1,6 @@
-"""Literal nested-loop transcriptions of the displayed V/W formulas, checked
-against the implementation term by term.
+"""The V/W implementation checked term by term against the literal
+nested-loop transcriptions of the displayed formulas in
+`polysmooth.acceptance`.
 
 The oracles enumerate prime powers independently, test divisibility by
 evaluating f(n) mod k directly, decide smoothness through the generic
@@ -11,10 +12,15 @@ from math import fsum, log, sqrt
 
 import pytest
 
+from polysmooth.acceptance import (
+    _oomega,
+    _opp,
+    _oracle_split,
+    _oracle_v_w,
+    _osmooth,
+)
+from polysmooth.modroots import omega
 from polysmooth.polyarith import build_factored
-from polysmooth.primes import primes_up_to
-from polysmooth.modroots import omega, omega_scan
-from polysmooth.smoothsieve import pplus_oracle
 from polysmooth.vwmachinery import (
     VWInstance,
     lemma31_check,
@@ -30,48 +36,6 @@ T_T2P1 = build_factored(["t", "t^2+1"])
 MIXED = build_factored(["t+1", "t^2+2"])
 
 
-def _oracle_prime_powers(limit, lo_excl, hi_incl):
-    """Prime powers k = p^v <= limit with lo_excl < p <= hi_incl."""
-    out = []
-    for p in primes_up_to(int(hi_incl)):
-        if p <= lo_excl or p > hi_incl:
-            continue
-        k = p
-        while k <= limit:
-            out.append((k, p))
-            k *= p
-    return out
-
-
-def _oracle_smooth_set(f, x, z, y):
-    return {n for n in range(z + 1, x + 1)
-            if f(n) != 0 and pplus_oracle(f(n)) <= y}
-
-
-def _oracle_omega(f, k):
-    return omega_scan(f, k) if k <= 3 * 10**4 else omega(f, k)
-
-
-def _oracle_prop21(f, x, z, y):
-    fx = f(x)
-    log_fz = log(f(z))
-    smooth = _oracle_smooth_set(f, x, z, y)
-    v_terms = []
-    for k, p in _oracle_prime_powers(fx, sqrt(y), y):
-        cnt = sum(1 for n in smooth if f(n) % k == 0)
-        v_terms.append(log(p) * cnt)
-    V = fsum(v_terms) / log_fz
-    w_terms = []
-    sq = _oracle_prime_powers(fx, 1, sqrt(y))
-    for k1, p1 in sq:
-        for k2, p2 in sq:
-            lcm = k1 * k2 if p1 != p2 else max(k1, k2)
-            cnt = sum(1 for n in smooth if f(n) % lcm == 0)
-            w_terms.append(log(p1) * log(p2) * cnt)
-    W = fsum(w_terms) / log_fz**2
-    return V, W
-
-
 def test_prop21_matches_literal_oracle():
     cases = [
         (T2P1, 50, 10, 10),
@@ -79,10 +43,11 @@ def test_prop21_matches_literal_oracle():
         (T2M2, 60, 12, 8),
         (T_T2P1, 50, 9, 6),
         (MIXED, 40, 8, 5),
+        (T_T2P1, 100, 25, 20),  # W has off-diagonal pairs with nonzero counts
     ]
     for f, x, z, y in cases:
         rep = vw_prop21(VWInstance(f, x, z, y))
-        V, W = _oracle_prop21(f, x, z, y)
+        V, W = _oracle_v_w(f, x, z, y)
         assert abs(rep.V - V) <= 1e-9 * max(1, abs(V)), (f, x, z, y)
         assert abs(rep.W - W) <= 1e-9 * max(1, abs(W)), (f, x, z, y)
 
@@ -120,42 +85,10 @@ def test_prop21_scale_guard():
         VWInstance(T2P1, 50, 1, 5)  # z <= T_0 = 2
 
 
-def _oracle_prop32_m1(f, x, z, y):
-    """Literal depth-1 components of the split."""
-    fx, h = f(x), x - z
-    log_fz = log(f(z))
-    smooth = _oracle_smooth_set(f, x, z, y)
-    v_plus = fsum(
-        log(p) * sum(1 for n in smooth if f(n) % k == 0)
-        for k, p in _oracle_prime_powers(h, sqrt(y), y)
-    ) / log_fz
-    sq = _oracle_prime_powers(h, 1, sqrt(y))
-    w_plus = fsum(
-        log(p1) * log(p2) * sum(1 for n in smooth if f(n) % max(k1, k2) == 0
-                                if p1 == p2) if p1 == p2 else
-        log(p1) * log(p2) * sum(1 for n in smooth if f(n) % (k1 * k2) == 0)
-        for k1, p1 in sq
-        for k2, p2 in sq
-        if (max(k1, k2) if p1 == p2 else k1 * k2) <= h
-    ) / log_fz**2
-    v1m = fsum(
-        log(p) * _oracle_omega(f, k)
-        for k, p in _oracle_prime_powers(fx, 1, y)
-        if k > h
-    ) / log_fz
-    w1m = fsum(
-        log(p1) * log(p2) * _oracle_omega(f, max(k1, k2) if p1 == p2 else k1 * k2)
-        for k1, p1 in _oracle_prime_powers(fx, 1, y)
-        for k2, p2 in _oracle_prime_powers(fx, 1, y)
-        if (max(k1, k2) if p1 == p2 else k1 * k2) > h
-    ) / log_fz**2
-    return v_plus, w_plus, v1m, w1m
-
-
 def test_prop32_depth1_matches_literal_oracle():
     for f, x, z, y in [(T2P1, 50, 10, 10), (T2M2, 60, 14, 8)]:
         rep = vw_prop32(VWInstance(f, x, z, y, depth=1))
-        v_plus, w_plus, v1m, w1m = _oracle_prop32_m1(f, x, z, y)
+        v_plus, w_plus, (v1m,), (w1m,) = _oracle_split(f, x, z, y, 1)
         assert abs(rep.v_plus - v_plus) <= 1e-9 * max(1, v_plus)
         assert abs(rep.w_plus - w_plus) <= 1e-9 * max(1, w_plus)
         assert abs(rep.v_minus[0] - v1m) <= 1e-9 * max(1, v1m)
@@ -166,7 +99,7 @@ def test_prop32_depth1_matches_literal_oracle():
 
 def test_prop32_depth1_sandwiches_prop21():
     # The m=1 split is an upper-bound relaxation of the Prop 2.1 pair:
-    # the "+" parts agree on k <= h and the tails dominate (see ledger).
+    # the "+" parts agree on k <= h and the tails dominate.
     for f, x, z, y in [(T2P1, 50, 10, 10), (T2M2, 60, 14, 8), (T_T2P1, 50, 9, 6)]:
         r21 = vw_prop21(VWInstance(f, x, z, y))
         r32 = vw_prop32(VWInstance(f, x, z, y, depth=1))
@@ -176,41 +109,28 @@ def test_prop32_depth1_sandwiches_prop21():
         assert r21.W <= r32.W + 1e-12
 
 
-def _oracle_v2_plus(f, x, z, y):
-    h = x - z
-    log_fz, log_fzx = log(f(z)), log(f(z)) - log(x)
-    smooth = _oracle_smooth_set(f, x, z, y)
-    terms = []
-    for k1, p1 in _oracle_prime_powers(h, sqrt(y), y):
-        for k2, p2 in _oracle_prime_powers(h, 1, y):
-            if k1 * k2 > h:
-                continue
-            cnt = sum(1 for n in smooth if f(n) % (k1 * k2) == 0)
-            terms.append(log(p1) * log(p2) * cnt)
-    return fsum(terms) / (log_fz * log_fzx)
-
-
-def _oracle_v2_minus(f, x, z, y):
-    fx, h = f(x), x - z
-    log_fz, log_fzx = log(f(z)), log(f(z)) - log(x)
-    terms = []
-    for k1, p1 in _oracle_prime_powers(h, 1, y):
-        for k2, p2 in _oracle_prime_powers(fx, 1, y):
-            if k1 * k2 <= h:
-                continue
-            terms.append(log(p1) * log(p2) * _oracle_omega(f, k1 * k2))
-    return fsum(terms) / (log_fz * log_fzx)
-
-
 def test_prop32_depth2_matches_literal_oracle():
     f, x, z, y = T2P1, 200, 60, 6
     rep = vw_prop32(VWInstance(f, x, z, y, depth=2))
-    v2p = _oracle_v2_plus(f, x, z, y)
-    v2m = _oracle_v2_minus(f, x, z, y)
+    v2p, w2p, v_minus, w_minus = _oracle_split(f, x, z, y, 2)
     assert abs(rep.v_plus - v2p) <= 1e-9 * max(1, v2p)
-    assert abs(rep.v_minus[1] - v2m) <= 1e-9 * max(1, v2m)
+    assert abs(rep.v_minus[1] - v_minus[1]) <= 1e-9 * max(1, v_minus[1])
+    assert abs(rep.w_plus - w2p) <= 1e-9 * max(1, w2p)
+    assert abs(rep.w_minus[1] - w_minus[1]) <= 1e-9 * max(1, w_minus[1])
     assert len(rep.v_minus) == 2 and len(rep.w_minus) == 2
     assert rep.verdict_2_1 and rep.verdict_2_2
+
+
+def test_prop32_depth3_matches_literal_oracle():
+    f, x, z, y = T_T2P1, 100, 25, 20
+    rep = vw_prop32(VWInstance(f, x, z, y, depth=3))
+    v_plus, w_plus, v_minus, w_minus = _oracle_split(f, x, z, y, 3)
+    got = [rep.v_plus, rep.w_plus, *rep.v_minus, *rep.w_minus]
+    want = [v_plus, w_plus, *v_minus, *w_minus]
+    assert len(got) == len(want) == 8
+    assert all(w > 0 for w in want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-9 * max(1, w)
 
 
 def test_prop32_monotone_relations():
@@ -250,16 +170,16 @@ def test_lemma31_literal_oracle():
     kappa = 2
     fx, h = f(x), x - z
     log_fzx = log(f(z)) - log(x)
-    smooth = _oracle_smooth_set(f, x, z, y)
+    smooth = _osmooth(f, x, z, y)
     lhs = sum(1 for n in smooth if f(n) % kappa == 0)
     head = fsum(
         log(p) * sum(1 for n in smooth if f(n) % (kappa * lam) == 0)
-        for lam, p in _oracle_prime_powers(fx, 1, y)
+        for lam, p in _opp(fx, 1, y)
         if lam * kappa <= h
     )
     tail = fsum(
-        log(p) * _oracle_omega(f, kappa * lam)
-        for lam, p in _oracle_prime_powers(fx, 1, y)
+        log(p) * _oomega(f, kappa * lam)
+        for lam, p in _opp(fx, 1, y)
         if lam * kappa > h
     )
     rhs = (head + tail) / log_fzx
@@ -293,14 +213,14 @@ def test_lemma41_direct_summation_oracle():
     # omega_t == 1: s1 = sum over prime powers p^v <= x of log p / p^v
     expect = fsum(
         log(p) / k
-        for k, p in _oracle_prime_powers(10**4, 1, 10**4)
+        for k, p in _opp(10**4, 1, 10**4)
     )
     assert abs(res.s1 - expect) < 1e-9
     assert abs(res.res1) <= 3  # calibrated band vs log y
     res2 = lemma41_sums(T2P1, 10**4, 10**2)
     expect2 = fsum(
         log(p) / k * omega(T2P1, k)
-        for k, p in _oracle_prime_powers(10**4, 1, 10**2)
+        for k, p in _opp(10**4, 1, 10**2)
     )
     assert abs(res2.s1 - expect2) < 1e-9
     assert abs(res2.res1) < 5

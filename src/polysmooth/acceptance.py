@@ -20,7 +20,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from itertools import product
-from math import ceil, floor, fsum, isqrt, log, prod, sqrt
+from math import ceil, floor, fsum, log, prod, sqrt
 
 from numpy.polynomial.legendre import leggauss
 
@@ -38,7 +38,6 @@ from .quadfield import (
     windowed_cassels,
 )
 from .smoothsieve import (
-    coeff_bound,
     pplus_oracle,
     pplus_table,
     psi,
@@ -136,7 +135,7 @@ def criterion_3(quick=False):
     for label in _POLY_SPECS:
         f = _poly(label)
         oracle_pp = [pplus_oracle(f(n)) for n in range(1, x + 1)]
-        tab_pp = pplus_table(f, x, isqrt(coeff_bound(f, x)) + 1)
+        tab_pp = pplus_table(f, x)
         if [tab_pp.pplus_of(n) for n in range(1, x + 1)] != oracle_pp:
             mismatches += 1
         for y in y_grid:
@@ -556,7 +555,7 @@ def criterion_8(quick=False):
     dual_fail = 0
     for m in (2, 3, 6):
         ctx = make_context(m)
-        table = pplus_table(ctx.f, n_top, 2 * n_top + m)
+        table = pplus_table(ctx.f, n_top)
         for n in range(1, n_top + 1):
             v = abs(n * n - m)
             if v <= 1:
@@ -657,7 +656,7 @@ def criterion_9(quick=False):
     x_eq = 2000 if quick else 10**4
     rb_records = r_b(1, x_eq, collect_records=True).records
     f1 = _poly("t^2+1")
-    table = pplus_table(f1, x_eq, 2 * x_eq + 1)
+    table = pplus_table(f1, x_eq)
     per_n_fail = 0
     count_arc = 0
     for n in range(1, x_eq + 1):

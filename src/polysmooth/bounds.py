@@ -36,8 +36,8 @@ def gamma_f(d, g, u):
         raise ValueError("gamma_f requires total degree d >= 2")
     if g < 1 or g > d:
         raise ValueError("factor count g must satisfy 1 <= g <= d")
-    if not u >= 1:
-        raise ValueError("u must be >= 1")
+    if not 1 <= u < float("inf"):
+        raise ValueError("u must be finite and >= 1")
     with localcontext() as ctx:
         ctx.prec = _PREC
         t = _dec(2 * g + 1) / (_dec(16) * _dec(d) * _dec(u))
@@ -83,8 +83,8 @@ def thm11_main_term(f, x, u):
 
 def timofeev_main_term(d, g, u, eps):
     """(g+eps)^[u] / (d (d-1)^([u]-1) u^[u])."""
-    if not u >= 1:
-        raise ValueError("u must be >= 1")
+    if not 1 <= u < float("inf"):
+        raise ValueError("u must be finite and >= 1")
     if eps < 0:
         raise ValueError("eps must be >= 0")
     m = _floor_u(u)

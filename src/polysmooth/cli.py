@@ -10,7 +10,7 @@ error (or failed verify), 2 usage error.
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, is_dataclass
 
 from . import __version__
 from .bounds import make_bound_report
@@ -78,32 +78,17 @@ def _poly_from_args(args):
     raise ValueError("one of --poly / --factors is required")
 
 
-@dataclass
-class RunConfig:
+def _config(args, **extra):
     """Fully resolved run configuration; embedded in every emitted record so
     outputs are self-describing."""
-
-    subcommand: str
-    options: dict
-    format: str
-    out: str
-    version: str = __version__
-
-
-def _config(args, **extra):
     opts = {
         k: v
         for k, v in vars(args).items()
         if k not in ("func", "schema", "cmd", "format", "out")
     }
     opts.update(extra)
-    cfg = RunConfig(
-        subcommand=args.cmd,
-        options=opts,
-        format=args.format,
-        out=args.out,
-    )
-    return asdict(cfg)
+    return {"subcommand": args.cmd, "options": opts, "format": args.format,
+            "out": args.out, "version": __version__}
 
 
 _SCHEMAS = {

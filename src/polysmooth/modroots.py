@@ -34,10 +34,6 @@ class RootSet:
     def __len__(self):
         return len(self.residues)
 
-    @property
-    def modulus(self):
-        return self.p**self.v
-
 
 def _eval_mod(poly, u, m):
     acc = 0

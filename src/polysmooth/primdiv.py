@@ -1,19 +1,21 @@
 """Primitive divisors of n^2 + b and arctangent irreducibility.
 
-For n > |b| the criterion P+(n^2 + b) > 2n decides primitivity; the boundary
-n <= |b| falls back to the definition (some prime divisor of n^2 + b coprime
-to every earlier nonzero m^2 + b).  arctan n is irreducible iff the same
-criterion holds, with n = 1 settled by the definition (the empty relation
-makes arctan 1 irreducible even though P+(2) = 2 is not > 2), which keeps
-N(x) = R_1(x) exactly.
+n^2 + b has a primitive divisor (some d > 1 coprime to every earlier term
+m^2 + b, 1 <= m < n) iff P+(|n^2 + b|) >= 2n, or n is prime and n | b.
+A prime d | n^2 + b divides m^2 + b iff m = +-n (mod d), and such an m in
+[1, n) exists (n - d or d - n) iff d < 2n and d != n; d = n divides n^2 + b
+iff n | b.  (_check_b keeps every m^2 + b nonzero.)  For n > |b| the rule is
+the criterion P+ > 2n; records mark n <= |b| as "direct" and flag where the
+criterion alone would disagree.  arctan n is irreducible iff the rule holds
+for b = 1, which keeps N(x) = R_1(x) exactly.
 """
 
 from dataclasses import dataclass
 from math import isqrt, log
 
 from .polyarith import build_factored
-from .primes import factorize
-from .smoothsieve import pplus_oracle, pplus_table, psi
+from .primes import is_prime
+from .smoothsieve import pplus_oracle, pplus_table
 
 __all__ = [
     "PrimDivRecord",
@@ -55,32 +57,25 @@ def _quad_poly(b):
     return build_factored([[b, 0, 1]])  # t^2 + b
 
 
-def _direct_primitive(b, n, pplus):
-    """Definition scan over prime divisors d of n^2 + b against all nonzero
-    earlier terms m^2 + b, 1 <= m < n."""
-    a_n = abs(n * n + b)
-    if a_n <= 1:
-        return False
-    for d in factorize(a_n):
-        if all((m * m + b) % d != 0 for m in range(1, n) if m * m + b != 0):
-            return True
-    return False
+def _is_primitive(b, n, pplus):
+    return pplus >= 2 * n or (b % n == 0 and is_prime(n))
+
+
+def _record(b, n, pplus, has):
+    if n > abs(b):
+        return PrimDivRecord(b, n, pplus, has, "criterion")
+    return PrimDivRecord(b, n, pplus, has, "direct",
+                         criterion_mismatch=has != (pplus > 2 * n))
 
 
 def has_primitive_divisor(b: int, n: int) -> PrimDivRecord:
     """Whether n^2 + b has a divisor d > 1 coprime to every earlier nonzero
-    term; criterion P+ > 2n for n > |b|, definition scan at the boundary."""
+    term, by the rule above with P+ from generic factorization."""
     _check_b(b)
     if n < 1:
         raise ValueError("n must be >= 1")
     pplus = pplus_oracle(n * n + b)
-    if n > abs(b):
-        return PrimDivRecord(b, n, pplus, pplus > 2 * n, "criterion")
-    has = _direct_primitive(b, n, pplus)
-    return PrimDivRecord(
-        b, n, pplus, has, "direct",
-        criterion_mismatch=has != (pplus > 2 * n),
-    )
+    return _record(b, n, pplus, _is_primitive(b, n, pplus))
 
 
 @dataclass
@@ -95,33 +90,31 @@ class RBResult:
         return self.count / self.x if self.x else 0.0
 
 
-def r_b(b: int, x: int, collect_records: bool = False) -> RBResult:
-    """Exact R_b(x): the number of n in [1, x] with a primitive divisor of
-    n^2 + b; sieve-backed for n > |b|, definition scan below."""
+def _pplus(b, x):
+    """Exact P+(|n^2 + b|) for n = 1..x, from one sieve."""
     _check_b(b)
     if x < 1:
         raise ValueError("x must be >= 1")
     if x > MAX_X:
         raise ValueError(f"x={x} exceeds the sieve budget {MAX_X}")
+    return pplus_table(_quad_poly(b), x).pplus
+
+
+def _count(b, pplus, collect_records):
     records = [] if collect_records else None
     count = 0
-    boundary = min(abs(b), x)
-    for n in range(1, boundary + 1):
-        rec = has_primitive_divisor(b, n)
-        if rec.has_primitive:
-            count += 1
+    for n, pp in enumerate(pplus, 1):
+        has = _is_primitive(b, n, pp)
+        count += has
         if collect_records:
-            records.append(rec)
-    if x > abs(b):
-        f = _quad_poly(b)
-        table = pplus_table(f, x, 2 * x + abs(b))
-        for n in range(abs(b) + 1, x + 1):
-            pp = table.pplus_of(n)
-            has = pp > 2 * n
-            if has:
-                count += 1
-            if collect_records:
-                records.append(PrimDivRecord(b, n, pp, has, "criterion"))
+            records.append(_record(b, n, pp, has))
+    return count, records
+
+
+def r_b(b: int, x: int, collect_records: bool = False) -> RBResult:
+    """Exact R_b(x): the number of n in [1, x] with a primitive divisor of
+    n^2 + b, from one sieved P+ table."""
+    count, records = _count(b, _pplus(b, x), collect_records)
     return RBResult(b=b, x=x, count=count, records=records)
 
 
@@ -135,17 +128,11 @@ class NArctanResult:
 def n_arctan(x: int) -> NArctanResult:
     """N(x): the number of n <= x with arctan n irreducible, via the
     P+(n^2+1) > 2n criterion for n >= 2 and the definition at n = 1."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    if x > MAX_X:
-        raise ValueError(f"x={x} exceeds the sieve budget {MAX_X}")
+    pplus = _pplus(1, x)
     count = 1  # n = 1: irreducible by the empty relation
-    if x >= 2:
-        f = _quad_poly(1)
-        table = pplus_table(f, x, 2 * x + 1)
-        for n in range(2, x + 1):
-            if table.pplus_of(n) > 2 * n:
-                count += 1
+    for n in range(2, x + 1):
+        if pplus[n - 1] > 2 * n:
+            count += 1
     return NArctanResult(x=x, count=count)
 
 
@@ -161,12 +148,13 @@ class Prop63Report:
 
 
 def verify_prop63(b: int, x: int) -> Prop63Report:
-    """R_b(x) against x - Psi_f(x, x) for f = t^2 + b; the two sides come
-    from independent runs (criterion counting vs. smooth counting)."""
+    """R_b(x) against x - Psi_f(x, x) for f = t^2 + b, both counted from one
+    P+ table: Psi_f(x, x) is the number of n with P+(|f(n)|) <= x."""
     if x < 100:
         raise ValueError("x must be >= 100")
-    count = r_b(b, x).count
-    ps = psi(_quad_poly(b), x, x).psi
+    pplus = _pplus(b, x)
+    count, _ = _count(b, pplus, False)
+    ps = sum(1 for pp in pplus if pp <= x)
     r = abs(count - (x - ps))
     return Prop63Report(
         b=b,

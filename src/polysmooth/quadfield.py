@@ -15,7 +15,7 @@ from math import isqrt, log
 
 from .polyarith import FactoredPoly, build_factored
 from .primes import factorize, is_prime, legendre, sqrt_mod_p
-from .smoothsieve import psi, sieve_range
+from .smoothsieve import pplus_table, sieve_range
 
 __all__ = [
     "QuadContext",
@@ -95,22 +95,20 @@ class CAlphaResult:
     lo: int = 1
 
 
-def _unique_class_count(ctx, lo, hi, exclusion_lo, exclusion_hi,
+def _unique_class_count(ctx, table, exclusion_lo, exclusion_hi,
                         collect_witnesses):
-    """Count n in [lo, hi] such that some prime p | n^2 - m has its class
-    n (mod p) free of any other k in [exclusion_lo, exclusion_hi].
+    """Count n in [table.lo, table.hi] such that some prime p | n^2 - m has
+    its class n (mod p) free of any other k in [exclusion_lo, exclusion_hi].
 
     The class of n mod p contains another excluded k iff p <= n - exclusion_lo
     or p <= exclusion_hi - n, so the test is P+(|n^2 - m|) > threshold; the
-    sieve provides exact P+ per n.
+    sieve's table provides exact P+ per n.
     """
-    table = sieve_range(ctx.f, lo, hi, float("inf"), need_pplus=True)
     count = 0
     witnesses = [] if collect_witnesses else None
-    for n in range(lo, hi + 1):
+    for n, pp in enumerate(table.pplus, table.lo):
         if abs(n * n - ctx.m) <= 1:
             continue  # unit: no prime ideal divides (n + sqrt(m))
-        pp = table.pplus_of(n)
         threshold = max(n - exclusion_lo, exclusion_hi - n)
         if pp > threshold:
             count += 1
@@ -119,14 +117,19 @@ def _unique_class_count(ctx, lo, hi, exclusion_lo, exclusion_hi,
     return count, witnesses
 
 
-def c_alpha(ctx: QuadContext, x: int, collect_witnesses: bool = True) -> CAlphaResult:
-    """The number of n in [1, x] such that some prime ideal divides
-    (n + sqrt(m)) and divides no other (k + sqrt(m)), 1 <= k <= x."""
+def _pplus_table(ctx, x):
     if x > MAX_X:
         raise ValueError(f"x={x} exceeds the oracle-grade bound {MAX_X}")
     if x < 1:
         raise ValueError("x must be >= 1")
-    count, wit = _unique_class_count(ctx, 1, x, 1, x, collect_witnesses)
+    return pplus_table(ctx.f, x)
+
+
+def c_alpha(ctx: QuadContext, x: int, collect_witnesses: bool = True) -> CAlphaResult:
+    """The number of n in [1, x] such that some prime ideal divides
+    (n + sqrt(m)) and divides no other (k + sqrt(m)), 1 <= k <= x."""
+    count, wit = _unique_class_count(ctx, _pplus_table(ctx, x), 1, x,
+                                     collect_witnesses)
     return CAlphaResult(m=ctx.m, x=x, count=count, witnesses=wit or [])
 
 
@@ -146,8 +149,8 @@ def windowed_cassels(ctx: QuadContext, N: int, M: int,
         return CAlphaResult(m=ctx.m, x=N, count=0, witnesses=[],
                             include_zero=include_zero, lo=N + 1)
     k0 = 0 if include_zero else 1
-    count, wit = _unique_class_count(ctx, N + 1, N + M, k0, N + M,
-                                     collect_witnesses)
+    table = sieve_range(ctx.f, N + 1, N + M, float("inf"), need_pplus=True)
+    count, wit = _unique_class_count(ctx, table, k0, N + M, collect_witnesses)
     return CAlphaResult(m=ctx.m, x=N + M, count=count, witnesses=wit or [],
                         include_zero=include_zero, lo=N + 1)
 
@@ -164,10 +167,13 @@ class Prop54Report:
 
 
 def verify_prop54(ctx: QuadContext, x: int) -> Prop54Report:
-    """c_alpha(x) against x - Psi_f(x, x) for f = t^2 - m, with the residual
-    normalized by x/log x (the error-term shape, constant not explicit)."""
-    c = c_alpha(ctx, x, collect_witnesses=False).count
-    ps = psi(ctx.f, x, x).psi
+    """c_alpha(x) against x - Psi_f(x, x) for f = t^2 - m, both counted from
+    one P+ table (Psi_f(x, x) is the number of n with P+(|f(n)|) <= x), with
+    the residual normalized by x/log x (the error-term shape, constant not
+    explicit)."""
+    table = _pplus_table(ctx, x)
+    c, _ = _unique_class_count(ctx, table, 1, x, False)
+    ps = sum(1 for pp in table.pplus if pp <= x)
     r = abs(c - (x - ps))
     return Prop54Report(
         m=ctx.m,

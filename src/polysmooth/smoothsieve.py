@@ -9,7 +9,8 @@ isqrt(max |f|) the sieve switches to cofactor-primality mode: any surviving
 cofactor is prime, so P+ is known exactly and flags become P+ <= y.
 """
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, isqrt, log
 
@@ -34,7 +35,6 @@ class SmoothTable:
     flags: bytearray
     psi: int
     pplus: list = None
-    sieve_bound: int = field(default=0)
 
     def flag(self, n):
         return bool(self.flags[n - self.lo])
@@ -43,9 +43,6 @@ class SmoothTable:
         if self.pplus is None:
             raise ValueError("table was built without pplus")
         return self.pplus[n - self.lo]
-
-    def __len__(self):
-        return self.hi - self.lo + 1 if self.hi >= self.lo else 0
 
 
 def coeff_bound(f, height):
@@ -84,15 +81,16 @@ def smooth_bound(x, u):
     For u with a small exact rational representation (every test grid value),
     the bound is the exact integer floor of x^(1/u):  p <= x^(b/a)  iff
     p^a <= x^b.  Irrational-looking u falls back to extended-precision float;
-    a bound past the float range (tiny u) is inf, which admits every prime,
-    as x^(1/u) does for every |f(n)| below it.
+    a bound past the float range (tiny u), exact or not, is inf, which admits
+    every prime, as x^(1/u) does for every |f(n)| below it.
     """
     if not 0 < u < float("inf"):
         raise ValueError("u must be positive and finite")
     fr = Fraction(u).limit_denominator(64)
     if float(fr) == float(u) and fr.numerator <= 64:
         a, b = fr.numerator, fr.denominator
-        return iroot(x**b, a)
+        y = iroot(x**b, a)
+        return y if y <= sys.float_info.max else float("inf")
     try:
         return exp(log(x) / u)
     except OverflowError:
@@ -140,13 +138,13 @@ def _sieve_segment(f, seg_lo, seg_len, roots, need_best):
     return vals, best
 
 
-def sieve_range(f, lo, hi, y, *, need_pplus=False, pplus_bound=None,
+def sieve_range(f, lo, hi, y, *, need_pplus=False,
                 segment_size=DEFAULT_SEGMENT):
     """SmoothTable for n in [lo, hi] (lo >= 0).
 
-    `y` is the smoothness bound (real).  With need_pplus, `pplus_bound` B must
-    satisfy B^2 > max |f(n)| so surviving cofactors are prime, and the table
-    carries exact P+(|f(n)|) per n.
+    `y` is the smoothness bound (real).  With need_pplus the sieve runs in
+    cofactor-primality mode whatever y is, and the table carries exact
+    P+(|f(n)|) per n.
 
     Each hit divides out the prime to full multiplicity; sieving prime powers
     through lifted root classes instead would save the inner division loop
@@ -163,23 +161,9 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, pplus_bound=None,
         return SmoothTable(f, lo, hi, y, bytearray(), 0,
                            pplus=[] if need_pplus else None)
     mbound = coeff_bound(f, max(abs(lo), abs(hi)))
-    b0 = isqrt(mbound) + 1
-    if need_pplus:
-        if pplus_bound is None:
-            pplus_bound = b0
-        if pplus_bound**2 <= mbound:
-            raise ValueError(
-                f"B={pplus_bound} fails the primality guarantee: need "
-                f"B^2 > {mbound}"
-            )
-        effective = min(pplus_bound, b0)
-        prime_mode = True
-    elif y >= b0:  # before flooring: y may be infinite
-        effective = b0
-        prime_mode = True
-    else:
-        effective = int(y)  # floor for y >= 1
-        prime_mode = False
+    b0 = isqrt(mbound) + 1  # least bound with b0^2 > max |f(n)|
+    prime_mode = need_pplus or y >= b0  # before flooring: y may be infinite
+    effective = b0 if prime_mode else int(y)  # floor for y >= 1
     primes = primes_up_to(effective)
     roots = []
     for p in primes:
@@ -212,8 +196,7 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, pplus_bound=None,
             if need_pplus:
                 pplus[pos] = pv
             pos += 1
-    return SmoothTable(f, lo, hi, y, flags, total, pplus=pplus,
-                       sieve_bound=effective)
+    return SmoothTable(f, lo, hi, y, flags, total, pplus=pplus)
 
 
 def psi(f, x, y, *, segment_size=DEFAULT_SEGMENT):
@@ -223,15 +206,12 @@ def psi(f, x, y, *, segment_size=DEFAULT_SEGMENT):
     return sieve_range(f, 1, x, y, segment_size=segment_size)
 
 
-def pplus_table(f, x, B, *, segment_size=DEFAULT_SEGMENT):
-    """SmoothTable over [1, x] carrying exact P+(|f(n)|) for every n.
-
-    Requires B^2 > max_{n<=x} |f(n)| (checked via the coefficient bound), so
-    a cofactor surviving division by all sieved primes is prime.
-    """
+def pplus_table(f, x, *, segment_size=DEFAULT_SEGMENT):
+    """SmoothTable over [1, x] carrying exact P+(|f(n)|) for every n
+    (P+(0) = inf, P+(+-1) = 1); its flags mark every n with f(n) != 0."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    return sieve_range(f, 1, x, B, need_pplus=True, pplus_bound=B,
+    return sieve_range(f, 1, x, float("inf"), need_pplus=True,
                        segment_size=segment_size)
 
 

@@ -198,6 +198,12 @@ def test_infinite_and_tiny_bounds_give_exact_counts(capsys):
         rc, out = run_cli(capsys, ["psi", "--poly", "t", "--x", "100", *extra])
         assert rc == 0, extra
         assert json.loads(out)["psi"] == 100
+    # the exact bound x^64 = 1e320 is past the float range: y = inf
+    rc, out = run_cli(capsys, ["psi", "--poly", "t", "--x", "100000",
+                               "--u", "0.015625"])
+    assert rc == 0
+    rec = json.loads(out)
+    assert rec["psi"] == 100000 and rec["y"] == "inf"
     rc, out = run_cli(capsys, ["vw-verify", "--poly", "t^2+1", "--x", "50",
                                "--z", "10", "--y", "inf"])
     assert rc == 0
@@ -210,6 +216,7 @@ def test_bad_inputs_are_domain_errors(tmp_path, capsys):
     cases = [
         (["psi", "--poly", "t", "--x", "100", "--y", "nan"], "y must be >= 1"),
         (["psi", "--poly", "t", "--x", "100", "--u", "inf"], "u must be positive"),
+        (["bound", "--d", "2", "--g", "1", "--u", "inf"], "u must be finite"),
         (["dickman", "--step", "0"], "--step must be > 0"),
         (["dickman", "--step", "-1"], "--step must be > 0"),
         (["dickman", "--u-max", "inf"], "--u-max must lie in"),

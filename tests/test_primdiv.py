@@ -1,7 +1,6 @@
-from math import gcd
-
 import pytest
 
+from polysmooth.acceptance import _primitive_definition_oracle
 from polysmooth.primdiv import (
     has_primitive_divisor,
     n_arctan,
@@ -9,20 +8,6 @@ from polysmooth.primdiv import (
     verify_prop63,
 )
 from polysmooth.primes import factorize
-
-
-def _primitive_by_definition(b, n):
-    """Direct definition: some d > 1 divides n^2 + b with gcd(d, m^2 + b) = 1
-    for every nonzero earlier term (literal scan over all divisors)."""
-    a_n = abs(n * n + b)
-    if a_n <= 1:
-        return False
-    for d in range(2, a_n + 1):
-        if a_n % d:
-            continue
-        if all(gcd(d, m * m + b) == 1 for m in range(1, n) if m * m + b != 0):
-            return True
-    return False
 
 
 def _first_occurrence_flags(b, x):
@@ -69,24 +54,25 @@ def test_first_occurrence_oracle_matches_literal_scan():
     for b in [1, 3, -2]:
         flags = _first_occurrence_flags(b, 150)
         for n in range(1, 151):
-            assert flags[n - 1] == _primitive_by_definition(b, n), (b, n)
+            assert flags[n - 1] == _primitive_definition_oracle(b, n), (b, n)
 
 
 def test_criterion_matches_definition():
-    # spec grid: b in {1, 2, 3, 5, -2}, all |b| < n <= 2000
-    for b in [1, 2, 3, 5, -2]:
+    # every n <= 2000, past |b| (the criterion) and up to it (n prime and
+    # n | b also decides): negative b, and b with many prime divisors
+    for b in [1, 2, 3, 5, -2, -6, 30, -30, 210, -399, 2000]:
         flags = _first_occurrence_flags(b, 2000)
         table = r_b(b, 2000, collect_records=True).records
-        for n in range(abs(b) + 1, 2001):
+        for n in range(1, 2001):
             assert table[n - 1].has_primitive == flags[n - 1], (b, n)
 
 
 def test_boundary_direct_method():
-    for b in [3, 5, 7]:
-        for n in range(1, b + 1):
+    for b in [3, 5, 7, -2, -3, -6]:
+        for n in range(1, abs(b) + 1):
             rec = has_primitive_divisor(b, n)
             assert rec.method == "direct"
-            assert rec.has_primitive == _primitive_by_definition(b, n), (b, n)
+            assert rec.has_primitive == _primitive_definition_oracle(b, n), (b, n)
 
 
 def test_r1_of_10():
@@ -99,7 +85,8 @@ def test_r1_of_10():
 def test_r_b_definition_oracle():
     for b in [1, 2, -2]:
         for x in [10, 50, 200]:
-            expect = sum(1 for n in range(1, x + 1) if _primitive_by_definition(b, n))
+            expect = sum(1 for n in range(1, x + 1)
+                         if _primitive_definition_oracle(b, n))
             assert r_b(b, x).count == expect, (b, x)
 
 

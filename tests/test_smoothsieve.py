@@ -61,26 +61,17 @@ def test_psi_matches_oracle_small(f):
 
 
 def test_pplus_examples():
-    tab = pplus_table(T2P1, 10, 25)
+    tab = pplus_table(T2P1, 10)
     assert tab.pplus_of(7) == 5  # 50 = 2 * 5^2
     assert tab.pplus_of(9) == 41  # 82 = 2 * 41
-    tab = pplus_table(T2M2, 1, 10)
+    tab = pplus_table(T2M2, 1)
     assert tab.pplus_of(1) == 1  # f(1) = -1
-
-
-def test_pplus_bound_guarantee_checked():
-    with pytest.raises(ValueError):
-        pplus_table(T2P1, 10, 10)  # 10^2 = 100 <= 101
 
 
 @pytest.mark.parametrize("f", ALL_POLYS)
 def test_pplus_matches_oracle(f):
-    from math import isqrt
-
-    from polysmooth.smoothsieve import coeff_bound
-
     x = 200
-    tab = pplus_table(f, x, isqrt(coeff_bound(f, x)) + 1)
+    tab = pplus_table(f, x)
     for n in range(1, x + 1):
         assert tab.pplus_of(n) == pplus_oracle(f(n)), (f, n)
 
@@ -100,12 +91,13 @@ def test_unit_values_always_smooth():
 
 def test_segment_independence():
     base = psi(T2P1, 500, 20)
-    base_pp = pplus_table(T_T2P1, 400, 10**4)
+    base_pp = sieve_range(T_T2P1, 1, 400, 10**4, need_pplus=True)
     for seg in [8, 64, 1 << 20]:
         tab = psi(T2P1, 500, 20, segment_size=seg)
         assert tab.psi == base.psi
         assert tab.flags == base.flags
-        tab = pplus_table(T_T2P1, 400, 10**4, segment_size=seg)
+        tab = sieve_range(T_T2P1, 1, 400, 10**4, need_pplus=True,
+                          segment_size=seg)
         assert tab.flags == base_pp.flags
         assert tab.pplus == base_pp.pplus
 

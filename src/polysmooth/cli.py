@@ -160,8 +160,7 @@ def _cmd_psi(args):
         y = args.y
     else:
         raise ValueError("one of --y / --u is required")
-    table = sieve_range(f, 1, args.x, y, need_pplus=args.dump,
-                        segment_size=args.segment_size)
+    table = sieve_range(f, 1, args.x, y, need_pplus=args.dump)
     rec = {
         "psi": table.psi,
         "x": args.x,
@@ -388,7 +387,6 @@ def build_parser():
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--y", type=float)
     sp.add_argument("--u", type=float)
-    sp.add_argument("--segment-size", type=int, default=1 << 20)
     sp.add_argument("--dump", action="store_true",
                     help="emit the per-n CSV table (n, f(n), pplus, smooth)")
     sp.set_defaults(func=_cmd_psi)

@@ -6,7 +6,8 @@ u*rho(u) = integral_{u-1}^{u} rho(t) dt: on [k, k+1] the solution is the
 fixed point of a contraction (factor <= 1/(2k)) and is represented by a
 Legendre series built on Gauss-Legendre nodes, so the evaluation error is
 far below the 1e-10 target.  [0,1] is exactly 1 and [1,2] is exactly
-1 - log(u).
+1 - log(u).  A series is built on the first rho call that needs it, from
+the series below it, so a process pays only for the intervals it reads.
 
 A second, independent solver (fixed-step RK4 on u*rho'(u) = -rho(u-1),
 step 1e-5) exists solely as a cross-check oracle.
@@ -45,44 +46,38 @@ def _antiderivative(coef):
     return ic
 
 
-def _build_intervals():
-    """Legendre series of rho on [k, k+1] for k = 0 .. 19."""
-    series = {}
-    c0 = np.zeros(_N_COEF)
-    c0[0] = 1.0
-    series[0] = c0
-    # [1, 2]: project the closed form 1 - log(u)
-    u1 = 1.0 + (_nodes + 1.0) / 2.0
-    series[1] = _project(1.0 - np.log(u1))
-    for k in range(2, int(U_MAX)):
-        prev_anti = _antiderivative(series[k - 1])
-        total_prev = _series_eval(prev_anti, 1.0)
-        # A(xi) = 1/2 * integral_{xi}^{1} L_{k-1}
-        a_vals = 0.5 * (total_prev - _series_eval(prev_anti, _nodes))
-        u_vals = k + (_nodes + 1.0) / 2.0
-        rho_k = _series_eval(series[k - 1], 1.0)
-        vals = np.full(_N_NODES, rho_k)
-        tol = rho_k * 1e-17  # relative: tail values shrink below 1e-26
-        for _ in range(400):
-            cur = _project(vals)
-            cur_anti = _antiderivative(cur)
-            new_vals = (a_vals + 0.5 * _series_eval(cur_anti, _nodes)) / u_vals
-            if np.max(np.abs(new_vals - vals)) < tol:
-                vals = new_vals
-                break
+# Legendre series of rho on [k, k+1], 1 <= k < U_MAX, each built on first use.
+_series = {}
+
+
+def _get_series(k):
+    """Build, store and return the series on [k, k+1] from the one on
+    [k-1, k]; [1, 2] projects the closed form 1 - log(u)."""
+    if k == 1:
+        u1 = 1.0 + (_nodes + 1.0) / 2.0
+        _series[1] = _project(1.0 - np.log(u1))
+        return _series[1]
+    prev = _series.get(k - 1)
+    if prev is None:
+        prev = _get_series(k - 1)
+    prev_anti = _antiderivative(prev)
+    total_prev = _series_eval(prev_anti, 1.0)
+    # A(xi) = 1/2 * integral_{xi}^{1} L_{k-1}
+    a_vals = 0.5 * (total_prev - _series_eval(prev_anti, _nodes))
+    u_vals = k + (_nodes + 1.0) / 2.0
+    rho_k = _series_eval(prev, 1.0)
+    vals = np.full(_N_NODES, rho_k)
+    tol = rho_k * 1e-17  # relative: tail values shrink below 1e-26
+    for _ in range(400):
+        cur = _project(vals)
+        cur_anti = _antiderivative(cur)
+        new_vals = (a_vals + 0.5 * _series_eval(cur_anti, _nodes)) / u_vals
+        if np.max(np.abs(new_vals - vals)) < tol:
             vals = new_vals
-        series[k] = _project(vals)
-    return series
-
-
-_series = None
-
-
-def _get_series():
-    global _series
-    if _series is None:
-        _series = _build_intervals()
-    return _series
+            break
+        vals = new_vals
+    _series[k] = _project(vals)
+    return _series[k]
 
 
 def rho(u):
@@ -100,7 +95,10 @@ def rho(u):
         return 1.0 - log(uf)
     k = min(int(uf), int(U_MAX) - 1)
     xi = 2.0 * (uf - k) - 1.0
-    return float(_series_eval(_get_series()[k], xi))
+    coef = _series.get(k)
+    if coef is None:
+        coef = _get_series(k)
+    return float(_series_eval(coef, xi))
 
 
 def martin_prediction(degrees, u):

@@ -3,9 +3,10 @@ root-counting function omega_f(k).
 
 Per factor, roots mod p use closed forms for degree <= 2 and the
 gcd(f, X^p - X) + randomized equal-degree-splitting method for degree >= 3
-(seeded deterministically from (f, p)); p = 2 and p | leading coefficient
-fall back to an exhaustive residue scan.  Roots mod p^v come from Hensel
-lifting, with singular roots scanned level by level.
+(seeded deterministically from (f, p)), applied to f reduced mod p, whose
+degree drops when p divides the leading coefficient; p = 2 is scanned.
+Roots mod p^v come from Hensel lifting, with singular roots scanned level
+by level.
 """
 
 import random
@@ -20,7 +21,6 @@ __all__ = ["RootSet", "roots_mod_p", "lift_roots", "omega", "omega_factored",
 MAX_PRIME = 1 << 32          # primality is checked deterministically below this
 MAX_PRIME_POWER = 1 << 64    # p^v magnitude budget for lifting
 MAX_OMEGA_K = 1 << 48        # factoring budget for omega
-_SCAN_LIMIT = 1 << 16        # exhaustive-scan fallback bound for p | lead
 
 
 @dataclass(frozen=True)
@@ -154,17 +154,10 @@ def _roots_general(coeffs, p, rng):
 
 def _factor_roots(poly, p, rng_factory):
     """Roots of one irreducible factor mod p."""
-    cs = [c % p for c in poly.coeffs]
-    if p == 2 or cs[-1] == 0:
-        # degree drops (or tiny p): exhaustive scan
-        if p >= _SCAN_LIMIT:
-            raise ValueError(
-                f"p={p} divides the leading coefficient; scan fallback is "
-                f"limited to p < {_SCAN_LIMIT}"
-            )
-        return [u for u in range(p) if _eval_mod(poly, u, p) == 0]
-    while cs and cs[-1] == 0:
-        cs.pop()
+    if p == 2:
+        return [u for u in range(2) if _eval_mod(poly, u, 2) == 0]
+    # reduced mod p; a leading coefficient divisible by p lowers the degree
+    cs = _trim([c % p for c in poly.coeffs])
     deg = len(cs) - 1
     if deg == 0:
         return []  # nonzero constant mod p (primitivity excludes 0)

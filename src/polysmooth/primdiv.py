@@ -126,14 +126,9 @@ class NArctanResult:
 
 
 def n_arctan(x: int) -> NArctanResult:
-    """N(x): the number of n <= x with arctan n irreducible, via the
-    P+(n^2+1) > 2n criterion for n >= 2 and the definition at n = 1."""
-    pplus = _pplus(1, x)
-    count = 1  # n = 1: irreducible by the empty relation
-    for n in range(2, x + 1):
-        if pplus[n - 1] > 2 * n:
-            count += 1
-    return NArctanResult(x=x, count=count)
+    """N(x): the number of n <= x with arctan n irreducible, which is R_1(x):
+    for b = 1 the rule above is P+(n^2+1) > 2n for n >= 2, and counts n = 1."""
+    return NArctanResult(x=x, count=r_b(1, x).count)
 
 
 @dataclass

@@ -13,9 +13,10 @@ which the root-class sieve answers exactly.
 from dataclasses import dataclass
 from math import isqrt, log
 
+from .modroots import roots_mod_p
 from .polyarith import FactoredPoly, build_factored
-from .primes import factorize, is_prime, legendre, sqrt_mod_p
-from .smoothsieve import pplus_table, sieve_range
+from .primes import factorize
+from .smoothsieve import sieve_range
 
 __all__ = [
     "QuadContext",
@@ -29,7 +30,6 @@ __all__ = [
     "Prop54Report",
 ]
 
-MAX_X = 10**5
 MAX_WINDOW_END = 10**6 + 10
 
 
@@ -71,18 +71,12 @@ class QuadPrimeClass:
 
 
 def classify_prime(ctx: QuadContext, p: int) -> QuadPrimeClass:
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    m = ctx.m
-    if p == 2:
-        # p | disc = 4m always here (m = 2, 3 mod 4)
-        return QuadPrimeClass(p, "ramified", (m % 2,), False)
-    if m % p == 0:
-        return QuadPrimeClass(p, "ramified", (0,), False)
-    if legendre(m, p) == 1:
-        u = sqrt_mod_p(m, p)
-        return QuadPrimeClass(p, "split", tuple(sorted((u, p - u))), True)
-    return QuadPrimeClass(p, "inert", (), False)
+    roots = roots_mod_p(ctx.f, p).residues
+    if ctx.disc % p == 0:
+        kind = "ramified"
+    else:
+        kind = "split" if roots else "inert"
+    return QuadPrimeClass(p, kind, roots, kind == "split")
 
 
 @dataclass
@@ -117,20 +111,25 @@ def _unique_class_count(ctx, table, exclusion_lo, exclusion_hi,
     return count, witnesses
 
 
-def _pplus_table(ctx, x):
-    if x > MAX_X:
-        raise ValueError(f"x={x} exceeds the oracle-grade bound {MAX_X}")
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    return pplus_table(ctx.f, x)
-
-
 def c_alpha(ctx: QuadContext, x: int, collect_witnesses: bool = True) -> CAlphaResult:
     """The number of n in [1, x] such that some prime ideal divides
     (n + sqrt(m)) and divides no other (k + sqrt(m)), 1 <= k <= x."""
-    count, wit = _unique_class_count(ctx, _pplus_table(ctx, x), 1, x,
-                                     collect_witnesses)
-    return CAlphaResult(m=ctx.m, x=x, count=count, witnesses=wit or [])
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    return windowed_cassels(ctx, 0, x, include_zero=False,
+                            collect_witnesses=collect_witnesses)
+
+
+def _window_table(ctx, N, M):
+    """Exact P+(|n^2 - m|) for n in (N, N+M], from one sieve."""
+    if M < 0:
+        raise ValueError("M must be >= 0")
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if N + M > MAX_WINDOW_END:
+        raise ValueError(f"window end {N + M} exceeds the oracle-grade "
+                         f"bound {MAX_WINDOW_END}")
+    return sieve_range(ctx.f, N + 1, N + M, float("inf"), need_pplus=True)
 
 
 def windowed_cassels(ctx: QuadContext, N: int, M: int,
@@ -139,17 +138,8 @@ def windowed_cassels(ctx: QuadContext, N: int, M: int,
     """Count n in (N, N+M] whose ideal (n + sqrt(m)) has a prime divisor
     dividing no (k + sqrt(m)) for k in [0, N+M] (k from 1 with
     include_zero=False), k != n."""
-    if M < 0:
-        raise ValueError("M must be >= 0")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if N + M > MAX_WINDOW_END:
-        raise ValueError(f"N+M exceeds the oracle-grade bound {MAX_WINDOW_END}")
-    if M == 0:
-        return CAlphaResult(m=ctx.m, x=N, count=0, witnesses=[],
-                            include_zero=include_zero, lo=N + 1)
+    table = _window_table(ctx, N, M)
     k0 = 0 if include_zero else 1
-    table = sieve_range(ctx.f, N + 1, N + M, float("inf"), need_pplus=True)
     count, wit = _unique_class_count(ctx, table, k0, N + M, collect_witnesses)
     return CAlphaResult(m=ctx.m, x=N + M, count=count, witnesses=wit or [],
                         include_zero=include_zero, lo=N + 1)
@@ -171,7 +161,9 @@ def verify_prop54(ctx: QuadContext, x: int) -> Prop54Report:
     one P+ table (Psi_f(x, x) is the number of n with P+(|f(n)|) <= x), with
     the residual normalized by x/log x (the error-term shape, constant not
     explicit)."""
-    table = _pplus_table(ctx, x)
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    table = _window_table(ctx, 0, x)
     c, _ = _unique_class_count(ctx, table, 1, x, False)
     ps = sum(1 for pp in table.pplus if pp <= x)
     r = abs(c - (x - ps))

@@ -21,7 +21,10 @@ from .modroots import roots_mod_p
 __all__ = ["SmoothTable", "psi", "pplus_table", "psi_oracle", "smooth_bound",
            "sieve_range"]
 
-DEFAULT_SEGMENT = 1 << 20
+# n sieved per segment.  A count-only sieve holds one segment of Python ints;
+# 2^16 keeps that to a few MB, and smaller segments start to pay for the
+# per-segment pass over the root classes.
+SEGMENT = 1 << 16
 
 
 @dataclass
@@ -138,8 +141,7 @@ def _sieve_segment(f, seg_lo, seg_len, roots, need_best):
     return vals, best
 
 
-def sieve_range(f, lo, hi, y, *, need_pplus=False,
-                segment_size=DEFAULT_SEGMENT):
+def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
     """SmoothTable for n in [lo, hi] (lo >= 0).
 
     `y` is the smoothness bound (real).  With need_pplus the sieve runs in
@@ -199,20 +201,19 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False,
     return SmoothTable(f, lo, hi, y, flags, total, pplus=pplus)
 
 
-def psi(f, x, y, *, segment_size=DEFAULT_SEGMENT):
+def psi(f, x, y):
     """Exact Psi_f(x, y): the number of n in [1, x] with f(n) y-smooth."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    return sieve_range(f, 1, x, y, segment_size=segment_size)
+    return sieve_range(f, 1, x, y)
 
 
-def pplus_table(f, x, *, segment_size=DEFAULT_SEGMENT):
+def pplus_table(f, x):
     """SmoothTable over [1, x] carrying exact P+(|f(n)|) for every n
     (P+(0) = inf, P+(+-1) = 1); its flags mark every n with f(n) != 0."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    return sieve_range(f, 1, x, float("inf"), need_pplus=True,
-                       segment_size=segment_size)
+    return sieve_range(f, 1, x, float("inf"), need_pplus=True)
 
 
 def psi_oracle(f, x, y):

@@ -42,14 +42,6 @@ MAX_DEPTH = 3
 MAX_LEMMA41_X = 10**7
 
 
-def _log_big(n):
-    """log(n) for arbitrarily large positive int."""
-    if n.bit_length() <= 900:
-        return log(n)
-    shift = n.bit_length() - 53
-    return log(n >> shift) + shift * log(2)
-
-
 @dataclass(frozen=True)
 class VWInstance:
     """One evaluation instance: x > z > T_0(f), h = x - z, smoothness
@@ -273,7 +265,7 @@ def vw_prop21(inst: VWInstance) -> VWReport:
     fx = _check_scale(inst)
     f, x, z, y = inst.f, inst.x, inst.z, inst.y
     table = sieve_range(f, z + 1, x, y)
-    log_fz = _log_big(f(z))
+    log_fz = log(f(z))
     primes = primes_up_to(int(min(y, fx)))
     big = _prime_powers(fx, primes, lambda p: p * p > y)
     small = _prime_powers(fx, primes, lambda p: p * p <= y)
@@ -321,8 +313,8 @@ def vw_prop32(inst: VWInstance) -> VWReport:
         raise ValueError(f"depth recursion requires f(z) > x, got f(z)={fz}")
     h = inst.h
     table = sieve_range(f, z + 1, x, y)
-    log_fz = _log_big(fz)
-    log_fzx = _log_big(fz) - log(x)
+    log_fz = log(fz)
+    log_fzx = log_fz - log(x)
     primes = primes_up_to(int(min(y, fx)))
 
     pool_y_h = _prime_powers(h, primes, lambda p: True)
@@ -396,7 +388,7 @@ def lemma31_check(inst: VWInstance, kappa: int) -> Lemma31Result:
     table = sieve_range(f, z + 1, x, y)
     kfact = factorize(kappa)
     lhs = _count_smooth(f, kfact, table)
-    log_fzx = _log_big(fz) - log(x)
+    log_fzx = log(fz) - log(x)
     pool = _prime_powers(fx, primes_up_to(int(min(y, fx))), lambda p: True)
     head = ((kfact, kappa, 1.0),)
     head_sum = _smooth_sum(f, table, _walk(head, pool, h, 1)) / log_fzx

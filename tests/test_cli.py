@@ -1,6 +1,8 @@
 import json
 
 from polysmooth import cli
+from polysmooth.polyarith import build_factored
+from polysmooth.smoothsieve import pplus_oracle
 
 
 def run_cli(capsys, argv):
@@ -71,6 +73,21 @@ def test_omega_factors_input(capsys):
     assert json.loads(out)["omega"] == 6  # roots of t(t^2+1) mod 10: 0,2,3,5,7,8
 
 
+def test_leading_coefficient_divisible_by_large_prime(capsys):
+    # 65537 t^2 + 3 t + 1 is 3t + 1 mod 65537: one root, 43691
+    rc, out = run_cli(capsys, ["omega", "--factors", "[[1,3,65537]]",
+                               "--k", "65537"])
+    assert rc == 0
+    assert json.loads(out)["omega"] == 1
+    # x = 300 sieves past p = 65537 (sqrt max |f| is about 76800)
+    rc, out = run_cli(capsys, ["psi", "--factors", "[[1,3,65537]]",
+                               "--x", "300", "--y", "70000"])
+    assert rc == 0
+    f = build_factored([[1, 3, 65537]])
+    expect = sum(1 for n in range(1, 301) if pplus_oracle(f(n)) <= 70000)
+    assert json.loads(out)["psi"] == expect
+
+
 def test_vw_verify_single(capsys):
     rc, out = run_cli(
         capsys,
@@ -112,6 +129,14 @@ def test_calpha_window(capsys):
     assert rec["lo"] == 101
 
 
+def test_calpha_up_to_window_bound(capsys):
+    # c_alpha(x) is the window (0, x] counted from k = 1, so x may reach the
+    # window bound 10^6 + 10
+    rc, out = run_cli(capsys, ["calpha", "--m", "2", "--x", "200000"])
+    assert rc == 0
+    assert json.loads(out)["count"] == 144536
+
+
 def test_rb_subcommand(capsys):
     rc, out = run_cli(capsys, ["rb", "--b", "1", "--x", "10"])
     assert rc == 0
@@ -140,15 +165,13 @@ def test_domain_error_exit_code(capsys):
 
 def test_psi_rejects_bad_sieve_inputs(capsys):
     base = ["psi", "--poly", "t", "--y", "5"]
-    for extra, msg in [
-        (["--x", "10", "--segment-size", "0"], "segment_size must be >= 1"),
-        (["--x", "10", "--segment-size", "-3"], "segment_size must be >= 1"),
-        (["--x", "0"], "x must be >= 1"),
-    ]:
-        assert cli.main(base + extra) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert msg in captured.err
+    assert cli.main(base + ["--x", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "x must be >= 1" in captured.err
+    # the segment size is the library's, not an option
+    assert cli.main(base + ["--x", "10", "--segment-size", "16"]) == 2
+    capsys.readouterr()
 
 
 def test_usage_error_exit_code(capsys):

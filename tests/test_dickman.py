@@ -3,6 +3,7 @@ from math import log
 import numpy as np
 import pytest
 
+from polysmooth import dickman
 from polysmooth.dickman import (
     U_MAX,
     delay_residual,
@@ -63,3 +64,14 @@ def test_martin_prediction():
         martin_prediction([], 1)
     with pytest.raises(ValueError):
         martin_prediction([2], 11)  # 22 > U_MAX
+
+
+def test_rho_independent_of_build_order(monkeypatch):
+    grid = [2 + i / 10 for i in range(180)]  # 2.0 .. 19.9
+    monkeypatch.setattr(dickman, "_series", {})
+    assert rho(2.5) > 0 and sorted(dickman._series) == [1, 2]
+    monkeypatch.setattr(dickman, "_series", {})
+    down = {u: repr(rho(u)) for u in reversed(grid)}
+    monkeypatch.setattr(dickman, "_series", {})
+    up = {u: repr(rho(u)) for u in grid}
+    assert down == up

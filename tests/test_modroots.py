@@ -43,6 +43,19 @@ def test_roots_agree_with_scan_oracle(f):
         assert roots_mod_p(f, p).residues == _scan_roots(f, p), (f, p)
 
 
+# leading coefficients 6, 10, 12, 30, 65537, 70, 9 and 6: mod a prime
+# dividing the leading coefficient, f has lower degree
+LEAD_POLYS = [[1, 3, 6], [3, 0, 10], [1, 1, 1, 12], [7, 0, 0, 30],
+              [1, 3, 65537], [3, 1, 0, 0, 70], [2, 0, 9], [1, 0, 0, 2, 6]]
+
+
+@pytest.mark.parametrize("coeffs", LEAD_POLYS)
+def test_roots_when_p_divides_leading_coefficient(coeffs):
+    f = build_factored([coeffs])
+    for p in primes_up_to(3000) + [65537]:
+        assert roots_mod_p(f, p).residues == _scan_roots(f, p), (coeffs, p)
+
+
 def test_roots_deterministic_across_fresh_objects():
     # equal-degree splitting is seeded from (f, p): fresh instances agree
     a = build_factored(["t^5+t^2+1"])  # no rational root

@@ -6,6 +6,7 @@ from polysmooth.acceptance import _windowed_oracle
 from polysmooth.modroots import lift_roots
 from polysmooth.primes import factorize, primes_up_to
 from polysmooth.quadfield import (
+    MAX_WINDOW_END,
     c_alpha,
     classify_prime,
     make_context,
@@ -101,7 +102,7 @@ def test_c_alpha_against_oracle():
 
 def test_c_alpha_scale_guard():
     with pytest.raises(ValueError):
-        c_alpha(CTX2, 10**5 + 1)
+        c_alpha(CTX2, MAX_WINDOW_END + 1)
 
 
 def test_windowed_cassels_oracle():

@@ -2,6 +2,7 @@ import pytest
 
 from polysmooth.polyarith import build_factored
 from polysmooth.smoothsieve import (
+    SEGMENT,
     eval_range,
     iroot,
     pplus_oracle,
@@ -92,8 +93,8 @@ def test_unit_values_always_smooth():
 def test_segment_independence():
     base = psi(T2P1, 500, 20)
     base_pp = sieve_range(T_T2P1, 1, 400, 10**4, need_pplus=True)
-    for seg in [8, 64, 1 << 20]:
-        tab = psi(T2P1, 500, 20, segment_size=seg)
+    for seg in [8, 64, SEGMENT, 1 << 20]:
+        tab = sieve_range(T2P1, 1, 500, 20, segment_size=seg)
         assert tab.psi == base.psi
         assert tab.flags == base.flags
         tab = sieve_range(T_T2P1, 1, 400, 10**4, need_pplus=True,
@@ -110,6 +111,12 @@ def test_segment_size_not_dividing_range():
         tab = sieve_range(T2P1, 101, 1000, y, segment_size=7)
         assert tab.psi == whole.psi
         assert tab.flags == whole.flags
+
+
+def test_segment_size_must_be_positive():
+    for seg in [0, -3]:
+        with pytest.raises(ValueError, match="segment_size must be >= 1"):
+            sieve_range(T, 1, 10, 5, segment_size=seg)
 
 
 def test_monotone_in_x_and_y():

@@ -84,7 +84,7 @@ def _config(args, **extra):
     opts = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("func", "schema", "cmd", "format", "out")
+        if k not in ("func", "cmd", "format", "out")
     }
     opts.update(extra)
     return {"subcommand": args.cmd, "options": opts, "format": args.format,
@@ -361,10 +361,24 @@ def _cmd_verify(args):
     return 0 if all_pass else 1
 
 
-def _add_common(sp, poly=False):
+class _SchemaAction(argparse.Action):
+    """--schema prints the subcommand's column documentation and exits as
+    soon as it is parsed, like --help, so required options may be absent."""
+
+    def __init__(self, option_strings, dest, schema, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, **kwargs)
+        self.schema = schema
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(json.dumps(self.schema, indent=2, sort_keys=True) + "\n")
+        parser.exit()
+
+
+def _add_common(sp, cmd, poly=False):
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--schema", action="store_true",
+    sp.add_argument("--schema", action=_SchemaAction, schema=_SCHEMAS[cmd],
+                    default=argparse.SUPPRESS,
                     help="print column documentation and exit")
     if poly:
         sp.add_argument("--poly", help="polynomial, symbolic or JSON coefficients")
@@ -383,7 +397,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("psi", help="exact Psi_f(x, y)")
-    _add_common(sp, poly=True)
+    _add_common(sp, "psi", poly=True)
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--y", type=float)
     sp.add_argument("--u", type=float)
@@ -392,7 +406,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_psi)
 
     sp = sub.add_parser("bound", help="closed-form bound coefficients")
-    _add_common(sp)
+    _add_common(sp, "bound")
     sp.add_argument("--d", required=True, help="total degree (comma grid ok)")
     sp.add_argument("--g", required=True, help="factor count (comma grid ok)")
     sp.add_argument("--u", required=True, help="parameter u (comma grid ok)")
@@ -401,18 +415,18 @@ def build_parser():
     sp.set_defaults(func=_cmd_bound)
 
     sp = sub.add_parser("dickman", help="(u, rho(u)) on a grid")
-    _add_common(sp)
+    _add_common(sp, "dickman")
     sp.add_argument("--u-max", type=float, default=10.0)
     sp.add_argument("--step", type=float, default=0.01)
     sp.set_defaults(func=_cmd_dickman)
 
     sp = sub.add_parser("omega", help="root counts omega_f(k)")
-    _add_common(sp, poly=True)
+    _add_common(sp, "omega", poly=True)
     sp.add_argument("--k", required=True, help="modulus (comma grid ok)")
     sp.set_defaults(func=_cmd_omega)
 
     sp = sub.add_parser("vw-verify", help="V/W reports on instances")
-    _add_common(sp, poly=True)
+    _add_common(sp, "vw-verify", poly=True)
     sp.add_argument("--config", help="JSON file with an instance array")
     sp.add_argument("--x", type=int)
     sp.add_argument("--z", type=int)
@@ -423,7 +437,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_vw)
 
     sp = sub.add_parser("calpha", help="unique prime-ideal count in Q(sqrt m)")
-    _add_common(sp)
+    _add_common(sp, "calpha")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--x", type=int)
     sp.add_argument("--window", help="N,M for the windowed count on (N, N+M]")
@@ -436,7 +450,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_calpha)
 
     sp = sub.add_parser("rb", help="primitive-divisor count R_b(x)")
-    _add_common(sp)
+    _add_common(sp, "rb")
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--dump", action="store_true",
@@ -444,12 +458,12 @@ def build_parser():
     sp.set_defaults(func=_cmd_rb)
 
     sp = sub.add_parser("arctan", help="arctangent irreducibility count N(x)")
-    _add_common(sp)
+    _add_common(sp, "arctan")
     sp.add_argument("--x", type=int, required=True)
     sp.set_defaults(func=_cmd_arctan)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
-    _add_common(sp)
+    _add_common(sp, "verify")
     sp.add_argument("--level", choices=["quick", "full"], default="full")
     sp.set_defaults(func=_cmd_verify)
     return ap
@@ -461,9 +475,6 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else 0
-    if args.schema:
-        sys.stdout.write(json.dumps(_SCHEMAS[args.cmd], indent=2, sort_keys=True) + "\n")
-        return 0
     try:
         return args.func(args)
     except (ValueError, OSError) as e:

@@ -12,11 +12,13 @@ by level.
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .primes import factorize, is_prime, sqrt_mod_p
 from .polyarith import FactoredPoly
 
-__all__ = ["RootSet", "roots_mod_p", "lift_roots", "omega", "omega_factored",
-           "mangoldt", "omega_scan"]
+__all__ = ["RootSet", "roots_mod_p", "root_classes", "lift_roots", "omega",
+           "omega_factored", "mangoldt", "omega_scan"]
 
 MAX_PRIME = 1 << 32          # primality is checked deterministically below this
 MAX_PRIME_POWER = 1 << 64    # p^v magnitude budget for lifting
@@ -176,15 +178,11 @@ def _factor_roots(poly, p, rng_factory):
     return _roots_general(cs, p, rng_factory())
 
 
-def roots_mod_p(f: FactoredPoly, p: int) -> RootSet:
-    """All u (mod p) with f(u) = 0 (mod p), exactly."""
+def _roots_of_prime(f, p):
+    """roots_mod_p for a p already known to be a prime below MAX_PRIME."""
     cached = f._root_cache.get(p)
     if cached is not None:
         return cached
-    if p >= MAX_PRIME:
-        raise ValueError(f"p={p} exceeds the desk-scale prime bound 2^32")
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
 
     def rng_factory():
         return random.Random(f"{f.key()}|{p}")
@@ -195,6 +193,35 @@ def roots_mod_p(f: FactoredPoly, p: int) -> RootSet:
     rs = RootSet(p, 1, tuple(sorted(roots)))
     f._root_cache[p] = rs
     return rs
+
+
+def roots_mod_p(f: FactoredPoly, p: int) -> RootSet:
+    """All u (mod p) with f(u) = 0 (mod p), exactly."""
+    cached = f._root_cache.get(p)
+    if cached is not None:
+        return cached
+    if p >= MAX_PRIME:
+        raise ValueError(f"p={p} exceeds the desk-scale prime bound 2^32")
+    if p < 2 or not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    return _roots_of_prime(f, p)
+
+
+def root_classes(f: FactoredPoly, primes):
+    """Every root class of f modulo the given primes, as two int64 arrays
+    P, R with f(R[i]) = 0 (mod P[i]), in the order of `primes`.
+
+    `primes` is an ascending list of primes, as primes_up_to returns it;
+    only its bound is checked, not the primality of each entry.
+    """
+    if primes and primes[-1] >= MAX_PRIME:
+        raise ValueError(f"p={primes[-1]} exceeds the desk-scale prime bound 2^32")
+    P, R = [], []
+    for p in primes:
+        residues = _roots_of_prime(f, p).residues
+        P.extend([p] * len(residues))
+        R.extend(residues)
+    return np.array(P, dtype=np.int64), np.array(R, dtype=np.int64)
 
 
 def lift_roots(f: FactoredPoly, p: int, v: int) -> RootSet:

@@ -14,17 +14,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, isqrt, log
 
+import numpy as np
+
 from .polyarith import FactoredPoly
 from .primes import largest_prime_factor, primes_up_to
-from .modroots import roots_mod_p
+from .modroots import MAX_PRIME, root_classes
 
 __all__ = ["SmoothTable", "psi", "pplus_table", "psi_oracle", "smooth_bound",
            "sieve_range"]
 
-# n sieved per segment.  A count-only sieve holds one segment of Python ints;
-# 2^16 keeps that to a few MB, and smaller segments start to pay for the
-# per-segment pass over the root classes.
+# n sieved per segment.  A count-only sieve holds one segment: a few int64
+# arrays of this length, or one object array past 2^63.  Smaller segments
+# pay more often for the per-segment pass over the root classes.
 SEGMENT = 1 << 16
+
+_INT64_LIMIT = 1 << 63
 
 
 @dataclass
@@ -101,12 +105,23 @@ def smooth_bound(x, u):
 
 
 def eval_range(poly, n0, count):
-    """[f(n0), ..., f(n0+count-1)] exactly, by integer forward differences."""
-    d = poly.degree
+    """f(n0), ..., f(n0+count-1) exactly, as a numpy array.
+
+    When coeff_bound over the range is below 2^63, every value and every
+    Horner partial fits in int64, and the array is int64 by Horner on
+    np.arange.  Otherwise it is an object array of Python ints from integer
+    forward differences.
+    """
     if count <= 0:
-        return []
-    if count <= d + 1:
-        return [poly(n0 + i) for i in range(count)]
+        return np.zeros(0, dtype=np.int64)
+    if coeff_bound(poly, max(abs(n0), abs(n0 + count - 1))) < _INT64_LIMIT:
+        n = np.arange(n0, n0 + count, dtype=np.int64)
+        vals = np.full(count, poly.coeffs[-1], dtype=np.int64)
+        for c in reversed(poly.coeffs[:-1]):
+            vals *= n
+            vals += c
+        return vals
+    d = poly.degree
     # difference table at n0
     row = [poly(n0 + i) for i in range(d + 1)]
     diffs = []
@@ -119,26 +134,63 @@ def eval_range(poly, n0, count):
         append(diffs[0])
         for i in range(d):
             diffs[i] += diffs[i + 1]
-    return out
+    return np.array(out, dtype=object)
 
 
-def _sieve_segment(f, seg_lo, seg_len, roots, need_best):
-    vals = [abs(v) for v in eval_range(f.product, seg_lo, seg_len)]
-    best = [1] * seg_len if need_best else None
-    for p, residues in roots:
-        for u in residues:
-            i = (u - seg_lo) % p
-            while i < seg_len:
-                v = vals[i]
-                if v:
-                    v //= p
-                    while v % p == 0:
-                        v //= p
-                    vals[i] = v
-                    if need_best:
-                        best[i] = p
-                i += p
+def _sieve_segment(f, seg_lo, seg_len, P, R, need_best):
+    """|f(n)| over the segment with every p in P divided out to full
+    multiplicity along its root class R, and, with need_best, the largest
+    such p per n (1 where none divides)."""
+    vals = eval_range(f.product, seg_lo, seg_len)
+    np.abs(vals, out=vals)
+    best = np.ones(seg_len, dtype=np.int64) if need_best else None
+    # P ascends; a class of p < seg_len hits the segment along a strided
+    # view, a class of larger p at most once
+    small = int(np.searchsorted(P, seg_len))
+    for p, u in zip(P[:small].tolist(), R[:small].tolist()):
+        first = (u - seg_lo) % p
+        sub = vals[first::p]
+        sub //= p  # p | f(n) on the whole class
+        again = np.flatnonzero(sub % p == 0)
+        again = again[sub[again] != 0]  # f(n) = 0 stays 0
+        while again.size:
+            sub[again] //= p
+            again = again[sub[again] % p == 0]
+        if need_best:
+            best[first::p] = p
+    if small < len(P):
+        first = (R[small:] - seg_lo) % P[small:]
+        hit = first < seg_len
+        idx, ph = first[hit], P[small:][hit]
+        if need_best:
+            np.maximum.at(best, idx, ph)
+        ph = ph.astype(vals.dtype)  # ufunc.at without a cast
+        while idx.size:
+            np.floor_divide.at(vals, idx, ph)
+            left = vals[idx]
+            again = (left % ph == 0) & (left != 0)
+            idx, ph = idx[again], ph[again]
     return vals, best
+
+
+def _aggregate(vals, best, y, prime_mode):
+    """Per-n smooth flags and, in prime mode, P+ of a sieved segment.
+
+    In prime mode a cofactor above 1 is prime, so P+ is the cofactor, or else
+    the largest sieved prime.  y is compared exactly through floor(y), never
+    through a float cast of P+.  P+ is None outside prime mode; at f(n) = 0
+    its entry is meaningless and the flag is false.
+    """
+    if not prime_mode:
+        return vals == 1, None
+    pv = np.where(vals > 1, vals, best)
+    ok = vals != 0
+    if y != float("inf"):
+        ylim = int(y)
+        if pv.dtype != object:  # keep ylim an int64 operand
+            ylim = min(ylim, _INT64_LIMIT - 1)
+        ok &= pv <= ylim
+    return ok, pv
 
 
 def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
@@ -146,11 +198,10 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
 
     `y` is the smoothness bound (real).  With need_pplus the sieve runs in
     cofactor-primality mode whatever y is, and the table carries exact
-    P+(|f(n)|) per n.
+    P+(|f(n)|) per n.  A prime bound of 2^32 or more is a domain error.
 
-    Each hit divides out the prime to full multiplicity; sieving prime powers
-    through lifted root classes instead would save the inner division loop
-    and is the one optimization hook left open here.
+    Each segment is one numpy kernel: int64 while coeff_bound stays below
+    2^63, exact Python ints in an object array past it.
     """
     if lo < 0:
         raise ValueError("range must start at a nonnegative integer")
@@ -166,38 +217,25 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
     b0 = isqrt(mbound) + 1  # least bound with b0^2 > max |f(n)|
     prime_mode = need_pplus or y >= b0  # before flooring: y may be infinite
     effective = b0 if prime_mode else int(y)  # floor for y >= 1
-    primes = primes_up_to(effective)
-    roots = []
-    for p in primes:
-        rs = roots_mod_p(f, p)
-        if rs.residues:
-            roots.append((p, rs.residues))
+    if effective >= MAX_PRIME:
+        raise ValueError(f"prime bound {effective} reaches the desk-scale "
+                         "limit 2^32")
+    P, R = root_classes(f, primes_up_to(effective))
 
-    need_best = need_pplus or prime_mode
     flags = bytearray(count)
-    pplus = [0] * count if need_pplus else None
+    pplus = [] if need_pplus else None
     total = 0
-    pos = 0
     for seg_lo in range(lo, hi + 1, segment_size):
         seg_len = min(segment_size, hi - seg_lo + 1)
-        vals, best = _sieve_segment(f, seg_lo, seg_len, roots, need_best)
-        for i in range(seg_len):
-            v = vals[i]
-            if v == 0:
-                ok = False
-                pv = float("inf")
-            elif prime_mode:
-                pv = v if v > 1 else best[i]
-                ok = pv <= y
-            else:
-                ok = v == 1
-                pv = None
-            if ok:
-                flags[pos] = 1
-                total += 1
-            if need_pplus:
-                pplus[pos] = pv
-            pos += 1
+        vals, best = _sieve_segment(f, seg_lo, seg_len, P, R, prime_mode)
+        ok, pv = _aggregate(vals, best, y, prime_mode)
+        flags[seg_lo - lo:seg_lo - lo + seg_len] = ok.tobytes()
+        total += int(np.count_nonzero(ok))
+        if need_pplus:
+            seg_pplus = pv.tolist()
+            for i in np.flatnonzero(vals == 0).tolist():
+                seg_pplus[i] = float("inf")
+            pplus.extend(seg_pplus)
     return SmoothTable(f, lo, hi, y, flags, total, pplus=pplus)
 
 

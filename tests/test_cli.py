@@ -182,19 +182,32 @@ def test_usage_error_exit_code(capsys):
 def test_schema_dump(capsys):
     for cmd in ["psi", "bound", "dickman", "omega", "vw-verify", "calpha",
                 "rb", "arctan", "verify"]:
-        argv = [cmd, "--schema"]
-        # satisfy required arguments with dummies
-        req = {
-            "psi": ["--x", "1"],
-            "bound": ["--d", "2", "--g", "1", "--u", "1"],
-            "omega": ["--k", "1"],
-            "calpha": ["--m", "2"],
-            "rb": ["--b", "1", "--x", "1"],
-            "arctan": ["--x", "1"],
-        }
-        rc, out = run_cli(capsys, argv + req.get(cmd, []))
-        assert rc == 0
-        assert json.loads(out)
+        rc, out = run_cli(capsys, [cmd, "--schema"])
+        assert rc == 0, cmd
+        assert json.loads(out) == cli._SCHEMAS[cmd]
+
+
+def test_required_options_still_required_without_schema(capsys):
+    for argv in (["psi", "--poly", "t"], ["bound", "--d", "2"],
+                 ["omega", "--poly", "t"], ["calpha"], ["rb", "--x", "5"],
+                 ["arctan"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required" in captured.err
+
+
+def test_prime_bound_past_limit_is_domain_error(capsys):
+    # --dump forces prime mode: the prime bound is isqrt(max |f|) + 1,
+    # about 1e10 here, past the 2^32 limit; the check fires before sieving
+    argv = ["psi", "--factors", "[[1,1,0,0,1]]", "--x", "100000",
+            "--y", "1000", "--dump"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "2^32" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_float_serialization_12_digits(capsys):

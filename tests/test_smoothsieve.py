@@ -1,8 +1,12 @@
+import signal
+
+import numpy as np
 import pytest
 
 from polysmooth.polyarith import build_factored
 from polysmooth.smoothsieve import (
     SEGMENT,
+    _aggregate,
     eval_range,
     iroot,
     pplus_oracle,
@@ -22,10 +26,24 @@ MIXED = build_factored(["t+1", "t^2+2"])
 ALL_POLYS = [T, T2P1, T2M2, T_T2P1, MIXED]
 
 
+@pytest.fixture(autouse=True)
+def _deadline():
+    """Fail a test instead of hanging when a sieve loop does not end (a
+    repeat-division loop that let f(n) = 0 in would never end)."""
+    def expire(signum, frame):
+        raise AssertionError("no result within 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
 def test_eval_range_matches_horner():
     for f in ALL_POLYS:
         vals = eval_range(f.product, 7, 500)
-        assert vals == [f(n) for n in range(7, 507)]
+        assert vals.tolist() == [f(n) for n in range(7, 507)]
 
 
 def test_iroot():
@@ -82,6 +100,7 @@ def test_zero_value_never_smooth():
     tab = psi(f, 10, 10**9)
     assert not tab.flag(5)  # f(5) = 0, P+(0) = +inf
     assert tab.flag(4)
+    assert pplus_table(f, 10).pplus_of(5) == float("inf")
 
 
 def test_unit_values_always_smooth():
@@ -130,3 +149,45 @@ def test_sieve_range_window():
     tab = sieve_range(T2P1, 101, 200, 13)
     count = sum(1 for n in range(101, 201) if psi_oracle(T2P1, n, 13) - psi_oracle(T2P1, n - 1, 13) == 1)
     assert tab.psi == count
+
+
+QUARTIC = build_factored(["t^4+t+1"])
+
+
+@pytest.mark.parametrize("lo, hi, dtype", [(54700, 55000, np.int64),
+                                           (55200, 55500, object)])
+def test_kernel_either_side_of_int64_limit(lo, hi, dtype):
+    # coeff_bound(t^4+t+1, 55000) < 2^63 <= coeff_bound(t^4+t+1, 55200)
+    assert eval_range(QUARTIC.product, lo, hi - lo + 1).dtype == dtype
+    pplus = [pplus_oracle(QUARTIC(n)) for n in range(lo, hi + 1)]
+    for y in [13, 1000]:
+        want = [p <= y for p in pplus]
+        # one segment strides every p < 301; segments of 7 gather p >= 7
+        for seg in [SEGMENT, 7]:
+            tab = sieve_range(QUARTIC, lo, hi, y, segment_size=seg)
+            assert [tab.flag(n) for n in range(lo, hi + 1)] == want, (y, seg)
+            assert tab.psi == sum(want)
+
+
+def test_object_window_with_a_zero_of_f():
+    f = build_factored(["t-55300", "t^3+2"])
+    assert eval_range(f.product, 55290, 21).dtype == object
+    pplus = [pplus_oracle(f(n)) for n in range(55290, 55311)]
+    for y in [13, 1000]:
+        for seg in [SEGMENT, 7]:
+            tab = sieve_range(f, 55290, 55310, y, segment_size=seg)
+            assert not tab.flag(55300)
+            assert tab.psi == sum(p <= y for p in pplus)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_prime_mode_compares_y_exactly(dtype):
+    # P+ = 2^53 + 1 rounds to 2^53 as a float64; it is not 2^53-smooth
+    vals = np.array([2**53 + 1, 1, 0, 2**53], dtype=dtype)
+    best = np.array([3, 2**31 - 1, 5, 7], dtype=np.int64)
+    ok, pv = _aggregate(vals, best, 2.0**53, True)
+    assert ok.tolist() == [False, True, False, True]
+    assert pv.tolist()[:2] == [2**53 + 1, 2**31 - 1]
+    for y in [2.0**70, float("inf")]:
+        ok, _ = _aggregate(vals, best, y, True)
+        assert ok.tolist() == [True, True, False, True]

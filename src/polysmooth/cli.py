@@ -36,14 +36,17 @@ def _fmt_float(v):
 
 def _clean(obj):
     """12-significant-digit floats, JSON-safe infinities, dataclass unwrap."""
+    # scalars first: most calls get one, and is_dataclass is the dearest test
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if obj is None or isinstance(obj, (int, str)):
+        return obj
     if is_dataclass(obj) and not isinstance(obj, type):
         return _clean(asdict(obj))
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    if isinstance(obj, float):
-        return _fmt_float(obj)
     if isinstance(obj, bytearray):
         return list(obj)
     return obj

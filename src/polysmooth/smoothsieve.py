@@ -4,9 +4,15 @@ sieve over root classes.
 Per segment the cofactor r[n] = |f(n)| is divided to full multiplicity by
 every prime p <= y along the arithmetic progressions n = u (mod p), u a root
 of f mod p.  n is y-smooth iff the cofactor ends at 1 (P+(0) = +inf keeps
-f(n) = 0 non-smooth; f(n) = +-1 is always smooth).  When y exceeds
-isqrt(max |f|) the sieve switches to cofactor-primality mode: any surviving
-cofactor is prime, so P+ is known exactly and flags become P+ <= y.
+f(n) = 0 non-smooth; f(n) = +-1 is always smooth).
+
+When y reaches b0 = isqrt(max |f|) + 1, or P+ is asked for, the sieve runs in
+prime mode: it divides out only the primes up to a bound B <= b0, chosen by
+a cost rule from the window length, and certifies what is left.  Every prime
+factor of a cofactor c exceeds B, so c <= B^2 is 1 or a prime; a larger c is
+tested by is_prime and, if composite, split by largest_prime_factor.  P+ is
+then exact and flags become P+ <= y.  The 2^32 domain check applies to b0,
+so every certified cofactor is below 2^64.
 """
 
 import sys
@@ -17,7 +23,7 @@ from math import exp, isqrt, log
 import numpy as np
 
 from .polyarith import FactoredPoly
-from .primes import largest_prime_factor, primes_up_to
+from .primes import is_prime, largest_prime_factor, primes_up_to
 from .modroots import MAX_PRIME, root_classes
 
 __all__ = ["SmoothTable", "psi", "pplus_table", "psi_oracle", "smooth_bound",
@@ -27,6 +33,13 @@ __all__ = ["SmoothTable", "psi", "pplus_table", "psi_oracle", "smooth_bound",
 # arrays of this length, or one object array past 2^63.  Smaller segments
 # pay more often for the per-segment pass over the root classes.
 SEGMENT = 1 << 16
+
+# Prime mode sieves the primes up to B = 2 * count instead of b0 when certifying
+# every n is estimated to cost less than finding the roots of f mod each prime
+# in (B, b0].  Microseconds per item, from a measured sweep (CHANGES.md):
+CERT_US = 200  # one n near 1e12: is_prime on its cofactor, rho if composite
+ROOT_US = 14  # one prime, every factor of degree <= 2 (closed forms)
+ROOT_US_GCD = 200  # one prime, some factor of degree >= 3 (the gcd path)
 
 _INT64_LIMIT = 1 << 63
 
@@ -173,17 +186,27 @@ def _sieve_segment(f, seg_lo, seg_len, P, R, need_best):
     return vals, best
 
 
-def _aggregate(vals, best, y, prime_mode):
-    """Per-n smooth flags and, in prime mode, P+ of a sieved segment.
+def _aggregate(vals, best, y, bound):
+    """Per-n smooth flags and, in prime mode, P+ of a segment sieved by every
+    prime up to `bound`.
 
-    In prime mode a cofactor above 1 is prime, so P+ is the cofactor, or else
-    the largest sieved prime.  y is compared exactly through floor(y), never
-    through a float cast of P+.  P+ is None outside prime mode; at f(n) = 0
-    its entry is meaningless and the flag is false.
+    Outside prime mode (best is None) n is smooth iff its cofactor is 1, and
+    P+ is None.  In prime mode every prime factor of a cofactor c exceeds
+    bound: c <= bound^2 is 1 or prime, and a larger c is certified here.  P+
+    is P+(c) for c > 1, else the largest sieved prime.  y is compared exactly
+    through floor(y), never through a float cast of P+.  At f(n) = 0 the P+
+    entry is meaningless and the flag is false.
     """
-    if not prime_mode:
+    if best is None:
         return vals == 1, None
     pv = np.where(vals > 1, vals, best)
+    square = bound * bound
+    if pv.dtype != object:  # keep the bound an int64 operand
+        square = min(square, _INT64_LIMIT - 1)
+    for i in np.flatnonzero(vals > square).tolist():
+        c = int(vals[i])
+        if not is_prime(c):
+            pv[i] = largest_prime_factor(c)
     ok = vals != 0
     if y != float("inf"):
         ylim = int(y)
@@ -193,12 +216,28 @@ def _aggregate(vals, best, y, prime_mode):
     return ok, pv
 
 
+def _prime_bound(f, count, b0):
+    """The sieve bound B of prime mode over `count` values: 2 * count when
+    certifying every n is estimated to cost less than finding roots mod each
+    prime in (2 * count, b0], else b0.  The prime counts are estimated as
+    n / log n; the rule depends on (f, count, b0) only, never on timing."""
+    small = 2 * count
+    if small >= b0:
+        return b0
+    per_root = ROOT_US_GCD if max(f.degrees) >= 3 else ROOT_US
+    saved = (b0 / log(b0) - small / log(small)) * per_root
+    return small if count * CERT_US < saved else b0
+
+
 def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
     """SmoothTable for n in [lo, hi] (lo >= 0).
 
-    `y` is the smoothness bound (real).  With need_pplus the sieve runs in
-    cofactor-primality mode whatever y is, and the table carries exact
-    P+(|f(n)|) per n.  A prime bound of 2^32 or more is a domain error.
+    `y` is the smoothness bound (real).  When y reaches b0 = isqrt(max |f|)
+    + 1, or with need_pplus whatever y is, the sieve runs in prime mode: it
+    sieves the primes up to B <= b0 (_prime_bound) and certifies each
+    cofactor left above B^2, and the table carries exact P+(|f(n)|) per n
+    with need_pplus.  A prime bound of 2^32 or more is a domain error; in
+    prime mode that bound is b0, not B.
 
     Each segment is one numpy kernel: int64 while coeff_bound stays below
     2^63, exact Python ints in an object array past it.
@@ -220,7 +259,8 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
     if effective >= MAX_PRIME:
         raise ValueError(f"prime bound {effective} reaches the desk-scale "
                          "limit 2^32")
-    P, R = root_classes(f, primes_up_to(effective))
+    bound = _prime_bound(f, count, b0) if prime_mode else effective
+    P, R = root_classes(f, primes_up_to(bound))
 
     flags = bytearray(count)
     pplus = [] if need_pplus else None
@@ -228,7 +268,7 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
     for seg_lo in range(lo, hi + 1, segment_size):
         seg_len = min(segment_size, hi - seg_lo + 1)
         vals, best = _sieve_segment(f, seg_lo, seg_len, P, R, prime_mode)
-        ok, pv = _aggregate(vals, best, y, prime_mode)
+        ok, pv = _aggregate(vals, best, y, bound)
         flags[seg_lo - lo:seg_lo - lo + seg_len] = ok.tobytes()
         total += int(np.count_nonzero(ok))
         if need_pplus:

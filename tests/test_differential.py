@@ -4,9 +4,8 @@ their independent oracles on random polynomials.
 f has degree 1-4, coefficients in [-20, 20] and a leading coefficient from
 LEADS, so that primes dividing the leading coefficient (where f mod p loses
 degree) are hit often.  Polynomials that build_factored rejects (not
-primitive, or with a rational root) are skipped.  P+ tables run for degree
-<= 3 only: degree 4 finds roots for every prime up to sqrt(max |f|), which
-is slow at any x that covers the small cases.
+primitive, or with a rational root) are skipped.  The P+ tables run in prime
+mode, which certifies cofactors for every degree.
 """
 
 import random
@@ -20,6 +19,7 @@ from polysmooth.smoothsieve import (
     pplus_table,
     psi,
     psi_oracle,
+    sieve_range,
 )
 
 LEADS = (1, 2, 3, -1, 6, 10, 30)
@@ -27,6 +27,8 @@ CASES = 24
 X = 120
 YS = (2, 7, 50, 1000, 10**12)  # 10^12 is past sqrt(max |f|): prime mode
 K_MAX = 200
+WINDOW = (2001, 2010)
+WINDOW_Y = 1000  # between the window's sieve bound and sqrt(max |f|)
 
 
 def _random_polys(seed, count):
@@ -49,7 +51,15 @@ def test_random_polynomial_against_oracles(f):
         assert psi(f, X, y).psi == psi_oracle(f, X, y), y
     for k in range(1, K_MAX + 1):
         assert omega(f, k) == omega_scan(f, k), k
-    if f.d <= 3:
-        tab = pplus_table(f, X)
-        for n in range(1, X + 1):
-            assert tab.pplus_of(n) == pplus_oracle(f(n)), n
+    tab = pplus_table(f, X)
+    for n in range(1, X + 1):
+        assert tab.pplus_of(n) == pplus_oracle(f(n)), n
+    # a short window far from 1: prime mode sieves to 2 * count (past degree
+    # 1) and certifies the cofactors
+    lo, hi = WINDOW
+    pplus = [pplus_oracle(f(n)) for n in range(lo, hi + 1)]
+    for y in (WINDOW_Y, float("inf")):
+        tab = sieve_range(f, lo, hi, y, need_pplus=True)
+        assert tab.pplus == pplus, y
+        assert [tab.flag(n) for n in range(lo, hi + 1)] == [
+            p <= y for p in pplus], y

@@ -1,12 +1,16 @@
 import signal
+from math import isqrt, prod
 
 import numpy as np
 import pytest
 
 from polysmooth.polyarith import build_factored
+from polysmooth.primes import factorize
 from polysmooth.smoothsieve import (
     SEGMENT,
     _aggregate,
+    _prime_bound,
+    coeff_bound,
     eval_range,
     iroot,
     pplus_oracle,
@@ -185,9 +189,63 @@ def test_prime_mode_compares_y_exactly(dtype):
     # P+ = 2^53 + 1 rounds to 2^53 as a float64; it is not 2^53-smooth
     vals = np.array([2**53 + 1, 1, 0, 2**53], dtype=dtype)
     best = np.array([3, 2**31 - 1, 5, 7], dtype=np.int64)
-    ok, pv = _aggregate(vals, best, 2.0**53, True)
+    # a sieve bound whose square exceeds every entry: nothing is certified
+    bound = 2**27
+    ok, pv = _aggregate(vals, best, 2.0**53, bound)
     assert ok.tolist() == [False, True, False, True]
     assert pv.tolist()[:2] == [2**53 + 1, 2**31 - 1]
     for y in [2.0**70, float("inf")]:
-        ok, _ = _aggregate(vals, best, y, True)
+        ok, _ = _aggregate(vals, best, y, bound)
         assert ok.tolist() == [True, True, False, True]
+
+
+def _certified_composite(f, lo, hi, bound):
+    """Some n in [lo, hi] whose cofactor after sieving to `bound` exceeds
+    bound^2 and is composite, by the oracle's factorization of f(n)."""
+    for n in range(lo, hi + 1):
+        v = abs(f(n))
+        if v > 1:
+            big = [(p, e) for p, e in factorize(v).items() if p > bound]
+            cof = prod(p**e for p, e in big)
+            if cof > bound * bound and sum(e for _, e in big) > 1:
+                return n
+    return None
+
+
+# Short windows past n = 1, one per degree: prime mode sieves to B = 2 * count
+# there and certifies the cofactors left above B^2.
+@pytest.mark.parametrize("poly, lo, hi", [
+    (["t^2-10"], 999001, 999300),
+    (["t+1", "t^2+2"], 99901, 100000),
+    (["t^3+2"], 4901, 5000),
+    (["t^4+t+1"], 401, 500),
+])
+def test_prime_mode_window_certifies_cofactors(poly, lo, hi):
+    f = build_factored(poly)
+    b0 = isqrt(coeff_bound(f, hi)) + 1
+    bound = _prime_bound(f, hi - lo + 1, b0)
+    assert bound == 2 * (hi - lo + 1) < b0
+    assert _certified_composite(f, lo, hi, bound) is not None
+    pplus = [pplus_oracle(f(n)) for n in range(lo, hi + 1)]
+    for y in [float("inf"), 10 * bound]:  # 10 * bound lies in (B, b0)
+        tab = sieve_range(f, lo, hi, y, need_pplus=True)
+        assert tab.pplus == pplus, y
+        want = [p <= y for p in pplus]
+        assert [tab.flag(n) for n in range(lo, hi + 1)] == want, y
+        assert tab.psi == sum(want)
+        # without need_pplus: prime mode at y = inf, every prime up to y at
+        # y < b0
+        assert sieve_range(f, lo, hi, y).flags == tab.flags, y
+
+
+def test_prime_mode_past_int64_certifies_cofactors():
+    # values past 2^63 (object arrays): b0 is about 3e9, below the 2^32
+    # limit; sieving every prime up to b0 would build a 3 GB prime table
+    lo, hi = 55200, 55300
+    b0 = isqrt(coeff_bound(QUARTIC, hi)) + 1
+    assert _prime_bound(QUARTIC, hi - lo + 1, b0) == 2 * (hi - lo + 1)
+    tab = sieve_range(QUARTIC, lo, hi, 1e18, need_pplus=True)
+    pplus = [pplus_oracle(QUARTIC(n)) for n in range(lo, hi + 1)]
+    assert tab.pplus == pplus
+    assert [tab.flag(n) for n in range(lo, hi + 1)] == [p <= 10**18
+                                                       for p in pplus]

@@ -78,19 +78,27 @@ def _pollard_brent(n):
     raise ArithmeticError(f"pollard rho failed on {n}")
 
 
-def factorize(n):
-    """Prime factorization of n >= 1 as a dict {p: exponent}."""
+def factorize(n, above=1, composite=False):
+    """Prime factorization of n >= 1 as a dict {p: exponent}.
+
+    A caller that knows more about n says so: every prime factor of n
+    exceeds `above` (trial division runs only between it and 10000), or n
+    is `composite` (n itself is not tested for primality)."""
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
+    known = n if composite else None
     out = {}
     for p in _SMALL_PRIMES:
+        if p <= above:
+            continue
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     if n == 1:
         return out
-    # trial-divide the 6k+-1 wheel a bit further before rho
-    d = 49
+    # trial-divide the 6k+-1 wheel a bit further before rho, from the first
+    # pair d, d + 4 with d + 4 > above
+    d = max(49, above - 3 + (4 - above) % 6)
     while d * d <= n and d < 10000:
         for dd in (d, d + 4):
             while n % dd == 0:
@@ -102,7 +110,7 @@ def factorize(n):
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m):
+        if m != known and is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         r = isqrt(m)
@@ -114,14 +122,15 @@ def factorize(n):
     return out
 
 
-def largest_prime_factor(n):
-    """P+(n) with conventions P+(+-1) = 1, P+(0) = +inf."""
+def largest_prime_factor(n, above=1, composite=False):
+    """P+(n) with conventions P+(+-1) = 1, P+(0) = +inf.  `above` and
+    `composite` say what the caller knows of |n| (`factorize`)."""
     n = abs(n)
     if n == 0:
         return float("inf")
     if n == 1:
         return 1
-    return max(factorize(n))
+    return max(factorize(n, above, composite))
 
 
 def legendre(a, p):

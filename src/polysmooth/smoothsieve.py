@@ -206,7 +206,7 @@ def _aggregate(vals, best, y, bound):
     for i in np.flatnonzero(vals > square).tolist():
         c = int(vals[i])
         if not is_prime(c):
-            pv[i] = largest_prime_factor(c)
+            pv[i] = largest_prime_factor(c, above=bound, composite=True)
     ok = vals != 0
     if y != float("inf"):
         ylim = int(y)

@@ -7,17 +7,24 @@ into a "+" part (multiple sums over prime-power tuples with product <= h,
 inner counts smooth-restricted) and tail "-" parts (products escaping h,
 bounded through the root-count omega_f).
 
-Every sum is a walk over ordered prime-power tuples (`_walk`, `_extend`)
-closed by one of two reducers: the smooth count of the tuple's modulus, or
-omega_f of it.  The symmetric pair sums of W enumerate each pair k1 <= k2
-once with the off-diagonal weight doubled (`_pairs`).  Doubling is exact and
-the Lambda-weighted terms accumulate via math.fsum, which rounds the exact
-sum, so the halved enumeration gives the same bits as the ordered one.  The
+Every "+" sum is a walk over ordered prime-power tuples (`_walk`, `_extend`)
+closed by the smooth count of the tuple's modulus.  Every "-" tail beyond a
+head inside h is closed by `_tail_sum`: per head, one numpy product over the
+slice of the k-sorted pool that escapes h, with omega_f(head * k) =
+omega_f(head) omega_f(k) except for the few k whose prime divides the head.
+The symmetric pair sums of W enumerate each pair k1 <= k2 once with the
+off-diagonal weight doubled (`_pairs`).  All terms accumulate via math.fsum,
+which rounds the exact sum, so neither doubling (exact) nor term order nor
+dropped zero terms change a bit against the ordered tuple-by-tuple sum.  The
 literal forms of the sums live with the oracles in `acceptance`.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from math import fsum, log, sqrt
+
+import numpy as np
 
 from .modroots import lift_roots, omega_factored
 from .polyarith import FactoredPoly, t0 as compute_t0
@@ -252,6 +259,46 @@ def _omega_sum(f, tuples):
     return fsum(weight * omega_factored(f, fact) for fact, _, weight in tuples)
 
 
+def _rooted(f, pool):
+    """The entries p^v of `pool` with omega_f(p^v) > 0."""
+    return [e for e in pool if len(lift_roots(f, e[1], e[2]))]
+
+
+def _tail_sum(f, heads, pool, h):
+    """fsum of weight * log p * omega_f(mod * k) over the (fact, mod, weight)
+    heads and the prime powers k = p^v of `pool` with mod * k > h.
+
+    Each term is fl(fl(weight * log p) * omega), as in the tuple-by-tuple
+    sum.  A root mod p^(e+v) is a root mod p^e and mod p^v, so pool entries
+    with omega_f(p^v) = 0 and heads with omega_f(head) = 0 reach only zero
+    terms, which add nothing to the exact sum that fsum rounds; both are
+    skipped."""
+    pool = sorted(_rooted(f, pool))
+    ks = [k for k, _, _, _ in pool]
+    lps = np.array([lp for _, _, _, lp in pool])
+    oms = np.array([len(lift_roots(f, p, v)) for _, p, v, _ in pool],
+                   dtype=np.int64)
+    at = {}  # p -> [(index in pool, v)]
+    for i, (_, p, v, _) in enumerate(pool):
+        at.setdefault(p, []).append((i, v))
+
+    def terms():
+        for fact, mod, weight in heads:
+            om_head = omega_factored(f, fact)
+            if not om_head:
+                continue
+            s = bisect_right(ks, h // mod)  # the k with mod * k > h
+            om = om_head * oms[s:]
+            for q, e in fact.items():  # k = q^v: omega(head / q^e) omega(q^(e+v))
+                rest = om_head // len(lift_roots(f, q, e))
+                for i, v in at.get(q, ()):
+                    if i >= s:
+                        om[i - s] = rest * len(lift_roots(f, q, e + v))
+            yield ((weight * lps[s:]) * om).tolist()
+
+    return fsum(chain.from_iterable(terms()))
+
+
 _ROOT = (({}, 1, 1.0),)
 
 
@@ -325,9 +372,6 @@ def vw_prop32(inst: VWInstance) -> VWReport:
     def inside(lcm):
         return lcm <= h
 
-    def escapes(mod):
-        return mod > h
-
     v_plus = _smooth_sum(
         f, table, _walk(_walk(_ROOT, pool_v1, h, 1), pool_y_h, h, m - 1)
     ) / (log_fz * log_fzx ** (m - 1))
@@ -337,19 +381,21 @@ def vw_prop32(inst: VWInstance) -> VWReport:
 
     # V_i^-: i - 1 prime powers inside h, the i-th escaping it.  W_i^-: the
     # pair and k_3 .. k_i inside h, k_{i+1} escaping; W_1^-'s pair escapes.
+    # A pair with omega_f(p^v) = 0 at either end has omega_f(lcm) = 0, so
+    # W_1^- pairs only the pool entries with roots.
     v_minus = []
     w_minus = []
     for i in range(1, m + 1):
         heads = _walk(_ROOT, pool_y_h, h, i - 1)
-        v_minus.append(_omega_sum(f, _extend(heads, pool_y_fx, escapes))
+        v_minus.append(_tail_sum(f, heads, pool_y_fx, h)
                        / (log_fz * log_fzx ** (i - 1)))
         if i == 1:
-            tails = _pairs(pool_y_fx, escapes)
+            tail = _omega_sum(f, _pairs(_rooted(f, pool_y_fx),
+                                        lambda lcm: lcm > h))
         else:
             heads = _walk(_pairs(pool_y_h, inside), pool_y_h, h, i - 2)
-            tails = _extend(heads, pool_y_fx, escapes)
-        w_minus.append(_omega_sum(f, tails)
-                       / (log_fz * log_fz * log_fzx ** (i - 1)))
+            tail = _tail_sum(f, heads, pool_y_fx, h)
+        w_minus.append(tail / (log_fz * log_fz * log_fzx ** (i - 1)))
 
     V = v_plus + fsum(v_minus)
     W = w_plus + fsum(w_minus)
@@ -392,7 +438,7 @@ def lemma31_check(inst: VWInstance, kappa: int) -> Lemma31Result:
     pool = _prime_powers(fx, primes_up_to(int(min(y, fx))), lambda p: True)
     head = ((kfact, kappa, 1.0),)
     head_sum = _smooth_sum(f, table, _walk(head, pool, h, 1)) / log_fzx
-    tail_sum = _omega_sum(f, _extend(head, pool, lambda mod: mod > h)) / log_fzx
+    tail_sum = _tail_sum(f, head, pool, h) / log_fzx
     rhs = head_sum + tail_sum
     vacuous = lhs == 0
     return Lemma31Result(

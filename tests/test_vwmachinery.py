@@ -21,8 +21,15 @@ from polysmooth.acceptance import (
 )
 from polysmooth.modroots import omega
 from polysmooth.polyarith import build_factored
+from polysmooth.primes import factorize, primes_up_to
 from polysmooth.vwmachinery import (
+    _ROOT,
     VWInstance,
+    _extend,
+    _pairs,
+    _prime_powers,
+    _tail_sum,
+    _walk,
     lemma31_check,
     lemma41_sums,
     vw_depth_pair,
@@ -34,6 +41,7 @@ T2P1 = build_factored(["t^2+1"])
 T2M2 = build_factored(["t^2-2"])
 T_T2P1 = build_factored(["t", "t^2+1"])
 MIXED = build_factored(["t+1", "t^2+2"])
+T3P2 = build_factored(["t^3+2"])
 
 
 def test_prop21_matches_literal_oracle():
@@ -234,3 +242,77 @@ def test_lemma41_no_primes_below_2():
 def test_lemma41_scale_guard():
     with pytest.raises(ValueError):
         lemma41_sums(T2P1, 10**7 + 1, 10)
+
+
+def _literal_tail(f, heads, pool, h):
+    """The "-" tail tuple by tuple: every head times every pool entry that
+    escapes h, zero terms included, omega_f from a fresh factorization of
+    the modulus."""
+    return fsum(weight * omega(f, mod)
+                for _, mod, weight in _extend(heads, pool, lambda mod: mod > h))
+
+
+def _pools(f, x, z, y):
+    primes = primes_up_to(int(min(y, f(x))))
+    return (_prime_powers(x - z, primes, lambda p: True),
+            _prime_powers(f(x), primes, lambda p: True))
+
+
+@pytest.mark.parametrize("f", [T2P1, T2M2, T3P2, T_T2P1],
+                         ids=["t^2+1", "t^2-2", "t^3+2", "t(t^2+1)"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_prop32_tails_equal_literal_tails_exactly(f, depth):
+    x, z, y = 120, 60, 20
+    h = x - z
+    rep = vw_prop32(VWInstance(f, x, z, y, depth=depth))
+    pool_y_h, pool_y_fx = _pools(f, x, z, y)
+    log_fz = log(f(z))
+    log_fzx = log_fz - log(x)
+    for i in range(1, depth + 1):
+        heads = list(_walk(_ROOT, pool_y_h, h, i - 1))
+        assert _tail_sum(f, heads, pool_y_fx, h) == _literal_tail(
+            f, heads, pool_y_fx, h)
+        assert rep.v_minus[i - 1] == (_literal_tail(f, heads, pool_y_fx, h)
+                                      / (log_fz * log_fzx ** (i - 1)))
+        if i == 1:
+            tail = fsum(weight * omega(f, lcm) for _, lcm, weight
+                        in _pairs(pool_y_fx, lambda lcm: lcm > h))
+        else:
+            heads = list(_walk(_pairs(pool_y_h, lambda lcm: lcm <= h),
+                               pool_y_h, h, i - 2))
+            tail = _literal_tail(f, heads, pool_y_fx, h)
+            assert _tail_sum(f, heads, pool_y_fx, h) == tail
+        assert rep.w_minus[i - 1] == tail / (log_fz * log_fz * log_fzx ** (i - 1))
+    assert all(v > 0 for v in rep.v_minus + rep.w_minus)
+
+
+def test_lemma31_tail_equals_literal_tail_exactly():
+    f, x, z, y = T2P1, 100, 40, 30
+    inst = VWInstance(f, x, z, y)
+    h = inst.h
+    _, pool = _pools(f, x, z, y)
+    log_fzx = log(f(z)) - log(x)
+    for kappa in [1, 2, 4, 6, 25, h]:
+        head = [(factorize(kappa), kappa, 1.0)]
+        res = lemma31_check(inst, kappa)
+        assert res.tail_sum == _literal_tail(f, head, pool, h) / log_fzx, kappa
+
+
+def test_tail_sum_edge_heads_exactly():
+    # t^2+1: omega(2) = 1, omega(4) = omega(3) = 0, omega(5^e) = 2
+    f, h = T2P1, 50
+    pool = _prime_powers(10**4, primes_up_to(30), lambda p: True)
+    heads = [
+        ({2: 1}, 2, 0.5),  # h // mod = 25 = 5^2: 2 * 25 = h stays inside
+        ({3: 1}, 3, 1.25),  # omega 0
+        ({2: 2}, 4, 1.0),  # omega 0 through the prime 2 the pool shares
+        ({5: 1}, 5, 2.0),  # shares 5: omega(5^(1+v)) = 2, not omega(5) omega(5^v) = 4
+        ({2: 1, 5: 1}, 10, 0.75),  # shares 2 (omega(2^(1+v)) = 0) and 5
+        ({13: 1}, 13, 1.5),
+    ]
+    for head in heads:
+        want = _literal_tail(f, [head], pool, h)
+        assert _tail_sum(f, [head], pool, h) == want, head
+        assert (want == 0) == (omega(f, head[1]) == 0), head
+    assert _tail_sum(f, heads, pool, h) == _literal_tail(f, heads, pool, h)
+    assert _tail_sum(f, [], pool, h) == 0.0

@@ -270,10 +270,9 @@ def test_prop32_tails_equal_literal_tails_exactly(f, depth):
     log_fzx = log_fz - log(x)
     for i in range(1, depth + 1):
         heads = list(_walk(_ROOT, pool_y_h, h, i - 1))
-        assert _tail_sum(f, heads, pool_y_fx, h) == _literal_tail(
-            f, heads, pool_y_fx, h)
-        assert rep.v_minus[i - 1] == (_literal_tail(f, heads, pool_y_fx, h)
-                                      / (log_fz * log_fzx ** (i - 1)))
+        tail = _literal_tail(f, heads, pool_y_fx, h)
+        assert _tail_sum(f, heads, pool_y_fx, h) == tail
+        assert rep.v_minus[i - 1] == tail / (log_fz * log_fzx ** (i - 1))
         if i == 1:
             tail = fsum(weight * omega(f, lcm) for _, lcm, weight
                         in _pairs(pool_y_fx, lambda lcm: lcm > h))

@@ -10,11 +10,12 @@ error (or failed verify), 2 usage error.
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, is_dataclass
 
 from . import __version__
 from .bounds import make_bound_report
-from .dickman import U_MAX, martin_prediction, rho
+from .dickman import U_MAX, martin_prediction, rho_grid
 from .polyarith import build_factored, parse_poly, t0
 from .primdiv import n_arctan, r_b
 from .quadfield import c_alpha, make_context, verify_prop54, windowed_cassels
@@ -22,6 +23,8 @@ from .smoothsieve import sieve_range, smooth_bound
 from .vwmachinery import VWInstance, lemma31_check, vw_prop21, vw_prop32
 
 __all__ = ["main"]
+
+MAX_GRID_POINTS = 10**6  # dickman rows: about 700 bytes each until emitted
 
 
 def _fmt_float(v):
@@ -36,38 +39,39 @@ def _fmt_float(v):
 
 def _clean(obj):
     """12-significant-digit floats, JSON-safe infinities, dataclass unwrap."""
-    # scalars first: most calls get one, and is_dataclass is the dearest test
+    # scalars, then containers: is_dataclass is the dearest test
     if isinstance(obj, float):
         return _fmt_float(obj)
     if obj is None or isinstance(obj, (int, str)):
         return obj
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _clean(asdict(obj))
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _clean(asdict(obj))
     if isinstance(obj, bytearray):
         return list(obj)
     return obj
 
 
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(records, fmt, out, header_keys=None):
     if fmt == "json":
-        lines = [json.dumps(_clean(r), sort_keys=True) for r in records]
-        text = "\n".join(lines) + "\n"
+        lines = [_JSON.encode(_clean(r)) for r in records]
     else:
         rows = [_clean(r) for r in records]
         keys = header_keys or sorted({k for r in rows for k in r})
         lines = [",".join(keys)]
         for r in rows:
             lines.append(",".join(str(r.get(k, "")) for k in keys))
-        text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # one record joins to itself: the text is never copied
+    text = "\n".join(lines)
+    with open(out, "w") if out else nullcontext(sys.stdout) as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def _poly_from_args(args):
@@ -212,16 +216,22 @@ def _cmd_bound(args):
     return 0
 
 
+def _rho_rows(us):
+    """The (u, rho) rows; the grid list dies with this frame, so it is not
+    held while the rows are emitted."""
+    return [{"u": u, "rho": r} for u, r in zip(us, rho_grid(us).tolist())]
+
+
 def _cmd_dickman(args):
     if not args.step > 0:
         raise ValueError("--step must be > 0")
     if not 0 <= args.u_max <= U_MAX:
         raise ValueError(f"--u-max must lie in [0, {U_MAX}]")
-    n = int(round(args.u_max / args.step))
-    rows = []
-    for i in range(n + 1):
-        u = i * args.step
-        rows.append({"u": u, "rho": rho(u)})
+    span = args.u_max / args.step
+    if not span < MAX_GRID_POINTS - 0.5:  # round(span) + 1 points; inf too
+        raise ValueError(f"--u-max {args.u_max} at --step {args.step} gives "
+                         f"more than {MAX_GRID_POINTS} grid points")
+    rows = _rho_rows([i * args.step for i in range(round(span) + 1)])
     if args.format == "json":
         _emit([{"grid": rows, "config": _config(args)}], "json", args.out)
     else:
@@ -233,9 +243,11 @@ def _cmd_omega(args):
     from .modroots import omega
 
     f = _poly_from_args(args)
+    config = _clean(_config(args))
     records = []
     for k in _parse_grid(args.k, int):
-        records.append({"k": k, "omega": omega(f, k), "config": _config(args, k=k)})
+        rec_config = {**config, "options": {**config["options"], "k": k}}
+        records.append({"k": k, "omega": omega(f, k), "config": rec_config})
     _emit(records, args.format, args.out)
     return 0
 

@@ -8,6 +8,8 @@ Legendre series built on Gauss-Legendre nodes, so the evaluation error is
 far below the 1e-10 target.  [0,1] is exactly 1 and [1,2] is exactly
 1 - log(u).  A series is built on the first rho call that needs it, from
 the series below it, so a process pays only for the intervals it reads.
+Series are evaluated by a pure-Python Clenshaw recurrence that repeats
+numpy's legval step for step, on a float or on a whole grid at once.
 
 A second, independent solver (fixed-step RK4 on u*rho'(u) = -rho(u-1),
 step 1e-5) exists solely as a cross-check oracle.
@@ -18,8 +20,8 @@ from math import log
 import numpy as np
 from numpy.polynomial import legendre as L
 
-__all__ = ["rho", "martin_prediction", "rho_rk4_oracle", "delay_residual",
-           "U_MAX"]
+__all__ = ["rho", "rho_grid", "martin_prediction", "rho_rk4_oracle",
+           "delay_residual", "U_MAX"]
 
 U_MAX = 20.0
 _N_COEF = 40    # Legendre series length per unit interval
@@ -35,18 +37,43 @@ def _project(vals):
     return _proj @ vals
 
 
-def _series_eval(coef, xi):
-    return L.legval(xi, coef)
+# Clenshaw constants of numpy's legval: the recurrence step that folds in
+# coefficient j uses (j+1)/(j+2) and (2j+3)/(j+2).
+_CLEN_A = [(j + 1) / (j + 2) for j in range(_N_COEF)]
+_CLEN_B = [(2 * j + 3) / (j + 2) for j in range(_N_COEF)]
+
+
+def _series_eval(coef, x):
+    """The Legendre series coef (at least 2 and at most _N_COEF + 1 terms)
+    at x, a float or an ndarray, by the Clenshaw recurrence of numpy's
+    legval, operation for operation, so every value has the same bits."""
+    c0 = coef[-2]
+    c1 = coef[-1]
+    for j in range(len(coef) - 3, -1, -1):
+        c0, c1 = coef[j] - c1 * _CLEN_A[j], c0 + c1 * x * _CLEN_B[j]
+    return c0 + c1 * x
 
 
 def _antiderivative(coef):
-    """Coefficients of F(xi) = integral_{-1}^{xi} series."""
-    ic = L.legint(coef)
-    ic[0] -= L.legval(-1.0, ic)
+    """Coefficients of F(xi) = integral_{-1}^{xi} series, a list: numpy's
+    legint (constant fixed at 0 by F(0) = 0), then shifted to F(-1) = 0,
+    in numpy's order of operations."""
+    n = len(coef)
+    ic = [0.0] * (n + 1)
+    ic[0] = coef[0] * 0
+    ic[1] = coef[0]
+    ic[2] = coef[1] / 3
+    for j in range(2, n):
+        t = coef[j] / (2 * j + 1)
+        ic[j + 1] = t
+        ic[j - 1] -= t
+    ic[0] += 0 - _series_eval(ic, 0)
+    ic[0] -= _series_eval(ic, -1.0)
     return ic
 
 
-# Legendre series of rho on [k, k+1], 1 <= k < U_MAX, each built on first use.
+# Legendre series of rho on [k, k+1], 1 <= k < U_MAX, each built on first
+# use and stored as a list of floats.
 _series = {}
 
 
@@ -55,11 +82,9 @@ def _get_series(k):
     [k-1, k]; [1, 2] projects the closed form 1 - log(u)."""
     if k == 1:
         u1 = 1.0 + (_nodes + 1.0) / 2.0
-        _series[1] = _project(1.0 - np.log(u1))
+        _series[1] = _project(1.0 - np.log(u1)).tolist()
         return _series[1]
-    prev = _series.get(k - 1)
-    if prev is None:
-        prev = _get_series(k - 1)
+    prev = _coef(k - 1)
     prev_anti = _antiderivative(prev)
     total_prev = _series_eval(prev_anti, 1.0)
     # A(xi) = 1/2 * integral_{xi}^{1} L_{k-1}
@@ -69,15 +94,20 @@ def _get_series(k):
     vals = np.full(_N_NODES, rho_k)
     tol = rho_k * 1e-17  # relative: tail values shrink below 1e-26
     for _ in range(400):
-        cur = _project(vals)
-        cur_anti = _antiderivative(cur)
+        cur_anti = _antiderivative(_project(vals).tolist())
         new_vals = (a_vals + 0.5 * _series_eval(cur_anti, _nodes)) / u_vals
         if np.max(np.abs(new_vals - vals)) < tol:
             vals = new_vals
             break
         vals = new_vals
-    _series[k] = _project(vals)
+    _series[k] = _project(vals).tolist()
     return _series[k]
+
+
+def _coef(k):
+    """The series on [k, k+1], built on first use."""
+    coef = _series.get(k)
+    return _get_series(k) if coef is None else coef
 
 
 def rho(u):
@@ -94,11 +124,29 @@ def rho(u):
     if uf <= 2.0:
         return 1.0 - log(uf)
     k = min(int(uf), int(U_MAX) - 1)
-    xi = 2.0 * (uf - k) - 1.0
-    coef = _series.get(k)
-    if coef is None:
-        coef = _get_series(k)
-    return float(_series_eval(coef, xi))
+    return _series_eval(_coef(k), 2.0 * (uf - k) - 1.0)
+
+
+def rho_grid(us):
+    """rho at every point of the array-like us, as a float ndarray whose
+    values are bit for bit those of rho: one Clenshaw pass per unit
+    interval over the points that fall in it."""
+    u = np.asarray(us, dtype=float)
+    if not np.all((u >= 0) & (u <= U_MAX)):  # NaN fails too
+        raise ValueError(f"rho_grid needs every u in [0, {U_MAX}]")
+    out = np.ones_like(u)
+    # math.log, as rho takes it: np.log differs from it in the last bit
+    # at some points
+    sel = (u > 1.0) & (u <= 2.0)
+    out[sel] = [1.0 - log(v) for v in u[sel].tolist()]
+    for k in range(2, int(U_MAX)):
+        # the points rho sends to the series on [k, k+1]
+        sel = u > 2.0 if k == 2 else u >= k
+        if k < U_MAX - 1:
+            sel &= u < k + 1
+        if sel.any():
+            out[sel] = _series_eval(_coef(k), 2.0 * (u[sel] - k) - 1.0)
+    return out
 
 
 def martin_prediction(degrees, u):

@@ -296,25 +296,19 @@ def omega(f: FactoredPoly, k: int) -> int:
 
 
 def omega_scan(f, k):
-    """Independent oracle: count roots of f mod k by scanning all residues
-    (forward differences, d additions per step)."""
+    """Independent oracle: count roots of f mod k by evaluating f at every
+    residue, one int64 Horner pass over 0..k-1 reduced mod k at each step
+    (k < 2^31 keeps every product below 2^62)."""
+    if not 1 <= k < 1 << 31:
+        raise ValueError("omega_scan needs 1 <= k < 2^31")
     poly = f.product if isinstance(f, FactoredPoly) else f
-    d = poly.degree
-    if k == 1:
-        return 1
-    # difference table of f at 0..d
-    row = [poly(i) % k for i in range(d + 1)]
-    diffs = []
-    for _ in range(d + 1):
-        diffs.append(row[0])
-        row = [(row[i + 1] - row[i]) % k for i in range(len(row) - 1)]
-    count = 0
-    for _ in range(k):
-        if diffs[0] == 0:
-            count += 1
-        for i in range(d):
-            diffs[i] = (diffs[i] + diffs[i + 1]) % k
-    return count
+    r = np.arange(k, dtype=np.int64)
+    acc = np.zeros(k, dtype=np.int64)
+    for c in reversed(poly.coeffs):
+        acc *= r
+        acc += c % k
+        acc %= k
+    return int(np.count_nonzero(acc == 0))
 
 
 def mangoldt(k: int):

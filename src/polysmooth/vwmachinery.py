@@ -153,7 +153,8 @@ def _check_scale(inst):
 
 
 def _prime_powers(limit, primes, pred):
-    """(k, p, v, log p) for prime powers k = p^v <= limit with pred(p)."""
+    """(k, p, v, log p) for prime powers k = p^v <= limit with pred(p), in
+    increasing k."""
     out = []
     for p in primes:
         if p > limit:
@@ -167,6 +168,7 @@ def _prime_powers(limit, primes, pred):
             out.append((k, p, v, lp))
             k *= p
             v += 1
+    out.sort()
     return out
 
 
@@ -231,20 +233,22 @@ def _pairs(pool, keep):
                 yield fact, lcm, weight if k1 == k2 else 2 * weight
 
 
-def _extend(heads, pool, keep):
-    """Each (fact, mod, weight) head times one prime power k of `pool` with
-    keep(mod * k); the weight takes the factor log p."""
-    return ((_times(fact, p, v), mod * k, weight * lp)
-            for fact, mod, weight in heads
-            for k, p, v, lp in pool
-            if keep(mod * k))
+def _extend(heads, pool, h):
+    """Each (fact, mod, weight) head times one prime power k of the k-sorted
+    `pool` with mod * k <= h; the weight takes the factor log p."""
+    for fact, mod, weight in heads:
+        top = h // mod
+        for k, p, v, lp in pool:
+            if k > top:
+                break
+            yield _times(fact, p, v), mod * k, weight * lp
 
 
 def _walk(heads, pool, h, steps):
-    """The heads extended by `steps` ordered prime powers of `pool`, keeping
-    the product <= h."""
+    """The heads extended by `steps` ordered prime powers of the k-sorted
+    `pool`, keeping the product <= h."""
     for _ in range(steps):
-        heads = _extend(heads, pool, lambda mod: mod <= h)
+        heads = _extend(heads, pool, h)
     return heads
 
 
@@ -266,14 +270,15 @@ def _rooted(f, pool):
 
 def _tail_sum(f, heads, pool, h):
     """fsum of weight * log p * omega_f(mod * k) over the (fact, mod, weight)
-    heads and the prime powers k = p^v of `pool` with mod * k > h.
+    heads and the prime powers k = p^v of the k-sorted `pool` with
+    mod * k > h.
 
     Each term is fl(fl(weight * log p) * omega), as in the tuple-by-tuple
     sum.  A root mod p^(e+v) is a root mod p^e and mod p^v, so pool entries
     with omega_f(p^v) = 0 and heads with omega_f(head) = 0 reach only zero
     terms, which add nothing to the exact sum that fsum rounds; both are
     skipped."""
-    pool = sorted(_rooted(f, pool))
+    pool = _rooted(f, pool)
     ks = [k for k, _, _, _ in pool]
     lps = np.array([lp for _, _, _, lp in pool])
     oms = np.array([len(lift_roots(f, p, v)) for _, p, v, _ in pool],

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from polysmooth import cli
 from polysmooth.polyarith import build_factored
@@ -56,6 +59,48 @@ def test_dickman_csv(capsys):
     assert len(lines) == 8
     row2 = dict(zip(lines[0].split(","), lines[5].split(",")))
     assert abs(float(row2["rho"]) - 0.30685281944) < 1e-9
+
+
+# SHA-256 of the dickman outputs, pinned from the numpy-legval evaluator;
+# the json record embeds the config, version included.
+DICKMAN_SHA256 = [
+    (["--u-max", "20", "--step", "0.001"],
+     "a88046eb57ef6ea45e93b0ae2b83036ebf8599a00a82d70222f6f00c75acfecf"),
+    (["--u-max", "20", "--step", "0.001", "--format", "csv"],
+     "e68e7d19d7ed08fb7e63a10f9dc64ce0c1bb31d1b58ef7ae0ad38f7d019f949f"),
+    (["--u-max", "19.99", "--step", "0.007", "--format", "csv"],
+     "07aa5cf3226194ae1779ba1719205114ea5e6a93e616826a396b926e8fc2c247"),
+    ([], "ea98a0f63688f9284b7f3bce9c65052a6994c4c473d0db3beeea8edd6eb97ab9"),
+]
+
+
+def test_dickman_outputs_pinned(capsys):
+    for argv, digest in DICKMAN_SHA256:
+        rc, out = run_cli(capsys, ["dickman", *argv])
+        assert rc == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+class _GridBuilt(Exception):
+    pass
+
+
+def test_dickman_refuses_grids_past_a_million_points(monkeypatch, capsys):
+    def built(us):
+        raise _GridBuilt(len(us))
+
+    monkeypatch.setattr(cli, "rho_grid", built)
+    # 10^6 + 1 points first: were the cap missing, this case would fail at
+    # rho_grid on a 10^6-element list before --step 1e-9 asked for 2e10
+    for argv in (["--u-max", "1", "--step", "1e-6"], ["--step", "1e-9"],
+                 ["--u-max", "20", "--step", "1e-320"]):
+        assert cli.main(["dickman", *argv]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "more than 1000000 grid points" in captured.err, argv
+    with pytest.raises(_GridBuilt) as exc:
+        cli.main(["dickman", "--u-max", "0.999999", "--step", "1e-6"])
+    assert exc.value.args == (10**6,)
 
 
 def test_omega_subcommand(capsys):

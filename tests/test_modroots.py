@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from polysmooth.polyarith import build_factored
+from polysmooth.polyarith import IntPoly, build_factored
 from polysmooth.modroots import (
     lift_roots,
     mangoldt,
@@ -101,6 +101,18 @@ def test_omega_matches_scan():
     for f in [T2P1, T2M2, T_T2P1, CUBIC]:
         for k in range(1, 400):
             assert omega(f, k) == omega_scan(f, k), (f, k)
+
+
+def test_omega_scan_counts_residues_literally():
+    # coefficients past 2^63 are reduced mod k before the int64 pass
+    big = IntPoly([10**30 + 7, -3, 5, 2**70])
+    for f in [T2P1.product, CUBIC.product, big]:
+        for k in [1, 2, 3, 4, 97, 360, 65521, 65536]:
+            want = sum(1 for u in range(k) if f(u) % k == 0)
+            assert omega_scan(f, k) == want, (f, k)
+    for k in (0, 1 << 31):
+        with pytest.raises(ValueError):
+            omega_scan(T2P1, k)
 
 
 def test_omega_multiplicative_small():

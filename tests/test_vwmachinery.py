@@ -25,7 +25,6 @@ from polysmooth.primes import factorize, primes_up_to
 from polysmooth.vwmachinery import (
     _ROOT,
     VWInstance,
-    _extend,
     _pairs,
     _prime_powers,
     _tail_sum,
@@ -248,8 +247,10 @@ def _literal_tail(f, heads, pool, h):
     """The "-" tail tuple by tuple: every head times every pool entry that
     escapes h, zero terms included, omega_f from a fresh factorization of
     the modulus."""
-    return fsum(weight * omega(f, mod)
-                for _, mod, weight in _extend(heads, pool, lambda mod: mod > h))
+    return fsum((weight * lp) * omega(f, mod * k)
+                for _, mod, weight in heads
+                for k, _, _, lp in pool
+                if mod * k > h)
 
 
 def _pools(f, x, z, y):

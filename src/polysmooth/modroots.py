@@ -241,7 +241,7 @@ def lift_roots(f: FactoredPoly, p: int, v: int) -> RootSet:
     if cached is not None:
         return cached
     fpoly = f.product
-    fprime = fpoly.derivative()
+    fprime = f.derivative()
     start = 1
     roots = list(base.residues)
     for k in range(v - 1, 1, -1):
@@ -257,7 +257,7 @@ def lift_roots(f: FactoredPoly, p: int, v: int) -> RootSet:
             fp_u = _eval_mod(fprime, u, p)
             if fp_u:
                 fu = _eval_mod(fpoly, u, mod_next)
-                t = (-(fu // mod_k)) * pow(fp_u, p - 2, p) % p
+                t = (-(fu // mod_k)) * pow(fp_u, -1, p) % p
                 nxt.append(u + t * mod_k)
             else:
                 for t in range(p):

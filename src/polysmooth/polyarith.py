@@ -284,6 +284,8 @@ class FactoredPoly:
         "_root_cache",
         "_lift_cache",
         "_t0",
+        "_parts",
+        "_fprime",
     )
 
     def __init__(self, factors, degrees, g, d, disc_abs, statuses, warned, flipped, product):
@@ -299,6 +301,8 @@ class FactoredPoly:
         self._root_cache = {}
         self._lift_cache = {}
         self._t0 = None
+        self._parts = None
+        self._fprime = None
 
     def __call__(self, n):
         return self.product(n)
@@ -320,6 +324,25 @@ class FactoredPoly:
     def key(self):
         """Stable string key (used for caches and reproducible seeding)."""
         return "|".join(",".join(map(str, f.coeffs)) for f in self.factors)
+
+    def derivative(self):
+        """f' of the product, built once: lift_roots needs it per prime."""
+        if self._fprime is None:
+            self._fprime = self.product.derivative()
+        return self._fprime
+
+    def parts(self):
+        """One single-factor FactoredPoly per factor, each with its own root
+        and lift caches; (self,) when there is one factor."""
+        if self.g == 1:
+            return (self,)
+        if self._parts is None:
+            self._parts = tuple(
+                FactoredPoly((f,), (f.degree,), 1, f.degree,
+                             abs(discriminant(f)), (status,),
+                             status == "asserted", False, f)
+                for f, status in zip(self.factors, self.statuses))
+        return self._parts
 
 
 def build_factored(factors):

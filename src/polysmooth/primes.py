@@ -105,7 +105,16 @@ def factorize(n, above=1, composite=False):
                 out[dd] = out.get(dd, 0) + 1
                 n //= dd
         d += 6
-    stack = [n] if n > 1 else []
+    # No prime below d divides n: the primes up to 47 are divided out or at
+    # most `above`, and the wheel has tried every 6k+-1 number from its
+    # start d0 = 1 (mod 6).  A prime in (47, d0) is 6k+-1, so it is at most
+    # d0 - 2, which is `above` or less when d0 > 49 (d0 <= above + 2), and
+    # (47, 49) holds no prime.  So n < d^2 is 1 or prime.
+    if d * d > n:
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:

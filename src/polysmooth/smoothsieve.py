@@ -1,37 +1,44 @@
 """Exact Psi_f(x, y) and per-n largest prime factors of f(n) by a segmented
-sieve over root classes.
+sieve over root classes, with one kernel per quantity.
 
-Per segment the cofactor r[n] = |f(n)| is divided to full multiplicity by
-every prime p <= y along the arithmetic progressions n = u (mod p), u a root
-of f mod p.  n is y-smooth iff the cofactor ends at 1 (P+(0) = +inf keeps
-f(n) = 0 non-smooth; f(n) = +-1 is always smooth).
+Flags (count mode, y < b0 = isqrt(max |f|) + 1 and no P+ asked for) come
+from a log sieve.  For every irreducible factor g of f, every p <= y and
+every level k, log p is added at each n in a root class of g mod p^k, so the
+sum at n is log of the y-smooth part of |f(n)|.  n is smooth iff the sum
+reaches log |f(n)| - (log 2)/2: a non-smooth n leaves a cofactor R >= 2
+unsieved, so it falls short by log R >= log 2.  |f(n)| is evaluated in
+float64 and stated error bounds (_log_values) keep the test exact; n near a
+real root, where the float value is not trusted, is evaluated exactly.
+f(n) = 0 is never smooth; f(n) = +-1 always is.
 
-When y reaches b0 = isqrt(max |f|) + 1, or P+ is asked for, the sieve runs in
-prime mode: it divides out only the primes up to a bound B <= b0, chosen by
-a cost rule from the window length, and certifies what is left.  Every prime
-factor of a cofactor c exceeds B, so c <= B^2 is 1 or a prime; a larger c is
-tested by is_prime and, if composite, split by largest_prime_factor.  P+ is
-then exact and flags become P+ <= y.  The 2^32 domain check applies to b0,
-so every certified cofactor is below 2^64.
+P+ (prime mode, y >= b0 or P+ asked for) comes from division: the cofactor
+r[n] = |f(n)| is divided to full multiplicity by every prime p <= B along
+the arithmetic progressions n = u (mod p), u a root of f mod p, for a bound
+B <= b0 chosen by a cost rule from the window length, and what is left is
+certified.  Every prime factor of a cofactor c exceeds B, so c <= B^2 is 1
+or a prime; a larger c is tested by is_prime and, if composite, split by
+largest_prime_factor.  P+ is then exact and flags become P+ <= y.  The 2^32
+domain check applies to b0, so every certified cofactor is below 2^64.
 """
 
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, isqrt, log
+from itertools import groupby
+from math import exp, inf, isqrt, log
 
 import numpy as np
 
 from .polyarith import FactoredPoly
 from .primes import is_prime, largest_prime_factor, primes_up_to
-from .modroots import MAX_PRIME, root_classes
+from .modroots import MAX_PRIME, lift_roots, root_classes
 
 __all__ = ["SmoothTable", "psi", "pplus_table", "psi_oracle", "smooth_bound",
            "sieve_range"]
 
-# n sieved per segment.  A count-only sieve holds one segment: a few int64
-# arrays of this length, or one object array past 2^63.  Smaller segments
-# pay more often for the per-segment pass over the root classes.
+# n sieved per segment.  A count-only sieve holds one segment: a few float64
+# arrays of this length.  Smaller segments pay more often for the
+# per-segment pass over the root classes.
 SEGMENT = 1 << 16
 
 # Prime mode sieves the primes up to B = 2 * count instead of b0 when certifying
@@ -42,6 +49,26 @@ ROOT_US = 14  # one prime, every factor of degree <= 2 (closed forms)
 ROOT_US_GCD = 200  # one prime, some factor of degree >= 3 (the gcd path)
 
 _INT64_LIMIT = 1 << 63
+
+# The log sieve.  A non-smooth n falls short of log |f(n)| by at least
+# log 2; the test leaves half of that to float error (_log_flags).
+_LOG_MARGIN = log(2) / 2
+_UNIT_ROUNDOFF = 2.0**-53
+# A float |f(n)| is used only where Horner's error bound is below this share
+# of it, so its log is off by less than -log(1 - 2^-10) < 0.001.
+_NEAR_ROOT = 2.0**-10
+# Past this coefficient bound float values could overflow: every n of the
+# segment is evaluated exactly.
+_FLOAT_LIMIT = 1 << 1000
+# Values of 2^_LOG_BITS or more are a domain error: past them the float sum
+# of logs could drift by 0.001 (_log_flags).
+_LOG_BITS = 1 << 20
+# Lifting caps (_log_classes): levels q = p^k with q * p <= 2^62 keep int64
+# offsets exact; a level holds at most _MAX_CLASSES classes; and a prime
+# dividing lead * disc is lifted only up to _MAX_CLASSES, since lift_roots
+# scans p candidates per singular root.
+_MAX_LEVEL = 1 << 62
+_MAX_CLASSES = 256
 
 
 @dataclass
@@ -150,13 +177,13 @@ def eval_range(poly, n0, count):
     return np.array(out, dtype=object)
 
 
-def _sieve_segment(f, seg_lo, seg_len, P, R, need_best):
+def _sieve_segment(f, seg_lo, seg_len, P, R):
     """|f(n)| over the segment with every p in P divided out to full
-    multiplicity along its root class R, and, with need_best, the largest
-    such p per n (1 where none divides)."""
+    multiplicity along its root class R, and the largest such p per n (1
+    where none divides)."""
     vals = eval_range(f.product, seg_lo, seg_len)
     np.abs(vals, out=vals)
-    best = np.ones(seg_len, dtype=np.int64) if need_best else None
+    best = np.ones(seg_len, dtype=np.int64)
     # P ascends; a class of p < seg_len hits the segment along a strided
     # view, a class of larger p at most once
     small = int(np.searchsorted(P, seg_len))
@@ -169,14 +196,12 @@ def _sieve_segment(f, seg_lo, seg_len, P, R, need_best):
         while again.size:
             sub[again] //= p
             again = again[sub[again] % p == 0]
-        if need_best:
-            best[first::p] = p
+        best[first::p] = p
     if small < len(P):
         first = (R[small:] - seg_lo) % P[small:]
         hit = first < seg_len
         idx, ph = first[hit], P[small:][hit]
-        if need_best:
-            np.maximum.at(best, idx, ph)
+        np.maximum.at(best, idx, ph)
         ph = ph.astype(vals.dtype)  # ufunc.at without a cast
         while idx.size:
             np.floor_divide.at(vals, idx, ph)
@@ -187,18 +212,15 @@ def _sieve_segment(f, seg_lo, seg_len, P, R, need_best):
 
 
 def _aggregate(vals, best, y, bound):
-    """Per-n smooth flags and, in prime mode, P+ of a segment sieved by every
-    prime up to `bound`.
+    """Per-n smooth flags and P+ of a segment sieved by every prime up to
+    `bound`.
 
-    Outside prime mode (best is None) n is smooth iff its cofactor is 1, and
-    P+ is None.  In prime mode every prime factor of a cofactor c exceeds
-    bound: c <= bound^2 is 1 or prime, and a larger c is certified here.  P+
-    is P+(c) for c > 1, else the largest sieved prime.  y is compared exactly
-    through floor(y), never through a float cast of P+.  At f(n) = 0 the P+
-    entry is meaningless and the flag is false.
+    Every prime factor of a cofactor c exceeds bound: c <= bound^2 is 1 or
+    prime, and a larger c is certified here.  P+ is P+(c) for c > 1, else
+    the largest sieved prime.  y is compared exactly through floor(y), never
+    through a float cast of P+.  At f(n) = 0 the P+ entry is meaningless and
+    the flag is false.
     """
-    if best is None:
-        return vals == 1, None
     pv = np.where(vals > 1, vals, best)
     square = bound * bound
     if pv.dtype != object:  # keep the bound an int64 operand
@@ -214,6 +236,144 @@ def _aggregate(vals, best, y, bound):
             ylim = min(ylim, _INT64_LIMIT - 1)
         ok &= pv <= ylim
     return ok, pv
+
+
+def _log_classes(f, primes, lo, hi):
+    """The plan of the log sieve over [lo, hi], 0 <= lo.
+
+    Int64 arrays Q, R and float64 L, sorted by Q, hold one class per root r
+    of an irreducible factor g of f mod a level q = p^k: g(n) = 0 (mod q)
+    for n = r (mod q), and L = log p.  `deep` holds the classes of the last
+    level sieved of each (g, p) where a higher power of p may still divide
+    g(n): the factors gs, and int64 arrays DG, DP, DQ, DR of the factor's
+    index, p, q and r.
+
+    Levels run while p^k <= max |g(n)|, as p^k | g(n) != 0 needs.  Lifting
+    stops at a level whose classes hit [lo, hi] at most once (q >= hi - lo +
+    1), where exact valuations cost less than lifting further; at q * p >
+    2^62, where int64 offsets would overflow; at more than _MAX_CLASSES
+    classes; and at level 1 for a prime p > _MAX_CLASSES that may give a
+    factor a singular root (p | lead * disc), since lift_roots scans p
+    candidates per singular root.  Each factor is sieved on its own, which
+    keeps the classes few where factors share roots mod p^k.
+    """
+    count = hi - lo + 1
+    gs = [part.product for part in f.parts()]
+    P1s, R1s = [], []  # level 1, per factor
+    P, Q, R = [], [], []  # levels >= 2
+    DG, DP, DQ, DR = [], [], [], []  # deep: factor index, p, q, r
+    deep = []  # deep classes of lifted primes, as (factor index, p, q, r)
+    for i, part in enumerate(f.parts()):
+        g = gs[i]
+        top = coeff_bound(g, hi)  # >= |g(n)|
+        suspect = part.discriminant_abs * abs(g.lead)
+        P1, R1 = root_classes(part, primes)  # fills the root cache first
+        P1s.append(P1)
+        R1s.append(R1)
+        # p^2 <= top: a higher power may divide; p >= count: level 1 hits
+        # [lo, hi] at most once, so it is the last level sieved
+        deeper = int(np.searchsorted(P1, isqrt(top), side="right"))
+        lifted = int(np.searchsorted(P1[:deeper], count))
+        DG.append(np.full(deeper - lifted, i, dtype=np.int64))
+        DP.append(P1[lifted:deeper])
+        DQ.append(P1[lifted:deeper])
+        DR.append(R1[lifted:deeper])
+        for p, grp in groupby(zip(P1[:lifted].tolist(), R1[:lifted].tolist()),
+                              key=lambda pr: pr[0]):
+            roots = [r for _, r in grp]
+            k, q = 1, p
+            while roots and q * p <= top:
+                nxt = None
+                if (q < count and q * p <= _MAX_LEVEL
+                        and (suspect % p or p <= _MAX_CLASSES)):
+                    nxt = lift_roots(part, p, k + 1).residues
+                if nxt is None or len(nxt) > _MAX_CLASSES:
+                    deep += [(i, p, q, r) for r in roots]
+                    break
+                k, q, roots = k + 1, q * p, nxt
+                P += [p] * len(roots)
+                Q += [q] * len(roots)
+                R += roots
+    P = np.concatenate(P1s + [np.array(P, dtype=np.int64)])
+    Q = np.concatenate(P1s + [np.array(Q, dtype=np.int64)])
+    R = np.concatenate(R1s + [np.array(R, dtype=np.int64)])
+    order = np.argsort(Q, kind="stable")
+    L = np.log(P[order].astype(np.float64))
+    rest = np.array(deep, dtype=np.int64).reshape(-1, 4).T
+    deep = [np.concatenate(d + [e]) for d, e in zip((DG, DP, DQ, DR), rest)]
+    return Q[order], R[order], L, (gs, *deep)
+
+
+def _log_values(poly, seg_lo, seg_len):
+    """log |f(n)| for n in [seg_lo, seg_lo + seg_len), +inf where f(n) = 0.
+
+    Horner in float64, on coefficients rounded once and n rounded twice
+    (seg_lo + i), is off by at most gamma_{4d+2} * S with S =
+    coeff_bound(poly, seg_hi) >= sum |a_i| n^i and gamma_m = m u / (1 - m u),
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 5.1).  E = 2 (4d + 2) u S bounds it.
+    Where the float value F exceeds 2^10 E, |log F - log |f(n)|| < 0.001;
+    elsewhere (near a real root of f, at f(n) = 0, or in a segment whose
+    coefficient bound reaches _FLOAT_LIMIT) f(n) is evaluated exactly and
+    its log taken from the integer.  np.log is within a few ulp.
+    """
+    bound = coeff_bound(poly, seg_lo + seg_len - 1)
+    if bound < _FLOAT_LIMIT:
+        n = np.arange(seg_len, dtype=np.float64)
+        n += seg_lo
+        *rest, lead = poly.coeffs  # degree >= 1
+        vals = n * float(lead)
+        vals += float(rest[-1])
+        for c in reversed(rest[:-1]):
+            vals *= n
+            vals += float(c)
+        np.abs(vals, out=vals)
+        err = 2 * (4 * poly.degree + 2) * _UNIT_ROUNDOFF * float(bound)
+        exact = np.flatnonzero(vals <= err / _NEAR_ROOT).tolist()
+        with np.errstate(divide="ignore"):
+            logs = np.log(vals, out=vals)
+    else:
+        logs = np.empty(seg_len)
+        exact = range(seg_len)
+    for i in exact:
+        v = abs(poly(seg_lo + i))
+        logs[i] = log(v) if v else inf
+    return logs
+
+
+def _log_flags(f, seg_lo, seg_len, Q, R, L, deep):
+    """Smooth flags of a segment by the log sieve planned by _log_classes.
+
+    The sum at n is log of the y-smooth part of |f(n)|: min(v_p(g(n)), k)
+    terms log p from the levels of (g, p), plus the rest of v_p(g(n)),
+    counted exactly, at the hits of a `deep` class.  It has m <= 2 log2 |f(n)|
+    terms, each log p within an ulp, so its float error is below
+    2 m u log |f(n)| < 0.001 for |f(n)| < 2^_LOG_BITS.  With _log_values'
+    0.001 both stay far inside the (log 2)/2 margin: the test is exact.
+    """
+    acc = np.zeros(seg_len)
+    small = int(np.searchsorted(Q, seg_len))
+    for q, r, lp in zip(Q[:small].tolist(), R[:small].tolist(),
+                        L[:small].tolist()):
+        acc[(r - seg_lo) % q::q] += lp
+    if small < len(Q):
+        first = (R[small:] - seg_lo) % Q[small:]
+        hit = first < seg_len
+        acc += np.bincount(first[hit], weights=L[small:][hit],
+                           minlength=seg_len)
+    gs, DG, DP, DQ, DR = deep
+    first = (DR - seg_lo) % DQ
+    for j in np.flatnonzero(first < seg_len).tolist():
+        g, p, q = gs[DG[j]], int(DP[j]), int(DQ[j])
+        for i in range(int(first[j]), seg_len, q):
+            w = g(seg_lo + i) // q
+            if w:  # f(n) = 0 is decided by its log, +inf
+                v = 0
+                while w % p == 0:
+                    w //= p
+                    v += 1
+                acc[i] += v * log(p)
+    return acc >= _log_values(f.product, seg_lo, seg_len) - _LOG_MARGIN
 
 
 def _prime_bound(f, count, b0):
@@ -234,13 +394,11 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
 
     `y` is the smoothness bound (real).  When y reaches b0 = isqrt(max |f|)
     + 1, or with need_pplus whatever y is, the sieve runs in prime mode: it
-    sieves the primes up to B <= b0 (_prime_bound) and certifies each
+    divides out the primes up to B <= b0 (_prime_bound), certifies each
     cofactor left above B^2, and the table carries exact P+(|f(n)|) per n
-    with need_pplus.  A prime bound of 2^32 or more is a domain error; in
-    prime mode that bound is b0, not B.
-
-    Each segment is one numpy kernel: int64 while coeff_bound stays below
-    2^63, exact Python ints in an object array past it.
+    with need_pplus.  Otherwise the flags come from the log sieve over every
+    p <= y.  A prime bound of 2^32 or more is a domain error; in prime mode
+    that bound is b0, not B.
     """
     if lo < 0:
         raise ValueError("range must start at a nonnegative integer")
@@ -259,16 +417,25 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
     if effective >= MAX_PRIME:
         raise ValueError(f"prime bound {effective} reaches the desk-scale "
                          "limit 2^32")
-    bound = _prime_bound(f, count, b0) if prime_mode else effective
-    P, R = root_classes(f, primes_up_to(bound))
+    if prime_mode:
+        bound = _prime_bound(f, count, b0)
+        P, R = root_classes(f, primes_up_to(bound))
+    else:
+        if mbound.bit_length() > _LOG_BITS:
+            raise ValueError("values reach 2^(2^20), past the exact range of "
+                             "the log sieve")
+        plan = _log_classes(f, primes_up_to(effective), lo, hi)
 
     flags = bytearray(count)
     pplus = [] if need_pplus else None
     total = 0
     for seg_lo in range(lo, hi + 1, segment_size):
         seg_len = min(segment_size, hi - seg_lo + 1)
-        vals, best = _sieve_segment(f, seg_lo, seg_len, P, R, prime_mode)
-        ok, pv = _aggregate(vals, best, y, bound)
+        if prime_mode:
+            vals, best = _sieve_segment(f, seg_lo, seg_len, P, R)
+            ok, pv = _aggregate(vals, best, y, bound)
+        else:
+            ok = _log_flags(f, seg_lo, seg_len, *plan)
         flags[seg_lo - lo:seg_lo - lo + seg_len] = ok.tobytes()
         total += int(np.count_nonzero(ok))
         if need_pplus:

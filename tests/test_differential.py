@@ -5,16 +5,19 @@ f has degree 1-4, coefficients in [-20, 20] and a leading coefficient from
 LEADS, so that primes dividing the leading coefficient (where f mod p loses
 degree) are hit often.  Polynomials that build_factored rejects (not
 primitive, or with a rational root) are skipped.  The P+ tables run in prime
-mode, which certifies cofactors for every degree.
+mode, which certifies cofactors for every degree.  A second seeded set of
+products checks the log sieve of count mode against prime mode's flags.
 """
 
 import random
+from math import isqrt
 
 import pytest
 
 from polysmooth.modroots import omega, omega_scan
 from polysmooth.polyarith import build_factored
 from polysmooth.smoothsieve import (
+    coeff_bound,
     pplus_oracle,
     pplus_table,
     psi,
@@ -63,3 +66,42 @@ def test_random_polynomial_against_oracles(f):
         assert tab.pplus == pplus, y
         assert [tab.flag(n) for n in range(lo, hi + 1)] == [
             p <= y for p in pplus], y
+
+
+LOG_CASES = 16
+LOG_WINDOWS = ((0, 300), (3001, 3300))
+LOG_YS = (2, 5, 60, 1000)
+
+
+def _random_products(seed, count):
+    """Products of one or two factors of degree 1-2 whose coefficients are
+    near powers of 2, 3 and 5 (exponents keep b0 below 2^32 on the windows),
+    so that roots mod p^k meet across factors and multiply within one."""
+    rng = random.Random(seed)
+    polys = []
+    while len(polys) < count:
+        factors = []
+        for _ in range(rng.randint(1, 2)):
+            coeffs = [rng.choice((-1, 1)) * rng.choice(
+                (2 ** rng.randint(0, 16), 3 ** rng.randint(0, 10),
+                 5 ** rng.randint(0, 7))) + rng.randint(-3, 3)
+                for _ in range(rng.randint(1, 2))]
+            factors.append(coeffs + [1])
+        try:
+            f = build_factored(factors)
+        except ValueError:
+            continue
+        polys.append(pytest.param(f, id=f.pretty()))
+    return polys
+
+
+@pytest.mark.parametrize("f", _random_products(20261018, LOG_CASES))
+def test_log_sieve_against_prime_mode(f):
+    for lo, hi in LOG_WINDOWS:
+        pplus = sieve_range(f, lo, hi, float("inf"), need_pplus=True).pplus
+        b0 = isqrt(coeff_bound(f, hi)) + 1
+        for y in LOG_YS:
+            if y < b0:  # count mode
+                tab = sieve_range(f, lo, hi, y)
+                assert [tab.flag(n) for n in range(lo, hi + 1)] == [
+                    p <= y for p in pplus], (lo, y)

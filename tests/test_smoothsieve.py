@@ -249,3 +249,56 @@ def test_prime_mode_past_int64_certifies_cofactors():
     assert tab.pplus == pplus
     assert [tab.flag(n) for n in range(lo, hi + 1)] == [p <= 10**18
                                                        for p in pplus]
+
+
+def _smooth(v, y):
+    """|v| is y-smooth, by trial division by every d <= y (v = 0 is not)."""
+    v = abs(v)
+    if v == 0:
+        return False
+    for d in range(2, y + 1):
+        while v % d == 0:
+            v //= d
+    return v == 1
+
+
+# Count mode decides flags by the log sieve.  Each window stresses one of its
+# exact steps; every y is below b0, so none of them runs in prime mode.
+M = 2**27 + 1
+
+
+@pytest.mark.parametrize("factors, lo, hi, ys", [
+    # t (t + 2^20): the factors share their root mod 2^k up to k = 20
+    ([[0, 1], [2**20, 1]], 0, 3000, [2, 100]),
+    # Psi = 1 through -f(5) = 2^70 alone: v_2 past the last level sieved,
+    # counted exactly
+    ([[-5 - 2**70, 1]], 1, 10, [2]),
+    # f(7) = 0 is never smooth, however many levels hit it
+    ([[-7, 1]], 0, 30, [2, 5]),
+    # 17^2 classes mod 17^4 pass the class cap; f(289) = 17^4 * 290
+    ([[17**6, 0, 1]], 1, 6000, [29]),
+    # 257 | disc is lifted no further; f(257) = 2 * 257^2
+    ([[257**2, 0, 1]], 1, 3000, [2, 257]),
+    # a coefficient past 2^53: f(M) = 3 is 0 in float64 Horner
+    ([[3 - M * M, 0, 1]], M - 50, M + 50, [2, 3]),
+    # coefficients past the float range; f(7) = 2^1400
+    ([[10**400, 1]], 1, 50, [5]),
+    ([[2**1400 - 7, 1]], 1, 50, [2]),
+    # values past 2^63
+    (["t^4+t+1"], 55200, 55500, [13, 1000]),
+])
+def test_log_sieve_exact_steps(factors, lo, hi, ys):
+    f = build_factored(factors)
+    b0 = isqrt(coeff_bound(f, hi)) + 1
+    for y in ys:
+        assert y < b0
+        want = [_smooth(f(n), y) for n in range(lo, hi + 1)]
+        tab = sieve_range(f, lo, hi, y)
+        assert [tab.flag(n) for n in range(lo, hi + 1)] == want, y
+        assert tab.psi == sum(want)
+
+
+def test_log_sieve_range_is_a_domain_limit():
+    f = build_factored([[2**(1 << 20), 1]])  # values past 2^(2^20)
+    with pytest.raises(ValueError, match="exact range of the log sieve"):
+        psi(f, 10, 2)

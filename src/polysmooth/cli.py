@@ -19,7 +19,7 @@ from .dickman import U_MAX, martin_prediction, rho_grid
 from .polyarith import build_factored, parse_poly, t0
 from .primdiv import n_arctan, r_b
 from .quadfield import c_alpha, make_context, verify_prop54, windowed_cassels
-from .smoothsieve import sieve_range, smooth_bound
+from .smoothsieve import eval_range, sieve_range, smooth_bound
 from .vwmachinery import VWInstance, lemma31_check, vw_prop21, vw_prop32
 
 __all__ = ["main"]
@@ -58,16 +58,22 @@ def _clean(obj):
 _JSON = json.JSONEncoder(sort_keys=True)
 
 
-def _emit(records, fmt, out, header_keys=None):
+def _emit(records, fmt, out, header_keys=None, cleaned=False):
+    """Write records as JSON lines or CSV; `cleaned` records are already
+    what _clean would make of them."""
+    rows = records if cleaned else [_clean(r) for r in records]
     if fmt == "json":
-        lines = [_JSON.encode(_clean(r)) for r in records]
+        lines = [_JSON.encode(r) for r in rows]
     else:
-        rows = [_clean(r) for r in records]
         keys = header_keys or sorted({k for r in rows for k in r})
         lines = [",".join(keys)]
         for r in rows:
             lines.append(",".join(str(r.get(k, "")) for k in keys))
-    # one record joins to itself: the text is never copied
+    _write(lines, out)
+
+
+def _write(lines, out):
+    # one line joins to itself: the text is never copied
     text = "\n".join(lines)
     with open(out, "w") if out else nullcontext(sys.stdout) as fh:
         fh.write(text)
@@ -188,12 +194,11 @@ def _cmd_psi(args):
             rec["thm11_main_x"] = rep.thm11_main_x
             rec["thm11_u_in_range"] = rep.thm11_u_in_range
     if args.dump:
-        rows = [
-            {"n": n, "f_n": f(n), "pplus": table.pplus_of(n),
-             "smooth": int(table.flag(n))}
-            for n in range(1, args.x + 1)
-        ]
-        _emit(rows, "csv", args.out, header_keys=["n", "f_n", "pplus", "smooth"])
+        # P+(0) is the float inf, whose str is the "inf" _clean writes
+        columns = (range(1, args.x + 1), eval_range(f.product, 1, args.x).tolist(),
+                   table.pplus, table.flags)
+        _write(["n,f_n,pplus,smooth",
+                *map(",".join, zip(*(map(str, c) for c in columns)))], args.out)
         return 0
     _emit([rec], args.format, args.out)
     return 0
@@ -240,15 +245,15 @@ def _cmd_dickman(args):
 
 
 def _cmd_omega(args):
-    from .modroots import omega
+    from .modroots import omega_grid
 
     f = _poly_from_args(args)
     config = _clean(_config(args))
-    records = []
-    for k in _parse_grid(args.k, int):
-        rec_config = {**config, "options": {**config["options"], "k": k}}
-        records.append({"k": k, "omega": omega(f, k), "config": rec_config})
-    _emit(records, args.format, args.out)
+    ks = _parse_grid(args.k, int)
+    records = [{"k": k, "omega": w,
+                "config": {**config, "options": {**config["options"], "k": k}}}
+               for k, w in zip(ks, omega_grid(f, ks))]
+    _emit(records, args.format, args.out, cleaned=True)
     return 0
 
 

@@ -2,15 +2,19 @@
 root-counting function omega_f(k).
 
 Per factor, roots mod p use closed forms for degree <= 2 and the
-gcd(f, X^p - X) + randomized equal-degree-splitting method for degree >= 3
-(seeded deterministically from (f, p)), applied to f reduced mod p, whose
-degree drops when p divides the leading coefficient; p = 2 is scanned.
+gcd(f, X^p - X) + randomized equal-degree-splitting method for degree >= 3,
+applied to f reduced mod p, whose degree drops when p divides the leading
+coefficient; p = 2 is scanned.  roots_mod_p runs this one prime at a time
+(splitting seeded deterministically from (f, p)); root_classes runs it over
+a whole list of primes at once, one uint64 numpy lane per prime, and leaves
+p = 2 and the primes dividing a leading coefficient to the scalar path.
 Roots mod p^v come from Hensel lifting, with singular roots scanned level
 by level.
 """
 
 import random
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -18,7 +22,7 @@ from .primes import factorize, is_prime, sqrt_mod_p
 from .polyarith import FactoredPoly
 
 __all__ = ["RootSet", "roots_mod_p", "root_classes", "lift_roots", "omega",
-           "omega_factored", "mangoldt", "omega_scan"]
+           "omega_grid", "omega_factored", "mangoldt", "omega_scan"]
 
 MAX_PRIME = 1 << 32          # primality is checked deterministically below this
 MAX_PRIME_POWER = 1 << 64    # p^v magnitude budget for lifting
@@ -179,49 +183,345 @@ def _factor_roots(poly, p, rng_factory):
 
 
 def _roots_of_prime(f, p):
-    """roots_mod_p for a p already known to be a prime below MAX_PRIME."""
-    cached = f._root_cache.get(p)
-    if cached is not None:
-        return cached
+    """The sorted roots of f mod p, through f's root cache; a p not cached
+    yet is checked to be a prime below MAX_PRIME first."""
+    residues = f._root_cache.get(p)
+    if residues is None:
+        if p >= MAX_PRIME:
+            raise ValueError(f"p={p} exceeds the desk-scale prime bound 2^32")
+        if p < 2 or not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
 
-    def rng_factory():
-        return random.Random(f"{f.key()}|{p}")
+        def rng_factory():
+            return random.Random(f"{f.key()}|{p}")
 
-    roots = set()
-    for factor in f.factors:
-        roots.update(_factor_roots(factor, p, rng_factory))
-    rs = RootSet(p, 1, tuple(sorted(roots)))
-    f._root_cache[p] = rs
-    return rs
+        roots = set()
+        for factor in f.factors:
+            roots.update(_factor_roots(factor, p, rng_factory))
+        residues = f._root_cache[p] = tuple(sorted(roots))
+    return residues
 
 
 def roots_mod_p(f: FactoredPoly, p: int) -> RootSet:
-    """All u (mod p) with f(u) = 0 (mod p), exactly."""
-    cached = f._root_cache.get(p)
-    if cached is not None:
-        return cached
-    if p >= MAX_PRIME:
-        raise ValueError(f"p={p} exceeds the desk-scale prime bound 2^32")
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    return _roots_of_prime(f, p)
+    """All u (mod p) with f(u) = 0 (mod p), exactly.  The RootSet is built
+    once, on the first request, and kept as level 1 of f's lift cache."""
+    rs = f._lift_cache.get((p, 1))
+    if rs is None:
+        rs = f._lift_cache[(p, 1)] = RootSet(p, 1, _roots_of_prime(f, p))
+    return rs
+
+
+# ------------------------------------------------------------------- lanes
+#
+# The batch keeps one prime per lane.  A residue is a uint64 below p < 2^32,
+# so a product of two residues is below 2^64 and is reduced at once.  Lane
+# arrays meet only uint64 arrays and non-negative Python ints: numpy turns
+# uint64 mixed with a signed integer into float64, which loses exactness
+# past 2^53.  A polynomial per lane is a 2-D array, one row per coefficient,
+# lowest degree first; a monic modulus of degree d is passed as the rows N
+# of -f_0, ..., -f_(d-1), so X^d = sum N_i X^i.
+
+def _lanes_mod(c, P):
+    """The integer c mod p in every lane, whatever the size of c: its 32-bit
+    limbs are folded in from the top, each partial below 2^64."""
+    m = abs(c)
+    r = np.zeros_like(P)
+    for shift in range((m.bit_length() - 1) // 32 * 32, -1, -32):
+        r = ((r << 32) + ((m >> shift) & 0xFFFFFFFF)) % P
+    return (P - r) % P if c < 0 else r
+
+
+def _pow(base, E, P):
+    """base^E mod p per lane, by left-to-right square-and-multiply over the
+    bits of the per-lane exponent E."""
+    r = np.ones_like(P)
+    for bit in range(int(E.max(initial=0)).bit_length() - 1, -1, -1):
+        r = r * r % P
+        # base where the bit is set, else 1 (base - 1 wraps at 0)
+        r = r * (((E >> bit) & 1) * (base - 1) + 1) % P
+    return r
+
+
+def _inverse(x, P):
+    """x^-1 mod p per lane (Fermat), for x != 0 mod p."""
+    return _pow(x, P - 2, P)
+
+
+def _squarings(x, K, P):
+    """x^(2^K) mod p per lane, for a per-lane count K; a lane drops out of
+    the loop as soon as its count is done."""
+    x = x.copy()
+    idx = np.flatnonzero(K > 0)
+    y, P, K = x[idx], P[idx], K[idx]
+    while idx.size:
+        y, K = y * y % P, K - 1
+        done = K == 0
+        x[idx[done]] = y[done]
+        keep = ~done
+        idx, y, P, K = idx[keep], y[keep], P[keep], K[keep]
+    return x
+
+
+def _sqrt(D, P):
+    """A square root of D mod p per lane (p odd) by Tonelli-Shanks, and
+    whether D is a square.  Only the lanes that still need work stay in
+    each loop, so a lane with a long power of 2 in p - 1 costs only
+    itself."""
+    Q, S = P - 1, np.zeros_like(P)
+    while (even := (Q & 1) == 0).any():
+        Q, S = Q >> even, S + even
+    w = _pow(D, Q >> 1, P)  # D^((Q-1)/2)
+    root = D * w % P  # D^((Q+1)/2): the root wherever D^Q = 1 or D = 0
+    T = root * w % P  # D^Q
+    ok = (_squarings(T, S - 1, P) == 1) | (D == 0)  # Euler's criterion
+    idx = np.flatnonzero(ok & (T != 1) & (D != 0))
+    P, M, T, R, Q = P[idx], S[idx], T[idx], root[idx], Q[idx]
+    # C = z^Q for a non-residue z per lane, found by z^(Q 2^(M-1)) = -1
+    C = np.zeros_like(P)
+    todo, z = np.arange(idx.size), 2
+    while todo.size:
+        Pt = P[todo]
+        c = _pow(np.full(todo.size, z, dtype=np.uint64), Q[todo], Pt)
+        hit = _squarings(c, M[todo] - 1, Pt) == Pt - 1
+        C[todo[hit]] = c[hit]
+        todo, z = todo[~hit], z + 1
+    while idx.size:
+        # least I >= 1 with T^(2^I) = 1; I < M since T^(2^(M-1)) = 1
+        I, x, live = np.zeros_like(P), T, np.arange(idx.size)
+        while live.size:
+            x = x * x % P[live]
+            I[live] += 1
+            left = x != 1
+            live, x = live[left], x[left]
+        b = _squarings(C, M - I - 1, P)
+        R, C = R * b % P, b * b % P
+        T, M = T * C % P, I
+        done = T == 1
+        root[idx[done]] = R[done]
+        keep = ~done
+        idx, P, T, R, C, M = (idx[keep], P[keep], T[keep], R[keep], C[keep],
+                              M[keep])
+    return root, ok
+
+
+def _monic_roots(G, P, rng):
+    """Roots of the monic polynomials G (rows g_0, ..., g_k = 1) per lane, as
+    (lane, root) arrays.  Degree 1 and 2 are closed forms; a G of degree
+    k >= 3 must be a product of k distinct linear factors, and is split by
+    Cantor-Zassenhaus: gcd(G, (X + a)^((p-1)/2) - 1), with a = r mod p for
+    a random 64-bit r per round, splits the lanes where it has degree
+    strictly between 0 and k, and the rest draw again."""
+    k = G.shape[0] - 1
+    if k == 1:
+        return np.arange(P.size), (P - G[0]) % P
+    if k == 2:
+        # X^2 + bX + c: (-b +- sqrt(b^2 - 4c)) / 2, with 1/2 = (p + 1)/2
+        c, b = G[0], G[1]
+        s, ok = _sqrt((b * b % P + P - 4 * c % P) % P, P)
+        half = (P + 1) >> 1
+        r1 = (P - b + s) % P * half % P
+        r2 = (2 * P - b - s) % P * half % P
+        idx = np.flatnonzero(ok)
+        return np.concatenate([idx, idx]), np.concatenate([r1[idx], r2[idx]])
+    N = (P - G[:-1]) % P
+    lanes, roots = [], []
+    todo = np.arange(P.size)
+    while todo.size:
+        Pt = P[todo]
+        a = _lanes_mod(rng.getrandbits(64), Pt)
+        h = _xpow(a, (Pt - 1) >> 1, N[:, todo], Pt)
+        h[0] = (h[0] + Pt - 1) % Pt
+        g, dg = _gcd(G[:, todo], h, Pt)
+        for j in range(1, k):
+            sel = np.flatnonzero(dg == j)
+            if not sel.size:
+                continue
+            Ps = Pt[sel]
+            d = g[:j + 1, sel] * _inverse(g[j, sel], Ps) % Ps
+            for piece in (d, _quotient(G[:, todo[sel]], d, Ps)):
+                pl, pr = _monic_roots(piece, Ps, rng)
+                lanes.append(todo[sel[pl]])
+                roots.append(pr)
+        todo = todo[(dg == 0) | (dg == k)]
+    return np.concatenate(lanes), np.concatenate(roots)
+
+
+def _quotient(A, B, P):
+    """A / B per lane for monic B dividing A."""
+    j = B.shape[0] - 1
+    A = A.copy()
+    Q = np.empty((A.shape[0] - j, P.size), dtype=np.uint64)
+    for i in range(A.shape[0] - j - 1, -1, -1):
+        Q[i] = q = A[i + j]
+        for t in range(j):
+            A[i + t] = (A[i + t] + P - q * B[t] % P) % P
+    return Q
+
+
+def _sqrmod(A, N, P):
+    """A^2 mod the monic modulus N per lane (A and N have d rows)."""
+    d = N.shape[0]
+    C = [0] * (2 * d - 1)
+    for i in range(d):
+        C[2 * i] = C[2 * i] + A[i] * A[i] % P
+        for j in range(i + 1, d):
+            C[i + j] = C[i + j] + 2 * (A[i] * A[j] % P)
+    return _reduce(C, N, P)
+
+
+def _reduce(C, N, P):
+    """The rows C (degree <= 2d - 2, each a sum of a few residues) mod the
+    monic modulus N, reduced."""
+    d = N.shape[0]
+    for k in range(len(C) - 1, d - 1, -1):
+        top = C[k] % P
+        for i in range(d):
+            C[k - d + i] = C[k - d + i] + top * N[i] % P
+    return np.array([c % P for c in C[:d]])
+
+
+def _xpow(a, E, N, P):
+    """(X + a)^E mod the monic modulus N per lane, left to right over the
+    bits of E.  Multiplying by X + a costs d products; a lane whose bit is
+    not yet set stays at 1."""
+    d = N.shape[0]
+    r = np.zeros((d, P.size), dtype=np.uint64)
+    r[0] = 1
+    for bit in range(int(E.max(initial=0)).bit_length() - 1, -1, -1):
+        r = _sqrmod(r, N, P)
+        set_ = ((E >> bit) & 1).astype(bool)
+        if set_.any():
+            # (X + a) r = X r + a r, and X^d = N
+            xr = _reduce([0, *r], N, P)
+            r = np.where(set_, (xr + a * r % P) % P, r)
+    return r
+
+
+def _degree(A):
+    """Degree per lane of the rows A, -1 for the zero polynomial."""
+    nz = A != 0
+    return np.where(nz.any(axis=0),
+                    A.shape[0] - 1 - np.argmax(nz[::-1], axis=0), -1)
+
+
+def _gcd(A, B, P):
+    """gcd(A, B) over F_p per lane, up to a unit, as rows padded to A's
+    shape, and its degree per lane (-1 if both are zero).  B has no more
+    rows than A.  Euclid without inverses: the leading term of the larger
+    is cancelled by lc(B) A - lc(A) X^s B, which keeps the gcd."""
+    A = A.copy()
+    B = np.concatenate([B, np.zeros((A.shape[0] - B.shape[0], P.size),
+                                    dtype=np.uint64)])
+    g = np.zeros_like(A)
+    dg = np.full(P.size, -1)
+    idx = np.arange(P.size)
+    da, db = _degree(A), _degree(B)
+    rows = np.arange(A.shape[0])[:, None]
+    while True:
+        swap = da < db
+        A, B = np.where(swap, B, A), np.where(swap, A, B)
+        da, db = np.where(swap, db, da), np.where(swap, da, db)
+        done = db < 0
+        g[:, idx[done]] = A[:, done]
+        dg[idx[done]] = da[done]
+        keep = ~done
+        if not keep.any():
+            return g, dg
+        idx, A, B, da, db, P = (idx[keep], A[:, keep], B[:, keep], da[keep],
+                                db[keep], P[keep])
+        lanes = np.arange(idx.size)
+        la, lb = A[da, lanes], B[db, lanes]
+        src = rows - (da - db)
+        shifted = np.take_along_axis(B, np.maximum(src, 0), axis=0) * (src >= 0)
+        A = (lb * A % P + P - la * shifted % P) % P
+        da = _degree(A)
+
+
+def _factor_lanes(factor, cs, P, rng):
+    """Roots of one factor mod every lane of P, as (lane, root) arrays; cs
+    are its coefficients mod p, and no lane divides the leading one."""
+    if factor.lead != 1:
+        inv = _inverse(cs[-1], P)
+        cs = [c * inv % P for c in cs[:-1]] + [np.ones_like(P)]
+    G = np.array(cs)
+    if factor.degree <= 2:
+        return _monic_roots(G, P, rng)
+    # the roots of f are those of gcd(f, X^p - X), a product of distinct
+    # linear factors
+    N = (P - G[:-1]) % P
+    xp = _xpow(np.zeros_like(P), P, N, P)
+    xp[1] = (xp[1] + P - 1) % P
+    g, dg = _gcd(G, xp, P)
+    lanes, roots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint64)]
+    for k in range(1, factor.degree + 1):
+        sel = np.flatnonzero(dg == k)
+        if sel.size:
+            Ps = P[sel]
+            pl, pr = _monic_roots(g[:k + 1, sel] * _inverse(g[k, sel], Ps) % Ps,
+                                  Ps, rng)
+            lanes.append(sel[pl])
+            roots.append(pr)
+    return np.concatenate(lanes), np.concatenate(roots)
+
+
+def _batch_roots(f, primes):
+    """The roots of f mod every prime of `primes`, as int64 arrays (lane,
+    root) sorted by lane and then root, each root once.
+
+    Lanes where p = 2 or p divides a factor's leading coefficient (its
+    degree drops) take the scalar path; every other lane runs in the batch,
+    whose splitting constants are drawn from a generator seeded with f."""
+    P = np.array(primes, dtype=np.uint64)
+    rng = random.Random(f.key())
+    lanes, roots = [], []
+    for factor in f.factors:
+        cs = [_lanes_mod(c, P) for c in factor.coeffs]
+        scalar = (P == 2) | (cs[-1] == 0)
+        idx = np.flatnonzero(~scalar)
+        if idx.size:
+            pl, pr = _factor_lanes(factor, [c[idx] for c in cs], P[idx], rng)
+            lanes.append(idx[pl])
+            roots.append(pr.astype(np.int64))
+        for i in np.flatnonzero(scalar).tolist():
+            p = primes[i]
+            rs = _factor_roots(factor, p,
+                               lambda: random.Random(f"{f.key()}|{p}"))
+            lanes.append(np.full(len(rs), i, dtype=np.int64))
+            roots.append(np.array(rs, dtype=np.int64))
+    # a root shared by two factors, or a double root, appears once
+    keys = np.sort((np.concatenate(lanes) << 32) | np.concatenate(roots))
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    return keys >> 32, keys & 0xFFFFFFFF
 
 
 def root_classes(f: FactoredPoly, primes):
     """Every root class of f modulo the given primes, as two int64 arrays
-    P, R with f(R[i]) = 0 (mod P[i]), in the order of `primes`.
+    P, R with f(R[i]) = 0 (mod P[i]), in the order of `primes` and sorted
+    within each prime.
 
     `primes` is an ascending list of primes, as primes_up_to returns it;
-    only its bound is checked, not the primality of each entry.
+    only its bound is checked, not the primality of each entry.  The roots
+    mod every prime not yet in f's root cache are found in one batch and
+    cached, so roots_mod_p and lift_roots find them there.
     """
     if primes and primes[-1] >= MAX_PRIME:
         raise ValueError(f"p={primes[-1]} exceeds the desk-scale prime bound 2^32")
-    P, R = [], []
-    for p in primes:
-        residues = _roots_of_prime(f, p).residues
-        P.extend([p] * len(residues))
-        R.extend(residues)
-    return np.array(P, dtype=np.int64), np.array(R, dtype=np.int64)
+    cache = f._root_cache
+    todo = [p for p in primes if p not in cache]
+    if todo:
+        lanes, roots = _batch_roots(f, todo)
+        counts = np.bincount(lanes, minlength=len(todo))
+        it = iter(roots.tolist())
+        cache.update(zip(todo, [tuple(islice(it, c)) for c in counts.tolist()]))
+        if len(todo) == len(primes):
+            return np.array(todo, dtype=np.int64)[lanes], roots
+    sets = [cache[p] for p in primes]
+    counts = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    R = np.fromiter(chain.from_iterable(sets), dtype=np.int64,
+                    count=int(counts.sum()))
+    return np.repeat(np.array(primes, dtype=np.int64), counts), R
 
 
 def lift_roots(f: FactoredPoly, p: int, v: int) -> RootSet:
@@ -234,16 +534,16 @@ def lift_roots(f: FactoredPoly, p: int, v: int) -> RootSet:
         raise ValueError("v must be >= 1")
     if p**v > MAX_PRIME_POWER:
         raise ValueError(f"p^v = {p}^{v} exceeds the magnitude budget 2^64")
-    base = roots_mod_p(f, p)
     if v == 1:
-        return base
+        return roots_mod_p(f, p)
     cached = f._lift_cache.get((p, v))
     if cached is not None:
         return cached
+    residues = _roots_of_prime(f, p)
     fpoly = f.product
     fprime = f.derivative()
     start = 1
-    roots = list(base.residues)
+    roots = list(residues)
     for k in range(v - 1, 1, -1):
         hit = f._lift_cache.get((p, k))
         if hit is not None:
@@ -281,18 +581,29 @@ def omega_factored(f: FactoredPoly, fact: dict) -> int:
     return result
 
 
-def omega(f: FactoredPoly, k: int) -> int:
-    """omega_f(k) = #{u mod k : f(u) = 0 mod k}, via multiplicativity over
-    the prime factorization of k.  omega_f(1) = 1."""
+def _omega_factorization(k):
+    """The prime factorization of a modulus k that omega accepts."""
     if k == 0:
         raise ValueError("omega_f(0) is undefined")
     if k < 0:
         raise ValueError("k must be >= 1")
     if k > MAX_OMEGA_K:
         raise ValueError(f"k={k} exceeds the factoring budget 2^48")
-    if k == 1:
-        return 1
-    return omega_factored(f, factorize(k))
+    return factorize(k)
+
+
+def omega(f: FactoredPoly, k: int) -> int:
+    """omega_f(k) = #{u mod k : f(u) = 0 mod k}, via multiplicativity over
+    the prime factorization of k.  omega_f(1) = 1."""
+    return omega_factored(f, _omega_factorization(k))
+
+
+def omega_grid(f: FactoredPoly, ks) -> list:
+    """omega_f(k) for every k of `ks`, in order, with the roots mod every
+    prime of the grid below 2^32 found in one root_classes batch."""
+    facts = [_omega_factorization(k) for k in ks]
+    root_classes(f, sorted({p for fact in facts for p in fact if p < MAX_PRIME}))
+    return [omega_factored(f, fact) for fact in facts]
 
 
 def omega_scan(f, k):

@@ -441,9 +441,13 @@ def t0(f, sign=1):
     """Least integer T >= 2 (up to Descartes conservativeness) such that
     sign*f is strictly increasing and > 1 on the open ray (T, inf).
 
-    Scans integer candidates upward; each candidate is certified exactly by
-    zero Descartes sign variations of the shifted derivative and of
-    sign*f - 1, and the Cauchy root bound guarantees termination.
+    A candidate c is certified exactly by zero Descartes sign variations of
+    the shifted derivative and of sign*f - 1.  The test is monotone in c: a
+    polynomial h(t + c) with positive leading coefficient and no sign
+    variation has every coefficient >= 0, and shifting such a polynomial by
+    any s > 0 keeps every coefficient >= 0, so h(t + c + s) passes too.
+    The least passing c in [2, top], with top the Cauchy root bound, is
+    therefore found by bisection; top is returned when none passes.
     """
     poly = f.product if isinstance(f, FactoredPoly) else f
     if sign not in (1, -1):
@@ -457,12 +461,15 @@ def t0(f, sign=1):
         return f._t0
     gp = g.derivative()
     gm1 = g - 1
-    top = max(2, _cauchy_bound(gp), _cauchy_bound(gm1))
-    result = top
-    for cand in range(2, top + 1):
-        if _no_roots_beyond(gp, cand) and _no_roots_beyond(gm1, cand):
-            result = cand
-            break
+    # the least passing candidate lies in [lo, hi], or none does and hi = top
+    lo, hi = 2, max(2, _cauchy_bound(gp), _cauchy_bound(gm1))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _no_roots_beyond(gp, mid) and _no_roots_beyond(gm1, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    result = lo
     if isinstance(f, FactoredPoly) and sign == 1:
         f._t0 = result
     return result

@@ -13,8 +13,10 @@ for b = 1, which keeps N(x) = R_1(x) exactly.
 from dataclasses import dataclass
 from math import isqrt, log
 
+import numpy as np
+
 from .polyarith import build_factored
-from .primes import is_prime
+from .primes import factorize, is_prime
 from .smoothsieve import pplus_oracle, pplus_table
 
 __all__ = [
@@ -101,14 +103,20 @@ def _pplus(b, x):
 
 
 def _count(b, pplus, collect_records):
-    records = [] if collect_records else None
-    count = 0
-    for n, pp in enumerate(pplus, 1):
-        has = _is_primitive(b, n, pp)
-        count += has
-        if collect_records:
+    if collect_records:
+        records = []
+        count = 0
+        for n, pp in enumerate(pplus, 1):
+            has = _is_primitive(b, n, pp)
+            count += has
             records.append(_record(b, n, pp, has))
-    return count, records
+        return count, records
+    # every n^2 + b is nonzero (_check_b), so every P+ is a finite int
+    pp = np.fromiter(pplus, dtype=np.int64, count=len(pplus))
+    count = int(np.count_nonzero(pp >= 2 * np.arange(1, pp.size + 1)))
+    # the other way to qualify: n itself prime and n | b
+    count += sum(1 for n in factorize(abs(b)) if n <= pp.size and pp[n - 1] < 2 * n)
+    return count, None
 
 
 def r_b(b: int, x: int, collect_records: bool = False) -> RBResult:

@@ -3,6 +3,8 @@ Pollard-Brent rho, square roots mod p."""
 
 from math import gcd, isqrt
 
+import numpy as np
+
 # Deterministic witness set: correct for all n < 3.3 * 10^24 (covers 2^64).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -19,7 +21,7 @@ def primes_up_to(n):
         if sieve[p]:
             start = p * p
             sieve[start::p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(sieve) if v]
+    return np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8)).tolist()
 
 
 def is_prime(n):

@@ -44,9 +44,9 @@ SEGMENT = 1 << 16
 # Prime mode sieves the primes up to B = 2 * count instead of b0 when certifying
 # every n is estimated to cost less than finding the roots of f mod each prime
 # in (B, b0].  Microseconds per item, from a measured sweep (CHANGES.md):
-CERT_US = 200  # one n near 1e12: is_prime on its cofactor, rho if composite
-ROOT_US = 14  # one prime, every factor of degree <= 2 (closed forms)
-ROOT_US_GCD = 200  # one prime, some factor of degree >= 3 (the gcd path)
+CERT_US = 100  # one n near 1e12: is_prime on its cofactor, rho if composite
+ROOT_US = 2  # one prime in a root_classes batch, every factor of degree <= 2
+ROOT_US_GCD = 12  # one prime in a root_classes batch, a factor of degree >= 3
 
 _INT64_LIMIT = 1 << 63
 

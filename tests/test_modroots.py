@@ -1,16 +1,21 @@
+import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from polysmooth.polyarith import IntPoly, build_factored
 from polysmooth.modroots import (
+    _roots_of_prime,
     lift_roots,
     mangoldt,
     omega,
+    omega_grid,
     omega_scan,
+    root_classes,
     roots_mod_p,
 )
-from polysmooth.primes import factorize, primes_up_to
+from polysmooth.primes import factorize, is_prime, primes_up_to
 
 T2P1 = build_factored(["t^2+1"])
 T2M2 = build_factored(["t^2-2"])
@@ -185,3 +190,110 @@ def test_mangoldt():
     assert mangoldt(3**7) == (3, 7)
     with pytest.raises(ValueError):
         mangoldt(0)
+
+
+# ------------------------------------------------ batched roots vs the scalar path
+
+PRIMES_2E5 = primes_up_to(200_000)
+# the ten largest primes below 2^32: products of residues come near 2^64
+TOP_PRIMES = [p for p in range((1 << 32) - 1, (1 << 32) - 400, -2) if is_prime(p)][:10][::-1]
+
+
+def _assert_batch_matches_scalar(factors, primes):
+    f = build_factored(factors)
+    P, R = root_classes(f, primes)
+    assert P.dtype == R.dtype == np.int64
+    assert (np.diff(P) >= 0).all()  # in the order of `primes`
+    got = {}
+    for p, r in zip(P.tolist(), R.tolist()):
+        got.setdefault(p, []).append(r)
+    oracle = build_factored(factors)  # its own, empty root cache
+    for p in primes:
+        want = _roots_of_prime(oracle, p)
+        assert tuple(got.get(p, ())) == want, (factors, p)
+        assert roots_mod_p(f, p).residues == want, (factors, p)  # cached
+
+
+def _random_factors(rng):
+    """1 to 3 distinct factors of degree 1 to 4, coefficients in [-50, 50],
+    accepted by build_factored."""
+    while True:
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            deg = rng.randint(1, 4)
+            factors.append([rng.randint(-50, 50) for _ in range(deg)]
+                           + [rng.choice([-1, 1]) * rng.randint(1, 50)])
+        try:
+            build_factored(factors)
+        except ValueError:
+            continue
+        return factors
+
+
+def test_batch_roots_random_factors():
+    _assert_batch_matches_scalar(_random_factors(random.Random(0)), PRIMES_2E5)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_batch_roots_more_random_factors(seed):
+    _assert_batch_matches_scalar(_random_factors(random.Random(seed)),
+                                 primes_up_to(20_000))
+
+
+# p | lead: 6t^2 + 5t + 1 = (2t + 1)(3t + 1), 6t^2 + 5t + 2, 10^30 t^2 + 1;
+# p | disc and roots shared across factors: t^2 + 1 with t + 2 mod 5 and
+# with t^2 - 7 mod 2 and 3; t(t + 1); a coefficient of 10^30
+SPECIAL_FACTORS = [
+    [[1, 2], [1, 3]],
+    [[2, 5, 6]],
+    [[1, 0, 10**30]],
+    [[1, 0, 1], [2, 1], [-7, 0, 1]],
+    [[0, 1], [1, 1]],
+    [[10**30, 0, 1]],
+]
+# the same with a cubic or quartic factor, whose scalar roots cost more:
+# primes up to 3e4 hold every p | lead and p | disc here
+SPECIAL_GCD_FACTORS = [
+    [[1, 1, 1], [-1, 1], [7, 0, 0, 2]],
+    [[10**30 + 7, 3, 0, 1]],
+    [[1, 3, 0, 0, 6], [5, 0, 2]],
+    [[-3, 0, 0, 1], [5, -3, 0, 1]],
+]
+
+
+@pytest.mark.parametrize("factors", SPECIAL_FACTORS)
+def test_batch_roots_special_lanes(factors):
+    _assert_batch_matches_scalar(factors, PRIMES_2E5)
+
+
+@pytest.mark.parametrize("factors", SPECIAL_GCD_FACTORS)
+def test_batch_roots_special_lanes_gcd_path(factors):
+    _assert_batch_matches_scalar(factors, primes_up_to(30_000))
+
+
+@pytest.mark.parametrize("text", ["t^2+1", "t^2-2", "t^3+2", "t^4+t+1"])
+def test_batch_roots_near_2_32(text):
+    assert len(TOP_PRIMES) == 10 and TOP_PRIMES[-1] < 1 << 32
+    _assert_batch_matches_scalar([text], TOP_PRIMES)
+
+
+def test_root_classes_mixes_cached_and_new_primes():
+    f = build_factored(["t^3+2", "t^2+7"])
+    roots_mod_p(f, 101)
+    root_classes(f, primes_up_to(300)[10:20])
+    oracle = build_factored(["t^3+2", "t^2+7"])
+    P, R = root_classes(f, primes_up_to(1000))
+    want = [(p, r) for p in primes_up_to(1000)
+            for r in _roots_of_prime(oracle, p)]
+    assert list(zip(P.tolist(), R.tolist())) == want
+    assert root_classes(f, [])[0].size == 0
+
+
+def test_omega_grid_matches_omega():
+    ks = list(range(1, 3000)) + [65536, 2**31 - 1, (1 << 32) - 5]
+    for factors in (["t^2+1"], ["t^3+2"], ["t", "t^2+1"]):
+        want = [omega(build_factored(factors), k) for k in ks]
+        assert omega_grid(build_factored(factors), ks) == want
+    # a prime factor past 2^32 is refused as omega refuses it
+    with pytest.raises(ValueError, match="2\\^32"):
+        omega_grid(T2P1, [5, (1 << 32) + 15])

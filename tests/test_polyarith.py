@@ -1,7 +1,11 @@
+import time
+
 import pytest
 
 from polysmooth.polyarith import (
     IntPoly,
+    _cauchy_bound,
+    _no_roots_beyond,
     build_factored,
     discriminant,
     parse_poly,
@@ -150,3 +154,47 @@ def test_t0_sign_flip():
         t0(f, sign=1)
     with pytest.raises(ValueError):
         t0(parse_poly("5"))
+
+
+def _t0_scan(g):
+    """The linear scan t0 once was: the least c in [2, top] whose shifted
+    derivative and g - 1 have no sign variation, else top."""
+    gp, gm1 = g.derivative(), g - 1
+    top = max(2, _cauchy_bound(gp), _cauchy_bound(gm1))
+    for c in range(2, top + 1):
+        if _no_roots_beyond(gp, c) and _no_roots_beyond(gm1, c):
+            return c
+    return top
+
+
+# every polynomial the test suites build, as factors or products, and a
+# few far roots
+T0_POLYS = [
+    "t", "t+1", "2t+2", "t-5", "t-10", "t-55300", "t^2+1", "t^2+2", "t^2+3",
+    "t^2-1", "t^2-2", "t^2-10", "t^3+2", "t^3-2", "t^3-8", "t^3+t+1",
+    "2t^3-4t+7", "t^4+1", "t^4+t+1", "t^4-3t^2+1", "t^5+t^2+1",
+    "[1,3,6]", "[3,0,10]", "[1,1,1,12]", "[7,0,0,30]", "[1,3,65537]",
+    "[3,1,0,0,70]", "[2,0,9]", "[1,0,0,2,6]", "[-2,3,1]", "[-10000,0,1]",
+    "[-10000,1]", "[5,-300,0,1]",
+]
+
+
+@pytest.mark.parametrize("text", T0_POLYS)
+def test_t0_bisection_matches_scan(text):
+    g = parse_poly(text)
+    assert t0(g) == _t0_scan(g)
+
+
+def test_t0_bisection_on_products_and_flipped_sign():
+    for factors in (["t", "t^2+1"], ["t+1", "t^2+2"], ["t^2+1", "t-10"]):
+        f = build_factored(factors)
+        assert t0(f) == _t0_scan(f.product)
+    g = parse_poly("-t^2+5t-1")
+    assert t0(g, sign=-1) == _t0_scan(-g)
+
+
+def test_t0_far_root_is_fast():
+    g = parse_poly("t-1000000000000")
+    start = time.perf_counter()
+    assert t0(g) == 10**12 + 1
+    assert time.perf_counter() - start < 1.0

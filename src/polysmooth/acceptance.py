@@ -25,7 +25,14 @@ from numpy.polynomial.legendre import leggauss
 
 from .bounds import cassels_coeff, gamma_f, thm11_main_term
 from .dickman import delay_residual, rho, rho_rk4_oracle
-from .modroots import lift_roots, omega, omega_factored, omega_scan
+from .modroots import (
+    lift_roots,
+    omega,
+    omega_factored,
+    omega_grid,
+    omega_scan,
+    root_classes,
+)
 from .polyarith import build_factored
 from .primes import factorize, primes_up_to
 from .primdiv import n_arctan, r_b, verify_prop63
@@ -462,11 +469,13 @@ def criterion_7(quick=False):
     mult_fail = 0
     for label in polys:
         f = _poly(label)
-        table = {k: omega(f, k) for k in range(1, prod_cap + 1)}
+        ks = range(1, prod_cap + 1)
+        table = dict(zip(ks, omega_grid(f, ks)))
         for a in range(1, prod_cap + 1):
             for b in range(1, prod_cap // a + 1):
                 if gcd(a, b) == 1 and table[a * b] != table[a] * table[b]:
                     mult_fail += 1
+        root_classes(f, primes_up_to(10**4))  # every prime of the sample
         rng = random.Random(f"mult|{label}")
         for _ in range(sample_n):
             a = rng.randrange(1, 10**4 + 1)
@@ -482,7 +491,9 @@ def criterion_7(quick=False):
         f = _poly(label)
         delta = f.discriminant_abs
         theta = factorize(delta)
-        for p in primes_up_to(p_top):
+        primes = primes_up_to(p_top)
+        root_classes(f, primes)
+        for p in primes:
             w1 = len(lift_roots(f, p, 1))
             tp = theta.get(p, 0)
             for v in range(1, 5):
@@ -498,13 +509,15 @@ def criterion_7(quick=False):
     # Lemma 4.2 on the exhaustive grid: prime powers p <= 50, v <= 3, m <= 3
     from itertools import combinations_with_replacement
 
-    pps = [(p, v) for p in primes_up_to(50) for v in (1, 2, 3)]
+    pp_primes = primes_up_to(50)
+    pps = [(p, v) for p in pp_primes for v in (1, 2, 3)]
     m_top = 2 if quick else 3
     l42_fail = 0
     n_tuples = 0
     scan_fail = 0
     for label in polys:
         f = _poly(label)
+        root_classes(f, pp_primes)
         delta = f.discriminant_abs
         scan_candidates = []
         for m in range(1, m_top + 1):
@@ -557,13 +570,14 @@ def criterion_8(quick=False):
     for m in (2, 3, 6):
         ctx = make_context(m)
         table = pplus_table(ctx.f, n_top)
-        for n in range(1, n_top + 1):
-            v = abs(n * n - m)
-            if v <= 1:
-                continue
+        facts = {n: factorize(abs(n * n - m)) for n in range(1, n_top + 1)
+                 if abs(n * n - m) > 1}
+        root_classes(ctx.f, sorted({p for fact in facts.values()
+                                    for p in fact if p > xthr}))
+        for n, fact in facts.items():
             path_a = table.pplus_of(n) > xthr
             path_b = False
-            for p in factorize(v):
+            for p in fact:
                 if p > xthr:
                     cls = classify_prime(ctx, p)
                     if cls.kind != "split" or n % p not in {

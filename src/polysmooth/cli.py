@@ -276,6 +276,13 @@ def _vw_one(spec):
     return rec
 
 
+# the JSON types a vw config instance's numbers may take (build_factored
+# checks its factors)
+_VW_TYPES = {"x": (int, "an integer"), "z": (int, "an integer"),
+             "y": ((int, float), "a number"), "depth": (int, "an integer"),
+             "kappa": ((int, type(None)), "an integer or null")}
+
+
 def _cmd_vw(args):
     specs = []
     if args.config:
@@ -287,6 +294,12 @@ def _cmd_vw(args):
         ):
             raise ValueError("vw config must be a JSON array of instances, "
                              "each with factors, x, z and y")
+        for spec in specs:
+            for key, (types, kind) in _VW_TYPES.items():
+                if key in spec and (not isinstance(spec[key], types)
+                                    or isinstance(spec[key], bool)):
+                    raise ValueError(f"vw config: {key} = {spec[key]!r} is "
+                                     f"not {kind}")
     else:
         if None in (args.x, args.z, args.y):
             raise ValueError("vw-verify needs --x, --z and --y, or --config")

@@ -1,15 +1,15 @@
 """Roots of f modulo primes and prime powers, and the multiplicative
 root-counting function omega_f(k).
 
-Per factor, roots mod p use closed forms for degree <= 2 and the
-gcd(f, X^p - X) + randomized equal-degree-splitting method for degree >= 3,
-applied to f reduced mod p, whose degree drops when p divides the leading
-coefficient; p = 2 is scanned.  roots_mod_p runs this one prime at a time
-(splitting seeded deterministically from (f, p)); root_classes runs it over
-a whole list of primes at once, one uint64 numpy lane per prime, and leaves
-p = 2 and the primes dividing a leading coefficient to the scalar path.
-Roots mod p^v come from Hensel lifting, with singular roots scanned level
-by level.
+Roots mod p come from one finder, root_classes, which runs over a whole
+list of primes at once, one uint64 numpy lane per prime.  Each factor is
+reduced mod p, and the lanes run grouped by the reduced degree, which
+drops where p divides the leading coefficient: closed forms for degree
+<= 2, and gcd(f, X^p - X) with randomized equal-degree splitting for degree
+>= 3.  p = 2 is scanned.  roots_mod_p asks root_classes for a prime not yet
+in f's root cache; a caller that visits many primes one at a time fills the
+cache with one root_classes call first.  Roots mod p^v come from Hensel
+lifting, with singular roots scanned level by level.
 """
 
 import random
@@ -18,7 +18,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .primes import factorize, is_prime, sqrt_mod_p
+from .primes import factorize, is_prime
 from .polyarith import FactoredPoly
 
 __all__ = ["RootSet", "roots_mod_p", "root_classes", "lift_roots", "omega",
@@ -27,6 +27,9 @@ __all__ = ["RootSet", "roots_mod_p", "root_classes", "lift_roots", "omega",
 MAX_PRIME = 1 << 32          # primality is checked deterministically below this
 MAX_PRIME_POWER = 1 << 64    # p^v magnitude budget for lifting
 MAX_OMEGA_K = 1 << 48        # factoring budget for omega
+# primes per _batch_roots call: bounds the lanes' memory (the degree >= 3
+# kernel holds about 460 bytes per lane at its peak)
+LANE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -48,140 +51,6 @@ def _eval_mod(poly, u, m):
     return acc
 
 
-# ---------------------------------------------------------------- poly mod p
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pm_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _pm_monic(a, p):
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _pm_rem(a, b, p):
-    """a mod b over F_p; b monic."""
-    a = a[:]
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - db
-            for i in range(db):
-                a[shift + i] = (a[shift + i] - lead * b[i]) % p
-        a.pop()
-    return _trim(a)
-
-
-def _pm_gcd(a, b, p):
-    a, b = a[:], b[:]
-    while b:
-        b = _pm_monic(b, p)
-        a, b = b, _pm_rem(a, b, p)
-    return _pm_monic(a, p) if a else a
-
-
-def _pm_pow(base, e, mod_poly, p):
-    result = [1]
-    base = _pm_rem(base, mod_poly, p)
-    while e:
-        if e & 1:
-            result = _pm_rem(_pm_mul(result, base, p), mod_poly, p)
-        base = _pm_rem(_pm_mul(base, base, p), mod_poly, p)
-        e >>= 1
-    return result
-
-
-def _split_roots(g, p, rng):
-    """Split a monic product of distinct linear factors into its roots."""
-    deg = len(g) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [(-g[0]) % p]
-    while True:
-        a = rng.randrange(p)
-        h = _pm_pow([a, 1], (p - 1) // 2, g, p)
-        if h:
-            h = h[:]
-            h[0] = (h[0] - 1) % p
-            h = _trim(h)
-        else:
-            h = [p - 1]
-        d = _pm_gcd(h, g, p)
-        if 0 < len(d) - 1 < deg:
-            # g / d: quotient is the complementary factor
-            q = _pm_quot(g, d, p)
-            return sorted(_split_roots(d, p, rng) + _split_roots(q, p, rng))
-
-
-def _pm_quot(a, b, p):
-    """a / b over F_p for monic b dividing a."""
-    a = a[:]
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    while len(a) - 1 >= db and a:
-        lead = a[-1]
-        shift = len(a) - 1 - db
-        q[shift] = lead
-        if lead:
-            for i in range(db + 1):
-                a[shift + i] = (a[shift + i] - lead * b[i]) % p
-        _trim(a)
-    return q
-
-
-def _roots_general(coeffs, p, rng):
-    """Roots over F_p of a reduced poly (lead nonzero mod p, degree >= 1)
-    via gcd with X^p - X and equal-degree splitting."""
-    f = _pm_monic([c % p for c in coeffs], p)
-    if len(f) - 1 == 1:
-        return [(-f[0]) % p]
-    xp = _pm_pow([0, 1], p, f, p)
-    # X^p - X mod f
-    xp = xp[:] + [0] * max(0, 2 - len(xp))
-    xp[1] = (xp[1] - 1) % p
-    g = _pm_gcd(_trim(xp), f, p)
-    if not g or len(g) - 1 == 0:
-        return []
-    return _split_roots(g, p, rng)
-
-
-def _factor_roots(poly, p, rng_factory):
-    """Roots of one irreducible factor mod p."""
-    if p == 2:
-        return [u for u in range(2) if _eval_mod(poly, u, 2) == 0]
-    # reduced mod p; a leading coefficient divisible by p lowers the degree
-    cs = _trim([c % p for c in poly.coeffs])
-    deg = len(cs) - 1
-    if deg == 0:
-        return []  # nonzero constant mod p (primitivity excludes 0)
-    if deg == 1:
-        return [(-cs[0]) * pow(cs[1], p - 2, p) % p]
-    if deg == 2:
-        c0, c1, c2 = cs
-        disc = (c1 * c1 - 4 * c0 * c2) % p
-        if disc == 0:
-            return [(-c1) * pow(2 * c2, p - 2, p) % p]
-        s = sqrt_mod_p(disc, p)
-        if s is None:
-            return []
-        inv = pow(2 * c2, p - 2, p)
-        return sorted({(-c1 + s) * inv % p, (-c1 - s) * inv % p})
-    return _roots_general(cs, p, rng_factory())
-
-
 def _roots_of_prime(f, p):
     """The sorted roots of f mod p, through f's root cache; a p not cached
     yet is checked to be a prime below MAX_PRIME first."""
@@ -191,14 +60,8 @@ def _roots_of_prime(f, p):
             raise ValueError(f"p={p} exceeds the desk-scale prime bound 2^32")
         if p < 2 or not is_prime(p):
             raise ValueError(f"p={p} is not prime")
-
-        def rng_factory():
-            return random.Random(f"{f.key()}|{p}")
-
-        roots = set()
-        for factor in f.factors:
-            roots.update(_factor_roots(factor, p, rng_factory))
-        residues = f._root_cache[p] = tuple(sorted(roots))
+        root_classes(f, [p])
+        residues = f._root_cache[p]
     return residues
 
 
@@ -437,23 +300,16 @@ def _gcd(A, B, P):
         da = _degree(A)
 
 
-def _factor_lanes(factor, cs, P, rng):
-    """Roots of one factor mod every lane of P, as (lane, root) arrays; cs
-    are its coefficients mod p, and no lane divides the leading one."""
-    if factor.lead != 1:
-        inv = _inverse(cs[-1], P)
-        cs = [c * inv % P for c in cs[:-1]] + [np.ones_like(P)]
-    G = np.array(cs)
-    if factor.degree <= 2:
-        return _monic_roots(G, P, rng)
-    # the roots of f are those of gcd(f, X^p - X), a product of distinct
-    # linear factors
+def _gcd_roots(G, P, rng):
+    """Roots of the monic polynomials G (rows g_0, ..., g_d = 1, d >= 3) per
+    lane, as (lane, root) arrays: they are the roots of gcd(G, X^p - X), a
+    product of distinct linear factors."""
     N = (P - G[:-1]) % P
     xp = _xpow(np.zeros_like(P), P, N, P)
     xp[1] = (xp[1] + P - 1) % P
     g, dg = _gcd(G, xp, P)
     lanes, roots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint64)]
-    for k in range(1, factor.degree + 1):
+    for k in range(1, G.shape[0]):
         sel = np.flatnonzero(dg == k)
         if sel.size:
             Ps = P[sel]
@@ -464,30 +320,48 @@ def _factor_lanes(factor, cs, P, rng):
     return np.concatenate(lanes), np.concatenate(roots)
 
 
+def _factor_lanes(cs, P, rng):
+    """Roots of one factor mod every lane of P (p odd), as (lane, root)
+    arrays; cs are its coefficient rows mod p.  A lane's degree is its
+    highest nonzero row, below the factor's where p divides the leading
+    coefficient; the lanes of each degree run together, and degree 0 has
+    no roots."""
+    deg = _degree(cs)
+    lanes, roots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint64)]
+    for d in range(1, cs.shape[0]):
+        sel = np.flatnonzero(deg == d)
+        if not sel.size:
+            continue
+        Ps, G = P[sel], cs[:d + 1, sel]
+        if (G[d] != 1).any():
+            G = G * _inverse(G[d], Ps) % Ps
+        pl, pr = (_monic_roots if d <= 2 else _gcd_roots)(G, Ps, rng)
+        lanes.append(sel[pl])
+        roots.append(pr)
+    return np.concatenate(lanes), np.concatenate(roots)
+
+
 def _batch_roots(f, primes):
     """The roots of f mod every prime of `primes`, as int64 arrays (lane,
     root) sorted by lane and then root, each root once.
 
-    Lanes where p = 2 or p divides a factor's leading coefficient (its
-    degree drops) take the scalar path; every other lane runs in the batch,
-    whose splitting constants are drawn from a generator seeded with f."""
+    The splitting constants are drawn from a generator seeded with f.  The
+    lane p = 2, where the kernels have no 1/2 and (p - 1)/2 = 0, is scanned.
+    """
     P = np.array(primes, dtype=np.uint64)
+    odd = np.flatnonzero(P != 2)
+    Po = P[odd]
     rng = random.Random(f.key())
     lanes, roots = [], []
     for factor in f.factors:
-        cs = [_lanes_mod(c, P) for c in factor.coeffs]
-        scalar = (P == 2) | (cs[-1] == 0)
-        idx = np.flatnonzero(~scalar)
-        if idx.size:
-            pl, pr = _factor_lanes(factor, [c[idx] for c in cs], P[idx], rng)
-            lanes.append(idx[pl])
-            roots.append(pr.astype(np.int64))
-        for i in np.flatnonzero(scalar).tolist():
-            p = primes[i]
-            rs = _factor_roots(factor, p,
-                               lambda: random.Random(f"{f.key()}|{p}"))
-            lanes.append(np.full(len(rs), i, dtype=np.int64))
-            roots.append(np.array(rs, dtype=np.int64))
+        cs = np.array([_lanes_mod(c, Po) for c in factor.coeffs])
+        pl, pr = _factor_lanes(cs, Po, rng)
+        lanes.append(odd[pl])
+        roots.append(pr.astype(np.int64))
+    for i in np.flatnonzero(P == 2).tolist():
+        rs = [u for u in (0, 1) if _eval_mod(f.product, u, 2) == 0]
+        lanes.append(np.full(len(rs), i, dtype=np.int64))
+        roots.append(np.array(rs, dtype=np.int64))
     # a root shared by two factors, or a double root, appears once
     keys = np.sort((np.concatenate(lanes) << 32) | np.concatenate(roots))
     first = np.ones(keys.size, dtype=bool)
@@ -503,20 +377,25 @@ def root_classes(f: FactoredPoly, primes):
 
     `primes` is an ascending list of primes, as primes_up_to returns it;
     only its bound is checked, not the primality of each entry.  The roots
-    mod every prime not yet in f's root cache are found in one batch and
-    cached, so roots_mod_p and lift_roots find them there.
+    mod every prime not yet in f's root cache are found by _batch_roots, in
+    blocks of LANE_BLOCK primes, and cached, so roots_mod_p and lift_roots
+    find them there.
     """
     if primes and primes[-1] >= MAX_PRIME:
         raise ValueError(f"p={primes[-1]} exceeds the desk-scale prime bound 2^32")
     cache = f._root_cache
     todo = [p for p in primes if p not in cache]
-    if todo:
-        lanes, roots = _batch_roots(f, todo)
-        counts = np.bincount(lanes, minlength=len(todo))
+    Ps, Rs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for start in range(0, len(todo), LANE_BLOCK):
+        block = todo[start:start + LANE_BLOCK]
+        lanes, roots = _batch_roots(f, block)
+        counts = np.bincount(lanes, minlength=len(block))
         it = iter(roots.tolist())
-        cache.update(zip(todo, [tuple(islice(it, c)) for c in counts.tolist()]))
-        if len(todo) == len(primes):
-            return np.array(todo, dtype=np.int64)[lanes], roots
+        cache.update(zip(block, [tuple(islice(it, c)) for c in counts.tolist()]))
+        Ps.append(np.array(block, dtype=np.int64)[lanes])
+        Rs.append(roots)
+    if len(todo) == len(primes):
+        return np.concatenate(Ps), np.concatenate(Rs)
     sets = [cache[p] for p in primes]
     counts = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
     R = np.fromiter(chain.from_iterable(sets), dtype=np.int64,

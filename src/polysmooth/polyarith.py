@@ -10,6 +10,7 @@ discriminants and pairwise resultants.
 import json
 import re
 from math import gcd
+from numbers import Integral
 
 from .primes import factorize
 
@@ -353,6 +354,8 @@ def build_factored(factors):
     factors, non-primitive factors, and any factor of degree >= 2 with a
     rational root.
     """
+    if not isinstance(factors, (list, tuple)):
+        raise ValueError("factors must be a list of factors")
     if not factors:
         raise ValueError("empty factor list")
     polys = []
@@ -362,8 +365,13 @@ def build_factored(factors):
             f = item
         elif isinstance(item, str):
             f = parse_poly(item)
-        else:
+        elif isinstance(item, (list, tuple)) and all(
+                isinstance(c, Integral) and not isinstance(c, bool)
+                for c in item):
             f = IntPoly(item)
+        else:
+            raise ValueError(f"factor {item!r} is not a list of integer "
+                             "coefficients")
         if f.degree < 1:
             raise ValueError(f"constant factor {f.pretty()}")
         if f.lead < 0:

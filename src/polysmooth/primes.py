@@ -1,5 +1,5 @@
 """Shared prime/factorization plumbing: sieve, deterministic Miller-Rabin,
-Pollard-Brent rho, square roots mod p."""
+Pollard-Brent rho."""
 
 from math import gcd, isqrt
 
@@ -142,46 +142,3 @@ def largest_prime_factor(n, above=1, composite=False):
     if n == 1:
         return 1
     return max(factorize(n, above, composite))
-
-
-def legendre(a, p):
-    """Legendre symbol (a/p) for odd prime p, in {-1, 0, 1}."""
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
-def sqrt_mod_p(a, p):
-    """One square root of a modulo an odd prime p (Tonelli-Shanks),
-    or None if a is a non-residue."""
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, x = 0, t
-        while x != 1:
-            x = x * x % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return r

@@ -26,7 +26,7 @@ from math import fsum, log, sqrt
 
 import numpy as np
 
-from .modroots import lift_roots, omega_factored
+from .modroots import lift_roots, omega_factored, root_classes
 from .polyarith import FactoredPoly, t0 as compute_t0
 from .primes import factorize, primes_up_to
 from .smoothsieve import sieve_range
@@ -319,6 +319,7 @@ def vw_prop21(inst: VWInstance) -> VWReport:
     table = sieve_range(f, z + 1, x, y)
     log_fz = log(f(z))
     primes = primes_up_to(int(min(y, fx)))
+    root_classes(f, primes)  # the sieve fills only the caches of f's parts
     big = _prime_powers(fx, primes, lambda p: p * p > y)
     small = _prime_powers(fx, primes, lambda p: p * p <= y)
     V = _smooth_sum(f, table, _walk(_ROOT, big, fx, 1)) / log_fz
@@ -368,6 +369,7 @@ def vw_prop32(inst: VWInstance) -> VWReport:
     log_fz = log(fz)
     log_fzx = log_fz - log(x)
     primes = primes_up_to(int(min(y, fx)))
+    root_classes(f, primes)
 
     pool_y_h = _prime_powers(h, primes, lambda p: True)
     pool_v1 = _prime_powers(h, primes, lambda p: p * p > y)
@@ -440,7 +442,9 @@ def lemma31_check(inst: VWInstance, kappa: int) -> Lemma31Result:
     kfact = factorize(kappa)
     lhs = _count_smooth(f, kfact, table)
     log_fzx = log(fz) - log(x)
-    pool = _prime_powers(fx, primes_up_to(int(min(y, fx))), lambda p: True)
+    primes = primes_up_to(int(min(y, fx)))
+    root_classes(f, primes)
+    pool = _prime_powers(fx, primes, lambda p: True)
     head = ((kfact, kappa, 1.0),)
     head_sum = _smooth_sum(f, table, _walk(head, pool, h, 1)) / log_fzx
     tail_sum = _tail_sum(f, head, pool, h) / log_fzx
@@ -466,7 +470,9 @@ def lemma41_sums(f: FactoredPoly, x: int, y) -> Lemma41Sums:
     if x < 1:
         raise ValueError("x must be >= 1")
     t1, t2, t3, t4 = [], [], [], []
-    for p in primes_up_to(min(int(y), x)):
+    primes = primes_up_to(min(int(y), x))
+    root_classes(f, primes)
+    for p in primes:
         lp = log(p)
         k = p
         v = 1

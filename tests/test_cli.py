@@ -318,3 +318,23 @@ def test_bad_inputs_are_domain_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err.startswith("error: ") and msg in captured.err, argv
+
+
+_VW_OK = {"factors": [[1, 0, 1]], "x": 100, "z": 50, "y": 10}
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--factors", "[1,2]", "--x", "10", "--y", "10"],
+    {"x": "100"},
+    {"x": 100.5},
+    {"factors": [1, 0, 1]},
+    {"depth": "2"},
+])
+def test_json_of_the_wrong_type_is_a_domain_error(argv, tmp_path, capsys):
+    if isinstance(argv, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{**_VW_OK, **argv}]))
+        argv = ["vw-verify", "--config", str(cfg)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -4,9 +4,10 @@ from math import gcd
 import numpy as np
 import pytest
 
+from polysmooth import modroots
 from polysmooth.polyarith import IntPoly, build_factored
 from polysmooth.modroots import (
-    _roots_of_prime,
+    _eval_mod,
     lift_roots,
     mangoldt,
     omega,
@@ -23,6 +24,200 @@ T_T2P1 = build_factored(["t", "t^2+1"])
 CUBIC = build_factored(["t^3-2"])
 QUARTIC = build_factored(["t^4+1"])
 MIXED = build_factored(["t+1", "t^2+2"])
+
+
+# ------------------------------------------- the scalar reference over F_p
+#
+# One prime at a time in Python ints: closed forms for degree <= 2
+# (Tonelli-Shanks square roots), gcd(f, X^p - X) and equal-degree splitting
+# seeded from (f, p) for degree >= 3, on f reduced mod p; p = 2 is scanned.
+# The batch in root_classes must agree with it on every prime.
+
+def legendre(a, p):
+    """Legendre symbol (a/p) for odd prime p, in {-1, 0, 1}."""
+    a %= p
+    if a == 0:
+        return 0
+    r = pow(a, (p - 1) // 2, p)
+    return 1 if r == 1 else -1
+
+
+def sqrt_mod_p(a, p):
+    """One square root of a modulo an odd prime p (Tonelli-Shanks),
+    or None if a is a non-residue."""
+    a %= p
+    if a == 0:
+        return 0
+    if legendre(a, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while legendre(z, p) != -1:
+        z += 1
+    c = pow(z, q, p)
+    r = pow(a, (q + 1) // 2, p)
+    t = pow(a, q, p)
+    m = s
+    while t != 1:
+        i, x = 0, t
+        while x != 1:
+            x = x * x % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return r
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pm_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(out)
+
+
+def _pm_monic(a, p):
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _pm_rem(a, b, p):
+    """a mod b over F_p; b monic."""
+    a = a[:]
+    db = len(b) - 1
+    while len(a) - 1 >= db and a:
+        lead = a[-1]
+        if lead:
+            shift = len(a) - 1 - db
+            for i in range(db):
+                a[shift + i] = (a[shift + i] - lead * b[i]) % p
+        a.pop()
+    return _trim(a)
+
+
+def _pm_gcd(a, b, p):
+    a, b = a[:], b[:]
+    while b:
+        b = _pm_monic(b, p)
+        a, b = b, _pm_rem(a, b, p)
+    return _pm_monic(a, p) if a else a
+
+
+def _pm_pow(base, e, mod_poly, p):
+    result = [1]
+    base = _pm_rem(base, mod_poly, p)
+    while e:
+        if e & 1:
+            result = _pm_rem(_pm_mul(result, base, p), mod_poly, p)
+        base = _pm_rem(_pm_mul(base, base, p), mod_poly, p)
+        e >>= 1
+    return result
+
+
+def _split_roots(g, p, rng):
+    """Split a monic product of distinct linear factors into its roots."""
+    deg = len(g) - 1
+    if deg == 0:
+        return []
+    if deg == 1:
+        return [(-g[0]) % p]
+    while True:
+        a = rng.randrange(p)
+        h = _pm_pow([a, 1], (p - 1) // 2, g, p)
+        if h:
+            h = h[:]
+            h[0] = (h[0] - 1) % p
+            h = _trim(h)
+        else:
+            h = [p - 1]
+        d = _pm_gcd(h, g, p)
+        if 0 < len(d) - 1 < deg:
+            # g / d: quotient is the complementary factor
+            q = _pm_quot(g, d, p)
+            return sorted(_split_roots(d, p, rng) + _split_roots(q, p, rng))
+
+
+def _pm_quot(a, b, p):
+    """a / b over F_p for monic b dividing a."""
+    a = a[:]
+    db = len(b) - 1
+    q = [0] * (len(a) - db)
+    while len(a) - 1 >= db and a:
+        lead = a[-1]
+        shift = len(a) - 1 - db
+        q[shift] = lead
+        if lead:
+            for i in range(db + 1):
+                a[shift + i] = (a[shift + i] - lead * b[i]) % p
+        _trim(a)
+    return q
+
+
+def _roots_general(coeffs, p, rng):
+    """Roots over F_p of a reduced poly (lead nonzero mod p, degree >= 1)
+    via gcd with X^p - X and equal-degree splitting."""
+    f = _pm_monic([c % p for c in coeffs], p)
+    if len(f) - 1 == 1:
+        return [(-f[0]) % p]
+    xp = _pm_pow([0, 1], p, f, p)
+    # X^p - X mod f
+    xp = xp[:] + [0] * max(0, 2 - len(xp))
+    xp[1] = (xp[1] - 1) % p
+    g = _pm_gcd(_trim(xp), f, p)
+    if not g or len(g) - 1 == 0:
+        return []
+    return _split_roots(g, p, rng)
+
+
+def _factor_roots(poly, p, rng_factory):
+    """Roots of one irreducible factor mod p."""
+    if p == 2:
+        return [u for u in range(2) if _eval_mod(poly, u, 2) == 0]
+    # reduced mod p; a leading coefficient divisible by p lowers the degree
+    cs = _trim([c % p for c in poly.coeffs])
+    deg = len(cs) - 1
+    if deg == 0:
+        return []  # nonzero constant mod p (primitivity excludes 0)
+    if deg == 1:
+        return [(-cs[0]) * pow(cs[1], p - 2, p) % p]
+    if deg == 2:
+        c0, c1, c2 = cs
+        disc = (c1 * c1 - 4 * c0 * c2) % p
+        if disc == 0:
+            return [(-c1) * pow(2 * c2, p - 2, p) % p]
+        s = sqrt_mod_p(disc, p)
+        if s is None:
+            return []
+        inv = pow(2 * c2, p - 2, p)
+        return sorted({(-c1 + s) * inv % p, (-c1 - s) * inv % p})
+    return _roots_general(cs, p, rng_factory())
+
+
+def _scalar_roots(f, p):
+    """The sorted roots of f mod p by the scalar path."""
+
+    def rng_factory():
+        return random.Random(f"{f.key()}|{p}")
+
+    roots = set()
+    for factor in f.factors:
+        roots.update(_factor_roots(factor, p, rng_factory))
+    return tuple(sorted(roots))
 
 
 def test_roots_mod_p_examples():
@@ -48,21 +243,26 @@ def test_roots_agree_with_scan_oracle(f):
         assert roots_mod_p(f, p).residues == _scan_roots(f, p), (f, p)
 
 
-# leading coefficients 6, 10, 12, 30, 65537, 70, 9 and 6: mod a prime
-# dividing the leading coefficient, f has lower degree
+# leading coefficients 6, 10, 12, 30, 65537, 70, 9, 6, 10 and 30: mod a prime
+# dividing the leading coefficient, f has lower degree (the last two keep
+# degree 3, so the gcd path runs at the reduced degree)
 LEAD_POLYS = [[1, 3, 6], [3, 0, 10], [1, 1, 1, 12], [7, 0, 0, 30],
-              [1, 3, 65537], [3, 1, 0, 0, 70], [2, 0, 9], [1, 0, 0, 2, 6]]
+              [1, 3, 65537], [3, 1, 0, 0, 70], [2, 0, 9], [1, 0, 0, 2, 6],
+              [1, 1, 0, 1, 10], [1, 0, 0, 1, 0, 30]]
 
 
 @pytest.mark.parametrize("coeffs", LEAD_POLYS)
 def test_roots_when_p_divides_leading_coefficient(coeffs):
     f = build_factored([coeffs])
-    for p in primes_up_to(3000) + [65537]:
+    primes = primes_up_to(3000) + [65537]
+    # one batch for the rest; the primes of the lead go one lane at a time
+    root_classes(f, [p for p in primes if coeffs[-1] % p])
+    for p in primes:
         assert roots_mod_p(f, p).residues == _scan_roots(f, p), (coeffs, p)
 
 
 def test_roots_deterministic_across_fresh_objects():
-    # equal-degree splitting is seeded from (f, p): fresh instances agree
+    # equal-degree splitting is seeded from f: fresh instances agree
     a = build_factored(["t^5+t^2+1"])  # no rational root
     b = build_factored(["t^5+t^2+1"])
     for p in primes_up_to(200):
@@ -207,9 +407,8 @@ def _assert_batch_matches_scalar(factors, primes):
     got = {}
     for p, r in zip(P.tolist(), R.tolist()):
         got.setdefault(p, []).append(r)
-    oracle = build_factored(factors)  # its own, empty root cache
     for p in primes:
-        want = _roots_of_prime(oracle, p)
+        want = _scalar_roots(f, p)
         assert tuple(got.get(p, ())) == want, (factors, p)
         assert roots_mod_p(f, p).residues == want, (factors, p)  # cached
 
@@ -251,13 +450,16 @@ SPECIAL_FACTORS = [
     [[0, 1], [1, 1]],
     [[10**30, 0, 1]],
 ]
-# the same with a cubic or quartic factor, whose scalar roots cost more:
-# primes up to 3e4 hold every p | lead and p | disc here
+# the same with a cubic, quartic or quintic factor, whose scalar roots cost
+# more: primes up to 3e4 hold every p | lead and p | disc here; 10t^4 + t^3
+# + t + 1 and 30t^5 + t^3 + 1 drop to degree 3 mod a prime of the lead
 SPECIAL_GCD_FACTORS = [
     [[1, 1, 1], [-1, 1], [7, 0, 0, 2]],
     [[10**30 + 7, 3, 0, 1]],
     [[1, 3, 0, 0, 6], [5, 0, 2]],
     [[-3, 0, 0, 1], [5, -3, 0, 1]],
+    [[1, 1, 0, 1, 10]],
+    [[1, 0, 0, 1, 0, 30]],
 ]
 
 
@@ -281,19 +483,32 @@ def test_root_classes_mixes_cached_and_new_primes():
     f = build_factored(["t^3+2", "t^2+7"])
     roots_mod_p(f, 101)
     root_classes(f, primes_up_to(300)[10:20])
-    oracle = build_factored(["t^3+2", "t^2+7"])
     P, R = root_classes(f, primes_up_to(1000))
     want = [(p, r) for p in primes_up_to(1000)
-            for r in _roots_of_prime(oracle, p)]
+            for r in _scalar_roots(f, p)]
     assert list(zip(P.tolist(), R.tolist())) == want
     assert root_classes(f, [])[0].size == 0
 
 
+def test_root_classes_runs_in_lane_blocks(monkeypatch):
+    # 3245 primes up to 3e4 at 1000 lanes a block: four blocks, the last
+    # short, and each block's roots cached in order
+    monkeypatch.setattr(modroots, "LANE_BLOCK", 1000)
+    sizes = []
+    batch = modroots._batch_roots
+    monkeypatch.setattr(modroots, "_batch_roots",
+                        lambda f, ps: sizes.append(len(ps)) or batch(f, ps))
+    _assert_batch_matches_scalar(["t^3+2", "t^2+7"], primes_up_to(30_000))
+    assert sizes == [1000, 1000, 1000, 245]
+
+
 def test_omega_grid_matches_omega():
-    ks = list(range(1, 3000)) + [65536, 2**31 - 1, (1 << 32) - 5]
+    small, big = list(range(1, 3000)), [65536, 2**31 - 1, (1 << 32) - 5]
     for factors in (["t^2+1"], ["t^3+2"], ["t", "t^2+1"]):
-        want = [omega(build_factored(factors), k) for k in ks]
-        assert omega_grid(build_factored(factors), ks) == want
+        f = build_factored(factors)
+        want = ([omega_scan(f, k) for k in small]
+                + [omega(f, k) for k in big])
+        assert omega_grid(build_factored(factors), small + big) == want
     # a prime factor past 2^32 is refused as omega refuses it
     with pytest.raises(ValueError, match="2\\^32"):
         omega_grid(T2P1, [5, (1 << 32) + 15])

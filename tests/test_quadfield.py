@@ -3,7 +3,7 @@ from collections import defaultdict
 import pytest
 
 from polysmooth.acceptance import _windowed_oracle
-from polysmooth.modroots import lift_roots
+from polysmooth.modroots import lift_roots, root_classes
 from polysmooth.primes import factorize, primes_up_to
 from polysmooth.quadfield import (
     MAX_WINDOW_END,
@@ -131,13 +131,14 @@ def test_lemma52_dual_path_small():
     x = 300
     for ctx in [CTX2, CTX3, CTX6]:
         assert x > 2 * ctx.m
-        for n in range(1, 1001):
-            v = abs(n * n - ctx.m)
-            if v <= 1:
-                continue
-            path_a = pplus_oracle(v) > x
+        facts = {n: factorize(abs(n * n - ctx.m)) for n in range(1, 1001)
+                 if abs(n * n - ctx.m) > 1}
+        root_classes(ctx.f, sorted({p for fact in facts.values()
+                                    for p in fact if p > x}))
+        for n, fact in facts.items():
+            path_a = pplus_oracle(abs(n * n - ctx.m)) > x
             path_b = False
-            for p in factorize(v):
+            for p in fact:
                 if p <= x:
                     continue
                 cls = classify_prime(ctx, p)

@@ -7,7 +7,8 @@ floats, so every identity below holds far inside the 1e-12 gates.
 """
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import (MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow,
+                     localcontext)
 from math import exp, log, sqrt
 
 from .polyarith import FactoredPoly
@@ -23,11 +24,13 @@ __all__ = [
     "make_bound_report",
 ]
 
-_PREC = 36
+# 36 digits over decimal's widest exponent range: u^[u] stays finite for u
+# below about 10^17, and a quotient past the float range gives 0.0
+_CONTEXT = Context(prec=36, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _dec(x):
-    return Decimal(x) if isinstance(x, int) else Decimal(float(x))
+    return Decimal(x) if isinstance(x, (int, Decimal)) else Decimal(float(x))
 
 
 def gamma_f(d, g, u):
@@ -38,8 +41,7 @@ def gamma_f(d, g, u):
         raise ValueError("factor count g must satisfy 1 <= g <= d")
     if not 1 <= u < float("inf"):
         raise ValueError("u must be finite and >= 1")
-    with localcontext() as ctx:
-        ctx.prec = _PREC
+    with localcontext(_CONTEXT):
         t = _dec(2 * g + 1) / (_dec(16) * _dec(d) * _dec(u))
         val = Decimal(1) / 2 + t + (t + t * t).sqrt()
     return float(val)
@@ -51,13 +53,16 @@ def _floor_u(u):
 
 
 def _main_coeff(d, g, u):
-    """g^[u] / (d (d-1)^([u]-1) u^[u]) in decimal."""
+    """g^[u] / (d (d-1)^([u]-1) u^[u]) in decimal; g is an int or a
+    Decimal."""
     m = _floor_u(u)
-    with localcontext() as ctx:
-        ctx.prec = _PREC
-        num = _dec(g) ** m
-        den = _dec(d) * _dec(d - 1) ** (m - 1) * _dec(u) ** m
-        return num / den
+    with localcontext(_CONTEXT):
+        try:
+            return _dec(g) ** m / (_dec(d) * _dec(d - 1) ** (m - 1)
+                                   * _dec(u) ** m)
+        except Overflow:
+            raise ValueError(f"u = {u}: u^[u] passes the decimal limit "
+                             f"10^{MAX_EMAX}") from None
 
 
 def thm11_in_range(x, u):
@@ -75,8 +80,7 @@ def thm11_main_term(f, x, u):
     d, g = (f.d, f.g) if isinstance(f, FactoredPoly) else f
     if d < 2:
         raise ValueError("theorem hypothesis requires d >= 2")
-    with localcontext() as ctx:
-        ctx.prec = _PREC
+    with localcontext(_CONTEXT):
         val = _dec(gamma_f(d, g, u)) * _main_coeff(d, g, u) * _dec(x)
     return float(val)
 
@@ -87,12 +91,8 @@ def timofeev_main_term(d, g, u, eps):
         raise ValueError("u must be finite and >= 1")
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    m = _floor_u(u)
-    with localcontext() as ctx:
-        ctx.prec = _PREC
-        num = (_dec(g) + _dec(eps)) ** m
-        den = _dec(d) * _dec(d - 1) ** (m - 1) * _dec(u) ** m
-        return float(num / den)
+    with localcontext(_CONTEXT):
+        return float(_main_coeff(d, _dec(g) + _dec(eps), u))
 
 
 def hmyrova_main_term(u):
@@ -108,8 +108,7 @@ def cassels_coeff(d):
     1 - gamma_f(d, 1, 1)/d."""
     if d < 2:
         raise ValueError("cassels_coeff requires d >= 2")
-    with localcontext() as ctx:
-        ctx.prec = _PREC
+    with localcontext(_CONTEXT):
         dd = _dec(d)
         t = _dec(3) / (16 * dd)
         val = 1 - 1 / (2 * dd) - _dec(3) / (16 * dd * dd) - (t + t * t).sqrt() / dd

@@ -12,6 +12,7 @@ import json
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, is_dataclass
+from math import inf
 
 from . import __version__
 from .bounds import make_bound_report
@@ -50,8 +51,6 @@ def _clean(obj):
         return [_clean(v) for v in obj]
     if is_dataclass(obj) and not isinstance(obj, type):
         return _clean(asdict(obj))
-    if isinstance(obj, bytearray):
-        return list(obj)
     return obj
 
 
@@ -194,9 +193,10 @@ def _cmd_psi(args):
             rec["thm11_main_x"] = rep.thm11_main_x
             rec["thm11_u_in_range"] = rep.thm11_u_in_range
     if args.dump:
-        # P+(0) is the float inf, whose str is the "inf" _clean writes
+        # P+(0), stored as 0, is written as the "inf" _clean writes
         columns = (range(1, args.x + 1), eval_range(f.product, 1, args.x).tolist(),
-                   table.pplus, table.flags)
+                   [p or inf for p in table.pplus.tolist()],
+                   table.flags.astype(int).tolist())
         _write(["n,f_n,pplus,smooth",
                 *map(",".join, zip(*(map(str, c) for c in columns)))], args.out)
         return 0
@@ -512,6 +512,9 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
+        return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 1
 
 

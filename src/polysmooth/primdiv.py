@@ -59,10 +59,6 @@ def _quad_poly(b):
     return build_factored([[b, 0, 1]])  # t^2 + b
 
 
-def _is_primitive(b, n, pplus):
-    return pplus >= 2 * n or (b % n == 0 and is_prime(n))
-
-
 def _record(b, n, pplus, has):
     if n > abs(b):
         return PrimDivRecord(b, n, pplus, has, "criterion")
@@ -77,7 +73,8 @@ def has_primitive_divisor(b: int, n: int) -> PrimDivRecord:
     if n < 1:
         raise ValueError("n must be >= 1")
     pplus = pplus_oracle(n * n + b)
-    return _record(b, n, pplus, _is_primitive(b, n, pplus))
+    has = pplus >= 2 * n or (b % n == 0 and is_prime(n))
+    return _record(b, n, pplus, has)
 
 
 @dataclass
@@ -93,7 +90,8 @@ class RBResult:
 
 
 def _pplus(b, x):
-    """Exact P+(|n^2 + b|) for n = 1..x, from one sieve."""
+    """Exact P+(|n^2 + b|) for n = 1..x, from one sieve, as an int64 column
+    (|n^2 + b| <= 10^16 + 10^6 < 2^63)."""
     _check_b(b)
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -103,20 +101,19 @@ def _pplus(b, x):
 
 
 def _count(b, pplus, collect_records):
-    if collect_records:
-        records = []
-        count = 0
-        for n, pp in enumerate(pplus, 1):
-            has = _is_primitive(b, n, pp)
-            count += has
-            records.append(_record(b, n, pp, has))
-        return count, records
-    # every n^2 + b is nonzero (_check_b), so every P+ is a finite int
-    pp = np.fromiter(pplus, dtype=np.int64, count=len(pplus))
-    count = int(np.count_nonzero(pp >= 2 * np.arange(1, pp.size + 1)))
+    """R_b over the P+ column of n = 1..x: the count, and the per-n records
+    when asked for."""
+    # every n^2 + b is nonzero (_check_b): no entry is the P+(0) sentinel
+    has = pplus >= np.arange(2, 2 * pplus.size + 1, 2)  # P+ >= 2n
     # the other way to qualify: n itself prime and n | b
-    count += sum(1 for n in factorize(abs(b)) if n <= pp.size and pp[n - 1] < 2 * n)
-    return count, None
+    for n in factorize(abs(b)):
+        if n <= has.size:
+            has[n - 1] = True
+    records = None
+    if collect_records:
+        records = [_record(b, n, pp, h) for n, (pp, h) in
+                   enumerate(zip(pplus.tolist(), has.tolist()), 1)]
+    return int(np.count_nonzero(has)), records
 
 
 def r_b(b: int, x: int, collect_records: bool = False) -> RBResult:
@@ -157,7 +154,7 @@ def verify_prop63(b: int, x: int) -> Prop63Report:
         raise ValueError("x must be >= 100")
     pplus = _pplus(b, x)
     count, _ = _count(b, pplus, False)
-    ps = sum(1 for pp in pplus if pp <= x)
+    ps = int(np.count_nonzero(pplus <= x))
     r = abs(count - (x - ps))
     return Prop63Report(
         b=b,

@@ -13,6 +13,8 @@ which the root-class sieve answers exactly.
 from dataclasses import dataclass
 from math import isqrt, log
 
+import numpy as np
+
 from .modroots import roots_mod_p
 from .polyarith import FactoredPoly, build_factored
 from .primes import factorize
@@ -89,26 +91,24 @@ class CAlphaResult:
     lo: int = 1
 
 
-def _unique_class_count(ctx, table, exclusion_lo, exclusion_hi,
-                        collect_witnesses):
+def _unique_class_count(table, exclusion_lo, exclusion_hi, collect_witnesses):
     """Count n in [table.lo, table.hi] such that some prime p | n^2 - m has
     its class n (mod p) free of any other k in [exclusion_lo, exclusion_hi].
 
     The class of n mod p contains another excluded k iff p <= n - exclusion_lo
     or p <= exclusion_hi - n, so the test is P+(|n^2 - m|) > threshold; the
-    sieve's table provides exact P+ per n.
+    sieve's table provides exact P+ per n.  P+ = 1 marks a unit n^2 - m =
+    +-1, which no prime ideal divides (n^2 - m is never 0: m is no square).
     """
-    count = 0
-    witnesses = [] if collect_witnesses else None
-    for n, pp in enumerate(table.pplus, table.lo):
-        if abs(n * n - ctx.m) <= 1:
-            continue  # unit: no prime ideal divides (n + sqrt(m))
-        threshold = max(n - exclusion_lo, exclusion_hi - n)
-        if pp > threshold:
-            count += 1
-            if collect_witnesses:
-                witnesses.append((n, pp, n % pp))
-    return count, witnesses
+    pp = table.pplus
+    n = np.arange(table.lo, table.hi + 1)
+    hit = pp > np.maximum(np.maximum(n - exclusion_lo, exclusion_hi - n), 1)
+    witnesses = None
+    if collect_witnesses:
+        idx = np.flatnonzero(hit)
+        witnesses = [(k, p, k % p) for k, p in
+                     zip((idx + table.lo).tolist(), pp[idx].tolist())]
+    return int(np.count_nonzero(hit)), witnesses
 
 
 def c_alpha(ctx: QuadContext, x: int, collect_witnesses: bool = True) -> CAlphaResult:
@@ -140,7 +140,7 @@ def windowed_cassels(ctx: QuadContext, N: int, M: int,
     include_zero=False), k != n."""
     table = _window_table(ctx, N, M)
     k0 = 0 if include_zero else 1
-    count, wit = _unique_class_count(ctx, table, k0, N + M, collect_witnesses)
+    count, wit = _unique_class_count(table, k0, N + M, collect_witnesses)
     return CAlphaResult(m=ctx.m, x=N + M, count=count, witnesses=wit or [],
                         include_zero=include_zero, lo=N + 1)
 
@@ -164,8 +164,8 @@ def verify_prop54(ctx: QuadContext, x: int) -> Prop54Report:
     if x < 1:
         raise ValueError("x must be >= 1")
     table = _window_table(ctx, 0, x)
-    c, _ = _unique_class_count(ctx, table, 1, x, False)
-    ps = sum(1 for pp in table.pplus if pp <= x)
+    c, _ = _unique_class_count(table, 1, x, False)
+    ps = int(np.count_nonzero(table.pplus <= x))
     r = abs(c - (x - ps))
     return Prop54Report(
         m=ctx.m,

@@ -73,15 +73,21 @@ _MAX_CLASSES = 256
 
 @dataclass
 class SmoothTable:
-    """Per-n smoothness data for f(n), n in [lo, hi], plus the count psi."""
+    """Per-n smoothness data for f(n), n in [lo, hi], plus the count psi.
+
+    `flags` is a bool array.  `pplus`, when built, holds P+(|f(n)|): int64
+    when coeff_bound(f, hi) < 2^63 (eval_range's rule), else an object array
+    of Python ints.  P+(0) is stored as 0, which no other value takes
+    (P+(+-1) = 1); pplus_of reads it as inf.
+    """
 
     f: FactoredPoly
     lo: int
     hi: int
     y: float
-    flags: bytearray
+    flags: np.ndarray
     psi: int
-    pplus: list = None
+    pplus: np.ndarray = None
 
     def flag(self, n):
         return bool(self.flags[n - self.lo])
@@ -89,7 +95,7 @@ class SmoothTable:
     def pplus_of(self, n):
         if self.pplus is None:
             raise ValueError("table was built without pplus")
-        return self.pplus[n - self.lo]
+        return int(self.pplus[n - self.lo]) or inf
 
 
 def coeff_bound(f, height):
@@ -145,36 +151,21 @@ def smooth_bound(x, u):
 
 
 def eval_range(poly, n0, count):
-    """f(n0), ..., f(n0+count-1) exactly, as a numpy array.
+    """f(n0), ..., f(n0+count-1) exactly, as a numpy array, by Horner.
 
     When coeff_bound over the range is below 2^63, every value and every
-    Horner partial fits in int64, and the array is int64 by Horner on
-    np.arange.  Otherwise it is an object array of Python ints from integer
-    forward differences.
+    Horner partial fits in int64, and the array is int64.  Otherwise the
+    same Horner runs on an object array of Python ints.
     """
     if count <= 0:
         return np.zeros(0, dtype=np.int64)
-    if coeff_bound(poly, max(abs(n0), abs(n0 + count - 1))) < _INT64_LIMIT:
-        n = np.arange(n0, n0 + count, dtype=np.int64)
-        vals = np.full(count, poly.coeffs[-1], dtype=np.int64)
-        for c in reversed(poly.coeffs[:-1]):
-            vals *= n
-            vals += c
-        return vals
-    d = poly.degree
-    # difference table at n0
-    row = [poly(n0 + i) for i in range(d + 1)]
-    diffs = []
-    for _ in range(d + 1):
-        diffs.append(row[0])
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-    out = []
-    append = out.append
-    for _ in range(count):
-        append(diffs[0])
-        for i in range(d):
-            diffs[i] += diffs[i + 1]
-    return np.array(out, dtype=object)
+    fits = coeff_bound(poly, max(abs(n0), abs(n0 + count - 1))) < _INT64_LIMIT
+    n = np.arange(n0, n0 + count, dtype=np.int64 if fits else object)
+    vals = np.full(count, poly.coeffs[-1], dtype=n.dtype)
+    for c in reversed(poly.coeffs[:-1]):
+        vals *= n
+        vals += c
+    return vals
 
 
 def _sieve_segment(f, seg_lo, seg_len, P, R):
@@ -218,8 +209,8 @@ def _aggregate(vals, best, y, bound):
     Every prime factor of a cofactor c exceeds bound: c <= bound^2 is 1 or
     prime, and a larger c is certified here.  P+ is P+(c) for c > 1, else
     the largest sieved prime.  y is compared exactly through floor(y), never
-    through a float cast of P+.  At f(n) = 0 the P+ entry is meaningless and
-    the flag is false.
+    through a float cast of P+.  At f(n) = 0 the P+ entry is 0 (SmoothTable)
+    and the flag is false.
     """
     pv = np.where(vals > 1, vals, best)
     square = bound * bound
@@ -230,6 +221,7 @@ def _aggregate(vals, best, y, bound):
         if not is_prime(c):
             pv[i] = largest_prime_factor(c, above=bound, composite=True)
     ok = vals != 0
+    pv[~ok] = 0
     if y != float("inf"):
         ylim = int(y)
         if pv.dtype != object:  # keep ylim an int64 operand
@@ -408,8 +400,9 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
         raise ValueError("segment_size must be >= 1")
     count = hi - lo + 1
     if count <= 0:
-        return SmoothTable(f, lo, hi, y, bytearray(), 0,
-                           pplus=[] if need_pplus else None)
+        return SmoothTable(f, lo, hi, y, np.zeros(0, dtype=bool), 0,
+                           pplus=np.zeros(0, dtype=np.int64)
+                           if need_pplus else None)
     mbound = coeff_bound(f, max(abs(lo), abs(hi)))
     b0 = isqrt(mbound) + 1  # least bound with b0^2 > max |f(n)|
     prime_mode = need_pplus or y >= b0  # before flooring: y may be infinite
@@ -426,24 +419,23 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
                              "the log sieve")
         plan = _log_classes(f, primes_up_to(effective), lo, hi)
 
-    flags = bytearray(count)
-    pplus = [] if need_pplus else None
-    total = 0
+    flags = np.zeros(count, dtype=bool)
+    pplus = None
+    if need_pplus:
+        pplus = np.zeros(count, dtype=np.int64 if mbound < _INT64_LIMIT
+                         else object)
     for seg_lo in range(lo, hi + 1, segment_size):
         seg_len = min(segment_size, hi - seg_lo + 1)
+        seg = slice(seg_lo - lo, seg_lo - lo + seg_len)
         if prime_mode:
             vals, best = _sieve_segment(f, seg_lo, seg_len, P, R)
-            ok, pv = _aggregate(vals, best, y, bound)
+            flags[seg], pv = _aggregate(vals, best, y, bound)
+            if need_pplus:
+                pplus[seg] = pv
         else:
-            ok = _log_flags(f, seg_lo, seg_len, *plan)
-        flags[seg_lo - lo:seg_lo - lo + seg_len] = ok.tobytes()
-        total += int(np.count_nonzero(ok))
-        if need_pplus:
-            seg_pplus = pv.tolist()
-            for i in np.flatnonzero(vals == 0).tolist():
-                seg_pplus[i] = float("inf")
-            pplus.extend(seg_pplus)
-    return SmoothTable(f, lo, hi, y, flags, total, pplus=pplus)
+            flags[seg] = _log_flags(f, seg_lo, seg_len, *plan)
+    return SmoothTable(f, lo, hi, y, flags, int(np.count_nonzero(flags)),
+                       pplus=pplus)
 
 
 def psi(f, x, y):
@@ -455,7 +447,8 @@ def psi(f, x, y):
 
 def pplus_table(f, x):
     """SmoothTable over [1, x] carrying exact P+(|f(n)|) for every n
-    (P+(0) = inf, P+(+-1) = 1); its flags mark every n with f(n) != 0."""
+    (P+(+-1) = 1; P+(0) = inf, stored as 0); its flags mark every n with
+    f(n) != 0."""
     if x < 1:
         raise ValueError("x must be >= 1")
     return sieve_range(f, 1, x, float("inf"), need_pplus=True)

@@ -197,18 +197,8 @@ def _crt_roots(f, fact):
 def _count_smooth(f, fact, table):
     """#{lo <= n <= hi : K | f(n), f(n) y-smooth} for K = prod p^e."""
     mod, roots = _crt_roots(f, fact)
-    if not roots:
-        return 0
-    lo, hi = table.lo, table.hi
-    flags = table.flags
-    count = 0
-    for r in roots:
-        n = lo + ((r - lo) % mod)
-        while n <= hi:
-            if flags[n - lo]:
-                count += 1
-            n += mod
-    return count
+    lo, flags = table.lo, table.flags
+    return sum(int(np.count_nonzero(flags[(r - lo) % mod::mod])) for r in roots)
 
 
 def _times(fact, p, v):

@@ -289,6 +289,22 @@ def test_infinite_and_tiny_bounds_give_exact_counts(capsys):
                                "--z", "10", "--y", "inf"])
     assert rc == 0
     assert json.loads(out)["lhs"] == 40
+    # u^[u] past the default decimal range: the coefficients underflow to 0
+    for argv in (["bound", "--d", "2", "--g", "1", "--u", "190000"],
+                 ["psi", "--poly", "t^2+1", "--x", "10", "--u", "1e6"]):
+        rc, out = run_cli(capsys, argv)
+        assert rc == 0, argv
+        assert json.loads(out)["thm11_main"] == 0.0, argv
+
+
+def test_out_of_memory_is_a_domain_error(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "r_b", exhausted)
+    assert cli.main(["rb", "--b", "1", "--x", "4000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 def test_bad_inputs_are_domain_errors(tmp_path, capsys):
@@ -298,6 +314,9 @@ def test_bad_inputs_are_domain_errors(tmp_path, capsys):
         (["psi", "--poly", "t", "--x", "100", "--y", "nan"], "y must be >= 1"),
         (["psi", "--poly", "t", "--x", "100", "--u", "inf"], "u must be positive"),
         (["bound", "--d", "2", "--g", "1", "--u", "inf"], "u must be finite"),
+        (["bound", "--d", "2", "--g", "1", "--u", "1e18"], "decimal limit"),
+        (["psi", "--poly", "t^2+1", "--x", "10", "--u", "1e18"],
+         "decimal limit"),
         (["dickman", "--step", "0"], "--step must be > 0"),
         (["dickman", "--step", "-1"], "--step must be > 0"),
         (["dickman", "--u-max", "inf"], "--u-max must lie in"),

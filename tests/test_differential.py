@@ -63,7 +63,7 @@ def test_random_polynomial_against_oracles(f):
     pplus = [pplus_oracle(f(n)) for n in range(lo, hi + 1)]
     for y in (WINDOW_Y, float("inf")):
         tab = sieve_range(f, lo, hi, y, need_pplus=True)
-        assert tab.pplus == pplus, y
+        assert [tab.pplus_of(n) for n in range(lo, hi + 1)] == pplus, y
         assert [tab.flag(n) for n in range(lo, hi + 1)] == [
             p <= y for p in pplus], y
 
@@ -98,7 +98,8 @@ def _random_products(seed, count):
 @pytest.mark.parametrize("f", _random_products(20261018, LOG_CASES))
 def test_log_sieve_against_prime_mode(f):
     for lo, hi in LOG_WINDOWS:
-        pplus = sieve_range(f, lo, hi, float("inf"), need_pplus=True).pplus
+        tab = sieve_range(f, lo, hi, float("inf"), need_pplus=True)
+        pplus = [tab.pplus_of(n) for n in range(lo, hi + 1)]
         b0 = isqrt(coeff_bound(f, hi)) + 1
         for y in LOG_YS:
             if y < b0:  # count mode

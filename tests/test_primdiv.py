@@ -62,9 +62,10 @@ def test_criterion_matches_definition():
     # n | b also decides): negative b, and b with many prime divisors
     for b in [1, 2, 3, 5, -2, -6, 30, -30, 210, -399, 2000]:
         flags = _first_occurrence_flags(b, 2000)
-        table = r_b(b, 2000, collect_records=True).records
+        res = r_b(b, 2000, collect_records=True)
         for n in range(1, 2001):
-            assert table[n - 1].has_primitive == flags[n - 1], (b, n)
+            assert res.records[n - 1].has_primitive == flags[n - 1], (b, n)
+        assert r_b(b, 2000).count == res.count == sum(flags), b
 
 
 def test_boundary_direct_method():

@@ -4,6 +4,7 @@ from math import isqrt, prod
 import numpy as np
 import pytest
 
+from polysmooth.cli import main
 from polysmooth.polyarith import build_factored
 from polysmooth.primes import factorize
 from polysmooth.smoothsieve import (
@@ -45,9 +46,11 @@ def _deadline():
 
 
 def test_eval_range_matches_horner():
-    for f in ALL_POLYS:
-        vals = eval_range(f.product, 7, 500)
-        assert vals.tolist() == [f(n) for n in range(7, 507)]
+    # from n0 = 2^63 - 250 the window crosses 2^63: n itself is a Python int
+    for n0 in (7, 2**63 - 250):
+        for f in ALL_POLYS:
+            vals = eval_range(f.product, n0, 500)
+            assert vals.tolist() == [f(n) for n in range(n0, n0 + 500)]
 
 
 def test_iroot():
@@ -87,6 +90,7 @@ def test_pplus_examples():
     tab = pplus_table(T2P1, 10)
     assert tab.pplus_of(7) == 5  # 50 = 2 * 5^2
     assert tab.pplus_of(9) == 41  # 82 = 2 * 41
+    assert tab.pplus.dtype == np.int64
     tab = pplus_table(T2M2, 1)
     assert tab.pplus_of(1) == 1  # f(1) = -1
 
@@ -99,12 +103,18 @@ def test_pplus_matches_oracle(f):
         assert tab.pplus_of(n) == pplus_oracle(f(n)), (f, n)
 
 
-def test_zero_value_never_smooth():
+def test_zero_value_never_smooth(capsys):
     f = build_factored(["t-5", "t^2+1"])
     tab = psi(f, 10, 10**9)
     assert not tab.flag(5)  # f(5) = 0, P+(0) = +inf
     assert tab.flag(4)
-    assert pplus_table(f, 10).pplus_of(5) == float("inf")
+    tab = pplus_table(f, 10)
+    assert tab.pplus[5 - 1] == 0  # the stored sentinel
+    assert tab.pplus_of(5) == float("inf")
+    argv = ["psi", "--factors", "[[-5,1],[1,0,1]]", "--x", "6", "--y", "10",
+            "--dump"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[5] == "5,0,inf,0"
 
 
 def test_unit_values_always_smooth():
@@ -119,11 +129,11 @@ def test_segment_independence():
     for seg in [8, 64, SEGMENT, 1 << 20]:
         tab = sieve_range(T2P1, 1, 500, 20, segment_size=seg)
         assert tab.psi == base.psi
-        assert tab.flags == base.flags
+        assert np.array_equal(tab.flags, base.flags)
         tab = sieve_range(T_T2P1, 1, 400, 10**4, need_pplus=True,
                           segment_size=seg)
-        assert tab.flags == base_pp.flags
-        assert tab.pplus == base_pp.pplus
+        assert np.array_equal(tab.flags, base_pp.flags)
+        assert np.array_equal(tab.pplus, base_pp.pplus)
 
 
 def test_segment_size_not_dividing_range():
@@ -133,7 +143,7 @@ def test_segment_size_not_dividing_range():
         whole = sieve_range(T2P1, 101, 1000, y)
         tab = sieve_range(T2P1, 101, 1000, y, segment_size=7)
         assert tab.psi == whole.psi
-        assert tab.flags == whole.flags
+        assert np.array_equal(tab.flags, whole.flags)
 
 
 def test_segment_size_must_be_positive():
@@ -163,6 +173,8 @@ QUARTIC = build_factored(["t^4+t+1"])
 def test_kernel_either_side_of_int64_limit(lo, hi, dtype):
     # coeff_bound(t^4+t+1, 55000) < 2^63 <= coeff_bound(t^4+t+1, 55200)
     assert eval_range(QUARTIC.product, lo, hi - lo + 1).dtype == dtype
+    assert sieve_range(QUARTIC, lo, hi, 1000, need_pplus=True).pplus.dtype \
+        == dtype
     pplus = [pplus_oracle(QUARTIC(n)) for n in range(lo, hi + 1)]
     for y in [13, 1000]:
         want = [p <= y for p in pplus]
@@ -229,13 +241,13 @@ def test_prime_mode_window_certifies_cofactors(poly, lo, hi):
     pplus = [pplus_oracle(f(n)) for n in range(lo, hi + 1)]
     for y in [float("inf"), 10 * bound]:  # 10 * bound lies in (B, b0)
         tab = sieve_range(f, lo, hi, y, need_pplus=True)
-        assert tab.pplus == pplus, y
+        assert [tab.pplus_of(n) for n in range(lo, hi + 1)] == pplus, y
         want = [p <= y for p in pplus]
         assert [tab.flag(n) for n in range(lo, hi + 1)] == want, y
         assert tab.psi == sum(want)
         # without need_pplus: prime mode at y = inf, every prime up to y at
         # y < b0
-        assert sieve_range(f, lo, hi, y).flags == tab.flags, y
+        assert np.array_equal(sieve_range(f, lo, hi, y).flags, tab.flags), y
 
 
 def test_prime_mode_past_int64_certifies_cofactors():
@@ -246,7 +258,8 @@ def test_prime_mode_past_int64_certifies_cofactors():
     assert _prime_bound(QUARTIC, hi - lo + 1, b0) == 2 * (hi - lo + 1)
     tab = sieve_range(QUARTIC, lo, hi, 1e18, need_pplus=True)
     pplus = [pplus_oracle(QUARTIC(n)) for n in range(lo, hi + 1)]
-    assert tab.pplus == pplus
+    assert tab.pplus.dtype == object
+    assert [tab.pplus_of(n) for n in range(lo, hi + 1)] == pplus
     assert [tab.flag(n) for n in range(lo, hi + 1)] == [p <= 10**18
                                                        for p in pplus]
 

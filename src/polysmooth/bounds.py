@@ -138,7 +138,8 @@ class BoundReport:
 
 def make_bound_report(d, g, u, eps=0.0, x=None):
     gamma = gamma_f(d, g, u)
-    coeff = float(_dec(gamma) * _main_coeff(d, g, u))
+    with localcontext(_CONTEXT):
+        coeff = float(_dec(gamma) * _main_coeff(d, g, u))
     rep = BoundReport(
         d=d,
         g=g,
@@ -154,6 +155,7 @@ def make_bound_report(d, g, u, eps=0.0, x=None):
     )
     if x is not None:
         rep.x = float(x)
-        rep.thm11_main_x = float(_dec(coeff) * _dec(x))
+        with localcontext(_CONTEXT):
+            rep.thm11_main_x = float(_dec(coeff) * _dec(x))
         rep.thm11_u_in_range = thm11_in_range(x, u)
     return rep

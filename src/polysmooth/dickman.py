@@ -92,13 +92,25 @@ def _get_series(k):
     u_vals = k + (_nodes + 1.0) / 2.0
     rho_k = _series_eval(prev, 1.0)
     vals = np.full(_N_NODES, rho_k)
-    tol = rho_k * 1e-17  # relative: tail values shrink below 1e-26
-    for _ in range(400):
+    # tol is below one ulp of the largest node value, so the loop ends at an
+    # exact fixed point or an exact cycle (or at the 400-step cap)
+    tol = rho_k * 1e-17
+    iterates = [vals]
+    seen = {vals.tobytes(): 0}
+    for i in range(400):
         cur_anti = _antiderivative(_project(vals).tolist())
         new_vals = (a_vals + 0.5 * _series_eval(cur_anti, _nodes)) / u_vals
         if np.max(np.abs(new_vals - vals)) < tol:
             vals = new_vals
             break
+        j = seen.setdefault(new_vals.tobytes(), i + 1)
+        if j <= i:
+            # iterate i+1 repeats iterate j: from j on the iterates cycle
+            # with period i+1-j, and the tolerance test above sees only
+            # pairs it has rejected, so keep the iterate step 400 would
+            vals = iterates[j + (400 - j) % (i + 1 - j)]
+            break
+        iterates.append(new_vals)
         vals = new_vals
     _series[k] = _project(vals).tolist()
     return _series[k]

@@ -89,13 +89,20 @@ class SmoothTable:
     psi: int
     pplus: np.ndarray = None
 
+    def _index(self, n):
+        # a negative index would read the columns from the end
+        if not self.lo <= n <= self.hi:
+            raise ValueError(f"n = {n} is outside the table's window "
+                             f"[{self.lo}, {self.hi}]")
+        return n - self.lo
+
     def flag(self, n):
-        return bool(self.flags[n - self.lo])
+        return bool(self.flags[self._index(n)])
 
     def pplus_of(self, n):
         if self.pplus is None:
             raise ValueError("table was built without pplus")
-        return int(self.pplus[n - self.lo]) or inf
+        return int(self.pplus[self._index(n)]) or inf
 
 
 def coeff_bound(f, height):

@@ -1,8 +1,10 @@
+from decimal import Decimal, localcontext
 from math import exp, sqrt
 
 import pytest
 
 from polysmooth.polyarith import build_factored
+from polysmooth import bounds
 from polysmooth.bounds import (
     cassels_coeff,
     gamma_f,
@@ -124,3 +126,19 @@ def test_bound_report():
     assert rep2.m == 2
     assert not rep2.hmyrova_applicable
     assert rep2.cassels is None
+
+
+def test_bound_report_products_in_36_digits():
+    # both products are rounded in the module's 36-digit context, not in
+    # the caller's (a 6-digit context would otherwise show through)
+    for d, g, u, x in [(2, 1, 1, 10**6), (3, 2, 2.5, 10**9),
+                       (6, 4, 7.3, 123456789)]:
+        with localcontext(bounds._CONTEXT):
+            main = float(Decimal(gamma_f(d, g, u))
+                         * bounds._main_coeff(d, g, u))
+            main_x = float(Decimal(main) * Decimal(x))
+        for prec in (6, 28):
+            with localcontext() as ctx:
+                ctx.prec = prec
+                rep = make_bound_report(d, g, u, x=x)
+            assert (rep.thm11_main, rep.thm11_main_x) == (main, main_x)

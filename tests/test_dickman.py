@@ -131,6 +131,23 @@ def test_series_match_numpy_build_bitwise(monkeypatch):
         assert np.array(dickman._coef(k)).tobytes() == want[k].tobytes(), k
 
 
+def test_series_build_stops_at_fixed_point_or_cycle(monkeypatch):
+    # k = 3, 10 and 19 fall into an exact 2-cycle: run to the 400-step cap,
+    # k = 1..19 make 1404 antiderivatives (the bits of the iterate kept are
+    # checked by test_series_match_numpy_build_bitwise)
+    calls = []
+
+    def counted(coef):
+        calls.append(1)
+        return _antiderivative(coef)
+
+    monkeypatch.setattr(dickman, "_series", {})
+    monkeypatch.setattr(dickman, "_antiderivative", counted)
+    for k in range(1, int(U_MAX)):
+        dickman._coef(k)
+    assert len(calls) <= 300
+
+
 def test_rho_grid_equals_scalar_rho_bitwise():
     # the CLI's 0.001 grid (np.log and math.log differ on (1, 2] there),
     # each knot and 1 ulp either side, and unsorted random points

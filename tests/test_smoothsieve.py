@@ -95,6 +95,20 @@ def test_pplus_examples():
     assert tab.pplus_of(1) == 1  # f(1) = -1
 
 
+def test_lookups_outside_the_window_raise():
+    # n < lo must not index the columns from the end (pplus_of(0) on the
+    # [1, 10] table would read P+(f(10)) = 101)
+    for tab in (pplus_table(T2P1, 10), sieve_range(T2P1, 5, 12, 50,
+                                                   need_pplus=True)):
+        for n in (tab.lo - 1, 0, tab.hi + 1):
+            with pytest.raises(ValueError, match=rf"\[{tab.lo}, {tab.hi}\]"):
+                tab.flag(n)
+            with pytest.raises(ValueError, match=rf"\[{tab.lo}, {tab.hi}\]"):
+                tab.pplus_of(n)
+        assert tab.pplus_of(tab.lo) == pplus_oracle(T2P1(tab.lo))
+        assert tab.pplus_of(tab.hi) == pplus_oracle(T2P1(tab.hi))
+
+
 @pytest.mark.parametrize("f", ALL_POLYS)
 def test_pplus_matches_oracle(f):
     x = 200

@@ -66,8 +66,10 @@ def _main_coeff(d, g, u):
 
 
 def thm11_in_range(x, u):
-    """The main theorem's stated u-range: 1 <= u <= sqrt(log x)/log log x."""
-    return 1 <= u <= sqrt(log(x)) / log(log(x))
+    """The main theorem's stated u-range: 1 <= u <= sqrt(log x)/log log x,
+    empty where log log x <= 0 (x <= e)."""
+    lx = log(x)
+    return lx > 1 and 1 <= u <= sqrt(lx) / log(lx)
 
 
 def thm11_main_term(f, x, u):
@@ -137,6 +139,8 @@ class BoundReport:
 
 
 def make_bound_report(d, g, u, eps=0.0, x=None):
+    if x is not None and not 1 <= x < float("inf"):
+        raise ValueError("x must be finite and >= 1")
     gamma = gamma_f(d, g, u)
     with localcontext(_CONTEXT):
         coeff = float(_dec(gamma) * _main_coeff(d, g, u))

@@ -205,7 +205,10 @@ def _cmd_psi(args):
 
 
 def _parse_grid(text, conv):
-    return [conv(tok) for tok in str(text).split(",") if tok != ""]
+    grid = [conv(tok) for tok in str(text).split(",") if tok != ""]
+    if not grid:
+        raise ValueError(f"empty grid {text!r}")
+    return grid
 
 
 def _cmd_bound(args):

@@ -5,8 +5,13 @@ from math import gcd, isqrt
 
 import numpy as np
 
-# Deterministic witness set: correct for all n < 3.3 * 10^24 (covers 2^64).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first thirteen primes as witnesses: Miller-Rabin is deterministic below
+# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all of
+# them (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017).  psi_13 passes them, so past it a witness still proves n
+# composite, but passing every base proves nothing.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -25,7 +30,9 @@ def primes_up_to(n):
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid for n < 3.3e24."""
+    """Deterministic Miller-Rabin, proven for n < psi_13 =
+    3317044064679887385961981 (about 3.3e24).  A larger n that no base
+    proves composite is a ValueError."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -46,6 +53,8 @@ def is_prime(n):
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is proven only below {_MR_LIMIT}")
     return True
 
 
@@ -80,42 +89,37 @@ def _pollard_brent(n):
     raise ArithmeticError(f"pollard rho failed on {n}")
 
 
-def factorize(n, above=1, composite=False):
+def factorize(n, composite=False):
     """Prime factorization of n >= 1 as a dict {p: exponent}.
 
-    A caller that knows more about n says so: every prime factor of n
-    exceeds `above` (trial division runs only between it and 10000), or n
-    is `composite` (n itself is not tested for primality)."""
+    A caller that knows n is `composite` says so: after the primes up to 47
+    are divided out, n goes straight to Pollard-Brent, with no trial
+    division past 47 and no primality test of n itself."""
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     known = n if composite else None
     out = {}
     for p in _SMALL_PRIMES:
-        if p <= above:
-            continue
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     if n == 1:
         return out
-    # trial-divide the 6k+-1 wheel a bit further before rho, from the first
-    # pair d, d + 4 with d + 4 > above
-    d = max(49, above - 3 + (4 - above) % 6)
-    while d * d <= n and d < 10000:
-        for dd in (d, d + 4):
-            while n % dd == 0:
-                out[dd] = out.get(dd, 0) + 1
-                n //= dd
-        d += 6
-    # No prime below d divides n: the primes up to 47 are divided out or at
-    # most `above`, and the wheel has tried every 6k+-1 number from its
-    # start d0 = 1 (mod 6).  A prime in (47, d0) is 6k+-1, so it is at most
-    # d0 - 2, which is `above` or less when d0 > 49 (d0 <= above + 2), and
-    # (47, 49) holds no prime.  So n < d^2 is 1 or prime.
-    if d * d > n:
-        if n > 1:
-            out[n] = out.get(n, 0) + 1
-        return out
+    if not composite:
+        # trial-divide the 6k+-1 wheel a bit further before rho
+        d = 49
+        while d * d <= n and d < 10000:
+            for dd in (d, d + 4):
+                while n % dd == 0:
+                    out[dd] = out.get(dd, 0) + 1
+                    n //= dd
+            d += 6
+        # no prime below d divides n: (47, 49) holds none, and the wheel
+        # tried every 6k+-1 from 49.  So n < d^2 is 1 or prime.
+        if d * d > n:
+            if n > 1:
+                out[n] = out.get(n, 0) + 1
+            return out
     stack = [n]
     while stack:
         m = stack.pop()
@@ -133,12 +137,12 @@ def factorize(n, above=1, composite=False):
     return out
 
 
-def largest_prime_factor(n, above=1, composite=False):
-    """P+(n) with conventions P+(+-1) = 1, P+(0) = +inf.  `above` and
-    `composite` say what the caller knows of |n| (`factorize`)."""
+def largest_prime_factor(n, composite=False):
+    """P+(n) with conventions P+(+-1) = 1, P+(0) = +inf.  `composite` says
+    that |n| is composite (`factorize`)."""
     n = abs(n)
     if n == 0:
         return float("inf")
     if n == 1:
         return 1
-    return max(factorize(n, above, composite))
+    return max(factorize(n, composite))

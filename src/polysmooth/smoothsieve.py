@@ -12,13 +12,14 @@ real root, where the float value is not trusted, is evaluated exactly.
 f(n) = 0 is never smooth; f(n) = +-1 always is.
 
 P+ (prime mode, y >= b0 or P+ asked for) comes from division: the cofactor
-r[n] = |f(n)| is divided to full multiplicity by every prime p <= B along
-the arithmetic progressions n = u (mod p), u a root of f mod p, for a bound
-B <= b0 chosen by a cost rule from the window length, and what is left is
-certified.  Every prime factor of a cofactor c exceeds B, so c <= B^2 is 1
-or a prime; a larger c is tested by is_prime and, if composite, split by
-largest_prime_factor.  P+ is then exact and flags become P+ <= y.  The 2^32
-domain check applies to b0, so every certified cofactor is below 2^64.
+r[n] = |f(n)| of a window of count values is divided to full multiplicity
+by every prime p <= B = min(2 * count, b0) along the arithmetic progressions
+n = u (mod p), u a root of f mod p, and what is left is certified.
+Every prime factor of a cofactor c exceeds B, so c <= B^2 is 1 or a prime; a
+larger c is tested by Miller-Rabin (is_prime) and, if composite, split by
+Pollard-Brent (largest_prime_factor).  P+ is then exact and flags become
+P+ <= y.  The 2^32 domain check applies to b0, so every certified cofactor is
+below 2^64.
 """
 
 import sys
@@ -40,13 +41,6 @@ __all__ = ["SmoothTable", "psi", "pplus_table", "psi_oracle", "smooth_bound",
 # arrays of this length.  Smaller segments pay more often for the
 # per-segment pass over the root classes.
 SEGMENT = 1 << 16
-
-# Prime mode sieves the primes up to B = 2 * count instead of b0 when certifying
-# every n is estimated to cost less than finding the roots of f mod each prime
-# in (B, b0].  Microseconds per item, from a measured sweep (CHANGES.md):
-CERT_US = 100  # one n near 1e12: is_prime on its cofactor, rho if composite
-ROOT_US = 2  # one prime in a root_classes batch, every factor of degree <= 2
-ROOT_US_GCD = 12  # one prime in a root_classes batch, a factor of degree >= 3
 
 _INT64_LIMIT = 1 << 63
 
@@ -226,7 +220,7 @@ def _aggregate(vals, best, y, bound):
     for i in np.flatnonzero(vals > square).tolist():
         c = int(vals[i])
         if not is_prime(c):
-            pv[i] = largest_prime_factor(c, above=bound, composite=True)
+            pv[i] = largest_prime_factor(c, composite=True)
     ok = vals != 0
     pv[~ok] = 0
     if y != float("inf"):
@@ -375,25 +369,12 @@ def _log_flags(f, seg_lo, seg_len, Q, R, L, deep):
     return acc >= _log_values(f.product, seg_lo, seg_len) - _LOG_MARGIN
 
 
-def _prime_bound(f, count, b0):
-    """The sieve bound B of prime mode over `count` values: 2 * count when
-    certifying every n is estimated to cost less than finding roots mod each
-    prime in (2 * count, b0], else b0.  The prime counts are estimated as
-    n / log n; the rule depends on (f, count, b0) only, never on timing."""
-    small = 2 * count
-    if small >= b0:
-        return b0
-    per_root = ROOT_US_GCD if max(f.degrees) >= 3 else ROOT_US
-    saved = (b0 / log(b0) - small / log(small)) * per_root
-    return small if count * CERT_US < saved else b0
-
-
 def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
     """SmoothTable for n in [lo, hi] (lo >= 0).
 
     `y` is the smoothness bound (real).  When y reaches b0 = isqrt(max |f|)
     + 1, or with need_pplus whatever y is, the sieve runs in prime mode: it
-    divides out the primes up to B <= b0 (_prime_bound), certifies each
+    divides out the primes up to B = min(2 * count, b0), certifies each
     cofactor left above B^2, and the table carries exact P+(|f(n)|) per n
     with need_pplus.  Otherwise the flags come from the log sieve over every
     p <= y.  A prime bound of 2^32 or more is a domain error; in prime mode
@@ -418,7 +399,7 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
         raise ValueError(f"prime bound {effective} reaches the desk-scale "
                          "limit 2^32")
     if prime_mode:
-        bound = _prime_bound(f, count, b0)
+        bound = min(2 * count, b0)
         P, R = root_classes(f, primes_up_to(bound))
     else:
         if mbound.bit_length() > _LOG_BITS:

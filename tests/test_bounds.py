@@ -88,6 +88,13 @@ def test_thm11_main_term():
     assert not thm11_in_range(10**6, 2)  # sqrt(log 1e6)/loglog 1e6 = 1.42
 
 
+def test_thm11_range_is_empty_up_to_e():
+    # log log x <= 0 for x <= e: no u qualifies, and no log of 0 is taken
+    for x in [1, 2, 2.718281828459045]:
+        assert not thm11_in_range(x, 1), x
+    assert thm11_in_range(10**4, 1)
+
+
 def test_timofeev():
     assert abs(timofeev_main_term(2, 1, 1, 0) - 0.5) < 1e-15
     ratio = thm11_main_term((2, 1), 1, 1) / timofeev_main_term(2, 1, 1, 0)

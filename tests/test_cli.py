@@ -255,6 +255,48 @@ def test_prime_bound_past_limit_is_domain_error(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("x", ["1", "2.718281828459045"])
+def test_thm11_range_is_empty_up_to_e(capsys, x):
+    # log log x <= 0: the stated u-range is empty, not a math error
+    rc, out = run_cli(capsys, ["bound", "--d", "2", "--g", "1", "--u", "1",
+                               "--x", x])
+    assert rc == 0
+    rec = json.loads(out)
+    assert rec["thm11_u_in_range"] is False
+    assert rec["thm11_main_x"] == pytest.approx(rec["thm11_main"] * float(x))
+
+
+def test_psi_at_x_1_reports_the_range(capsys):
+    rc, out = run_cli(capsys, ["psi", "--poly", "t^2+1", "--x", "1",
+                               "--u", "2"])
+    assert rc == 0
+    rec = json.loads(out)
+    assert rec["psi"] == 0  # f(1) = 2 is not 1-smooth
+    assert rec["thm11_u_in_range"] is False
+
+
+@pytest.mark.parametrize("x", ["nan", "0", "0.5", "inf"])
+def test_bound_rejects_x_outside_its_domain(capsys, x):
+    argv = ["bound", "--d", "2", "--g", "1", "--u", "1", "--x", x]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: x must be finite and >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["omega", "--poly", "t", "--k", ","],
+    ["bound", "--d", ",", "--g", "1", "--u", "1"],
+    ["bound", "--d", "2", "--g", ",", "--u", "1"],
+    ["bound", "--d", "2", "--g", "1", "--u", ","],
+])
+def test_empty_grid_is_a_domain_error(capsys, argv):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: empty grid")
+
+
 def test_float_serialization_12_digits(capsys):
     rc, out = run_cli(capsys, ["bound", "--d", "2", "--g", "1", "--u", "1"])
     rec = json.loads(out)

@@ -1,13 +1,14 @@
 from collections import Counter
 from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
-from polysmooth.primes import factorize, primes_up_to
+from polysmooth.primes import (factorize, is_prime, largest_prime_factor,
+                               primes_up_to)
 
 N_MAX = 2 * 10**5
-N_ABOVE = 2 * 10**4  # per `above`; every n <= N_MAX has its own test
-ABOVE = (1, 46, 47, 48, 49, 53, 9998, 9999, 10000, 10001)
+ABOVE = (1, 46, 47, 48, 49, 53, 2000, 9998, 9999, 10000, 10001)
 
 
 def _smallest_factors(n_max):
@@ -39,17 +40,43 @@ def test_factorize_every_n_up_to_bound():
 
 @pytest.mark.parametrize("above", ABOVE)
 def test_factorize_above(above):
-    # every n <= N_ABOVE whose prime factors all exceed `above`
-    for n in range(2, N_ABOVE + 1):
-        if SPF[n] > above:
-            assert factorize(n, above) == _brute(n), n
-    # products of up to three of the first primes past `above`, and of
-    # primes past the wheel's 10^4 limit, which leave rho the cofactor
-    first = [p for p in primes_up_to(above + 200) if p > above][:8]
+    # composite n straight to Pollard-Brent: products of two or three of the
+    # first primes past `above` and of primes past the wheel's 10^4 limit,
+    # and the square and cube of the first prime past `above`
+    first = [p for p in primes_up_to(above + 200) if p > above][:6]
     primes = first + [10007, 999983, 1000003]
-    for size in (1, 2, 3):
-        for ps in combinations_with_replacement(primes, size):
-            n = 1
-            for p in ps:
-                n *= p
-            assert factorize(n, above) == dict(Counter(ps)), ps
+    cases = [(first[0],) * 2, (first[0],) * 3]
+    for size in (2, 3):
+        cases += combinations_with_replacement(primes, size)
+    for ps in cases:
+        n = prod(ps)
+        assert factorize(n, composite=True) == dict(Counter(ps)), ps
+        assert largest_prime_factor(n, composite=True) == max(ps), ps
+
+
+# Strong pseudoprimes: psi_12 and psi_13 (Sorenson and Webster, Math. Comp.
+# 2017) and 3825123056546413051 to every base up to 31; 561 and 3215031751
+# are Carmichael numbers, the second a strong pseudoprime to 2, 3, 5 and 7.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("n, want", [
+    (PSI_12, False),
+    (3825123056546413051, False),
+    (561, False),
+    (3215031751, False),
+    (2**61 - 1, True),
+    (2**64 - 59, True),
+    (PSI_13 - 168, True),  # the largest prime below psi_13
+    (10**30 + 7, False),  # past psi_13, a base still proves it composite
+])
+def test_is_prime(n, want):
+    assert is_prime(n) is want
+
+
+def test_is_prime_refuses_past_its_proven_range():
+    # base 41 does not catch psi_13 itself, and no base catches a prime
+    for n in [PSI_13, 2**89 - 1]:
+        with pytest.raises(ValueError, match="proven only below"):
+            is_prime(n)

@@ -4,13 +4,13 @@ from math import isqrt, prod
 import numpy as np
 import pytest
 
+from polysmooth import smoothsieve
 from polysmooth.cli import main
 from polysmooth.polyarith import build_factored
-from polysmooth.primes import factorize
+from polysmooth.primes import factorize, primes_up_to
 from polysmooth.smoothsieve import (
     SEGMENT,
     _aggregate,
-    _prime_bound,
     coeff_bound,
     eval_range,
     iroot,
@@ -249,8 +249,8 @@ def _certified_composite(f, lo, hi, bound):
 def test_prime_mode_window_certifies_cofactors(poly, lo, hi):
     f = build_factored(poly)
     b0 = isqrt(coeff_bound(f, hi)) + 1
-    bound = _prime_bound(f, hi - lo + 1, b0)
-    assert bound == 2 * (hi - lo + 1) < b0
+    bound = 2 * (hi - lo + 1)  # = min(2 * count, b0)
+    assert bound < b0
     assert _certified_composite(f, lo, hi, bound) is not None
     pplus = [pplus_oracle(f(n)) for n in range(lo, hi + 1)]
     for y in [float("inf"), 10 * bound]:  # 10 * bound lies in (B, b0)
@@ -264,12 +264,34 @@ def test_prime_mode_window_certifies_cofactors(poly, lo, hi):
         assert np.array_equal(sieve_range(f, lo, hi, y).flags, tab.flags), y
 
 
+def test_prime_mode_sieves_to_twice_the_window(monkeypatch):
+    # prime mode sieves the primes up to B = min(2 * count, b0)
+    seen = []
+
+    def recording(n):
+        seen.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(smoothsieve, "primes_up_to", recording)
+    f = build_factored(["t^3+2"])  # b0 = 31623 on [1, 1000]
+    want = [pplus_oracle(f(n)) for n in range(1, 1001)]
+    assert sieve_range(f, 1, 1000, 1e9).psi == sum(p <= 1e9 for p in want)
+    tab = sieve_range(f, 1, 1000, 1e9, need_pplus=True)
+    assert seen == [2000, 2000]
+    assert tab.pplus.tolist() == want
+    seen.clear()
+    tab = pplus_table(T2P1, 1000)
+    assert seen == [1001]  # b0
+    assert tab.pplus.tolist() == [pplus_oracle(n * n + 1)
+                                  for n in range(1, 1001)]
+
+
 def test_prime_mode_past_int64_certifies_cofactors():
     # values past 2^63 (object arrays): b0 is about 3e9, below the 2^32
     # limit; sieving every prime up to b0 would build a 3 GB prime table
     lo, hi = 55200, 55300
     b0 = isqrt(coeff_bound(QUARTIC, hi)) + 1
-    assert _prime_bound(QUARTIC, hi - lo + 1, b0) == 2 * (hi - lo + 1)
+    assert 2 * (hi - lo + 1) < b0  # B = min(2 * count, b0) = 2 * count
     tab = sieve_range(QUARTIC, lo, hi, 1e18, need_pplus=True)
     pplus = [pplus_oracle(QUARTIC(n)) for n in range(lo, hi + 1)]
     assert tab.pplus.dtype == object

@@ -10,13 +10,12 @@ in real quadratic fields, primitive divisors of n^2 + b).
 __version__ = "0.1.0"
 
 from .polyarith import IntPoly, FactoredPoly, parse_poly, build_factored, t0
-from .modroots import RootSet, roots_mod_p, lift_roots, omega, mangoldt
+from .modroots import RootSet, roots_mod_p, lift_roots, omega
 from .smoothsieve import SmoothTable, psi, pplus_table, psi_oracle
 from .dickman import rho, martin_prediction
 from .bounds import (
     BoundReport,
     gamma_f,
-    thm11_main_term,
     timofeev_main_term,
     hmyrova_main_term,
     cassels_coeff,
@@ -41,7 +40,6 @@ from .quadfield import (
 )
 from .primdiv import (
     PrimDivRecord,
-    has_primitive_divisor,
     r_b,
     n_arctan,
     verify_prop63,

@@ -24,7 +24,7 @@ from math import ceil, floor, fsum, log, prod, sqrt
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bounds import cassels_coeff, gamma_f, thm11_main_term
+from .bounds import cassels_coeff, gamma_f, make_bound_report
 from .dickman import delay_residual, rho, rho_rk4_oracle
 from .modroots import (
     lift_roots,
@@ -256,7 +256,7 @@ def criterion_5(quick=False):
     f = _poly("t^2+1")
     x = 10**6
     psi_full = psi(f, x, x).psi
-    main_1 = thm11_main_term(f, x, 1)
+    main_1 = make_bound_report(f.d, f.g, 1, x=x).thm11_main_x
     details["psi_x_x"] = psi_full
     details["thm11_main_u1"] = main_1
     details["ratios"]["1"] = psi_full / main_1
@@ -264,7 +264,7 @@ def criterion_5(quick=False):
     for u in (1.5, 2.0):
         y = smooth_bound(x, u)
         count = psi(f, x, y).psi
-        main = thm11_main_term(f, x, u)
+        main = make_bound_report(f.d, f.g, u, x=x).thm11_main_x
         ratio = count / main
         details["ratios"][str(u)] = ratio
         details[f"psi_u{u}"] = count

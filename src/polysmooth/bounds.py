@@ -11,11 +11,8 @@ from decimal import (MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow,
                      localcontext)
 from math import exp, log, sqrt
 
-from .polyarith import FactoredPoly
-
 __all__ = [
     "gamma_f",
-    "thm11_main_term",
     "thm11_in_range",
     "timofeev_main_term",
     "hmyrova_main_term",
@@ -70,21 +67,6 @@ def thm11_in_range(x, u):
     empty where log log x <= 0 (x <= e)."""
     lx = log(x)
     return lx > 1 and 1 <= u <= sqrt(lx) / log(lx)
-
-
-def thm11_main_term(f, x, u):
-    """Main-term value gamma_f(u) * g^[u] / (d (d-1)^([u]-1) u^[u]) * x.
-
-    The O(x/log log x) error term carries no explicit constant, so only the
-    main term is evaluated; out-of-range u is allowed (see thm11_in_range and
-    the warning flag on BoundReport).
-    """
-    d, g = (f.d, f.g) if isinstance(f, FactoredPoly) else f
-    if d < 2:
-        raise ValueError("theorem hypothesis requires d >= 2")
-    with localcontext(_CONTEXT):
-        val = _dec(gamma_f(d, g, u)) * _main_coeff(d, g, u) * _dec(x)
-    return float(val)
 
 
 def timofeev_main_term(d, g, u, eps):

@@ -22,7 +22,7 @@ from .primes import factorize, is_prime
 from .polyarith import FactoredPoly
 
 __all__ = ["RootSet", "roots_mod_p", "root_classes", "lift_roots", "omega",
-           "omega_grid", "omega_factored", "mangoldt", "omega_scan"]
+           "omega_grid", "omega_factored", "omega_scan"]
 
 MAX_PRIME = 1 << 32          # primality is checked deterministically below this
 MAX_PRIME_POWER = 1 << 64    # p^v magnitude budget for lifting
@@ -499,17 +499,3 @@ def omega_scan(f, k):
         acc += c % k
         acc %= k
     return int(np.count_nonzero(acc == 0))
-
-
-def mangoldt(k: int):
-    """(p, v) when k = p^v is a prime power (so Lambda(k) = log p), else
-    None as the zero marker."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return None
-    fact = factorize(k)
-    if len(fact) == 1:
-        ((p, v),) = fact.items()
-        return (p, v)
-    return None

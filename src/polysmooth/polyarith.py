@@ -9,7 +9,7 @@ discriminants and pairwise resultants.
 
 import json
 import re
-from math import gcd
+from math import gcd, isqrt
 from numbers import Integral
 
 from .primes import factorize
@@ -245,7 +245,12 @@ def _divisors_abs(n):
 
 
 def _has_rational_root(f):
-    """Rational root test: any root p/q has p | a0 and q | lead."""
+    """Rational root test.  A quadratic c + bt + at^2 has one iff b^2 - 4ac
+    is a square; in higher degree any root p/q has p | a0 and q | lead."""
+    if f.degree == 2:
+        c, b, a = f.coeffs
+        disc = b * b - 4 * a * c
+        return disc >= 0 and isqrt(disc) ** 2 == disc
     a0 = f.coeffs[0]
     if a0 == 0:
         return True
@@ -269,7 +274,7 @@ class FactoredPoly:
     d, factor count g, and absolute discriminant.
 
     Factors of degree <= 3 are proven irreducible by the rational root test;
-    higher degrees are accepted as asserted with a warning flag.
+    higher degrees are accepted with the status "asserted".
     """
 
     __slots__ = (
@@ -279,8 +284,6 @@ class FactoredPoly:
         "d",
         "discriminant_abs",
         "statuses",
-        "warned",
-        "orientation_flipped",
         "product",
         "_root_cache",
         "_lift_cache",
@@ -289,15 +292,13 @@ class FactoredPoly:
         "_fprime",
     )
 
-    def __init__(self, factors, degrees, g, d, disc_abs, statuses, warned, flipped, product):
+    def __init__(self, factors, degrees, g, d, disc_abs, statuses, product):
         self.factors = factors
         self.degrees = degrees
         self.g = g
         self.d = d
         self.discriminant_abs = disc_abs
         self.statuses = statuses
-        self.warned = warned
-        self.orientation_flipped = flipped
         self.product = product
         self._root_cache = {}
         self._lift_cache = {}
@@ -340,8 +341,7 @@ class FactoredPoly:
         if self._parts is None:
             self._parts = tuple(
                 FactoredPoly((f,), (f.degree,), 1, f.degree,
-                             abs(discriminant(f)), (status,),
-                             status == "asserted", False, f)
+                             abs(discriminant(f)), (status,), f)
                 for f, status in zip(self.factors, self.statuses))
         return self._parts
 
@@ -359,7 +359,6 @@ def build_factored(factors):
     if not factors:
         raise ValueError("empty factor list")
     polys = []
-    flipped = 0
     for item in factors:
         if isinstance(item, IntPoly):
             f = item
@@ -376,14 +375,12 @@ def build_factored(factors):
             raise ValueError(f"constant factor {f.pretty()}")
         if f.lead < 0:
             f = -f
-            flipped += 1
         if f.content() != 1:
             raise ValueError(f"factor {f.pretty()} is not primitive")
         polys.append(f)
     if len(set(polys)) != len(polys):
         raise ValueError("duplicate factor")
     statuses = []
-    warned = False
     for f in polys:
         if f.degree == 1:
             statuses.append("proven")
@@ -393,7 +390,6 @@ def build_factored(factors):
             statuses.append("proven")
         else:
             statuses.append("asserted")
-            warned = True
     disc_total = 1
     for f in polys:
         disc_total *= discriminant(f)
@@ -412,8 +408,6 @@ def build_factored(factors):
         d=sum(f.degree for f in polys),
         disc_abs=abs(disc_total),
         statuses=tuple(statuses),
-        warned=warned,
-        flipped=flipped % 2 == 1,
         product=product,
     )
 
@@ -445,27 +439,24 @@ def _no_roots_beyond(f, shift):
     return _sign_variations(f.taylor_shift(shift).coeffs) == 0
 
 
-def t0(f, sign=1):
+def t0(f):
     """Least integer T >= 2 (up to Descartes conservativeness) such that
-    sign*f is strictly increasing and > 1 on the open ray (T, inf).
+    f is strictly increasing and > 1 on the open ray (T, inf).
 
     A candidate c is certified exactly by zero Descartes sign variations of
-    the shifted derivative and of sign*f - 1.  The test is monotone in c: a
+    the shifted derivative and of f - 1.  The test is monotone in c: a
     polynomial h(t + c) with positive leading coefficient and no sign
     variation has every coefficient >= 0, and shifting such a polynomial by
     any s > 0 keeps every coefficient >= 0, so h(t + c + s) passes too.
     The least passing c in [2, top], with top the Cauchy root bound, is
     therefore found by bisection; top is returned when none passes.
     """
-    poly = f.product if isinstance(f, FactoredPoly) else f
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    g = poly if sign == 1 else -poly
+    g = f.product if isinstance(f, FactoredPoly) else f
     if g.degree == 0:
         raise ValueError("constant polynomial has no threshold")
     if g.lead < 0:
-        raise ValueError("polynomial does not tend to +infinity with this sign")
-    if isinstance(f, FactoredPoly) and sign == 1 and f._t0 is not None:
+        raise ValueError("polynomial does not tend to +infinity")
+    if isinstance(f, FactoredPoly) and f._t0 is not None:
         return f._t0
     gp = g.derivative()
     gm1 = g - 1
@@ -478,6 +469,6 @@ def t0(f, sign=1):
         else:
             lo = mid + 1
     result = lo
-    if isinstance(f, FactoredPoly) and sign == 1:
+    if isinstance(f, FactoredPoly):
         f._t0 = result
     return result

@@ -16,12 +16,11 @@ from math import isqrt, log
 import numpy as np
 
 from .polyarith import build_factored
-from .primes import factorize, is_prime
-from .smoothsieve import pplus_oracle, pplus_table
+from .primes import factorize
+from .smoothsieve import pplus_table
 
 __all__ = [
     "PrimDivRecord",
-    "has_primitive_divisor",
     "r_b",
     "n_arctan",
     "verify_prop63",
@@ -64,17 +63,6 @@ def _record(b, n, pplus, has):
         return PrimDivRecord(b, n, pplus, has, "criterion")
     return PrimDivRecord(b, n, pplus, has, "direct",
                          criterion_mismatch=has != (pplus > 2 * n))
-
-
-def has_primitive_divisor(b: int, n: int) -> PrimDivRecord:
-    """Whether n^2 + b has a divisor d > 1 coprime to every earlier nonzero
-    term, by the rule above with P+ from generic factorization."""
-    _check_b(b)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pplus = pplus_oracle(n * n + b)
-    has = pplus >= 2 * n or (b % n == 0 and is_prime(n))
-    return _record(b, n, pplus, has)
 
 
 @dataclass

@@ -8,15 +8,16 @@ inner counts smooth-restricted) and tail "-" parts (products escaping h,
 bounded through the root-count omega_f).
 
 Every "+" sum is a walk over ordered prime-power tuples (`_walk`, `_extend`)
-closed by the smooth count of the tuple's modulus.  Every "-" tail beyond a
-head inside h is closed by `_tail_sum`: per head, one numpy product over the
-slice of the k-sorted pool that escapes h, with omega_f(head * k) =
-omega_f(head) omega_f(k) except for the few k whose prime divides the head.
-The symmetric pair sums of W enumerate each pair k1 <= k2 once with the
-off-diagonal weight doubled (`_pairs`).  All terms accumulate via math.fsum,
-which rounds the exact sum, so neither doubling (exact) nor term order nor
-dropped zero terms change a bit against the ordered tuple-by-tuple sum.  The
-literal forms of the sums live with the oracles in `acceptance`.
+closed by the smooth count of the tuple's modulus.  Every "-" tail is closed by
+`_tail_sum`: per head, one numpy product over the slice of the k-sorted pool
+that escapes h, with omega_f(head * k) = omega_f(head) omega_f(k) except for
+the few k whose prime divides the head; W_1^-'s heads are the single prime
+powers, joined to k by lcm.  The symmetric pair sums of W enumerate each
+pair k1 <= k2 with lcm inside their bound once, with the off-diagonal weight
+doubled (`_pairs`).  All terms accumulate via math.fsum, which rounds the
+exact sum, so neither doubling (exact) nor term order nor dropped zero terms
+change a bit against the ordered tuple-by-tuple sum.  The literal forms of
+the sums live with the oracles in `acceptance`.
 """
 
 from bisect import bisect_right
@@ -143,13 +144,20 @@ class Lemma41Sums:
         return self
 
 
-def _check_scale(inst):
-    if inst.x > MAX_X:
-        raise ValueError(f"x={inst.x} exceeds the desk-scale bound {MAX_X}")
-    fx = inst.f(inst.x)
+def _window(inst):
+    """(f(x), the sieved window (z, x], the primes up to min(y, f(x))) after
+    the desk-scale checks, with the roots of f mod those primes found in one
+    batch (the sieve fills only the caches of f's parts)."""
+    f, x, z, y = inst.f, inst.x, inst.z, inst.y
+    if x > MAX_X:
+        raise ValueError(f"x={x} exceeds the desk-scale bound {MAX_X}")
+    fx = f(x)
     if fx > MAX_FX:
         raise ValueError(f"f(x)={fx} exceeds the desk-scale bound {MAX_FX}")
-    return fx
+    table = sieve_range(f, z + 1, x, y)
+    primes = primes_up_to(int(min(y, fx)))
+    root_classes(f, primes)
+    return fx, table, primes
 
 
 def _prime_powers(limit, primes, pred):
@@ -206,21 +214,29 @@ def _times(fact, p, v):
     return {**fact, p: fact.get(p, 0) + v}
 
 
-def _pairs(pool, keep):
-    """(fact, lcm, weight) for the pairs k1 <= k2 of `pool` with keep(lcm).
+def _pairs(pool, limit):
+    """(fact, lcm, weight) for the pairs k1 <= k2 of the k-sorted `pool` with
+    lcm(k1, k2) <= limit; every entry of `pool` is <= limit.
 
-    The ordered pair sums visit (k1, k2) and (k2, k1) with equal terms, so
-    each off-diagonal pair stands for both with its weight doubled (exact in
-    floating point, and fsum rounds the exact sum)."""
+    Two powers of one prime have lcm max(k1, k2) and always pair; for two
+    primes lcm = k1 k2, so k2 runs only up to limit // k1, found by
+    bisection.  The ordered pair sums visit (k1, k2) and (k2, k1) with equal
+    terms, so each off-diagonal pair stands for both with its weight doubled
+    (exact in floating point, and fsum rounds the exact sum)."""
+    ks = [k for k, _, _, _ in pool]
+    powers = {}  # p -> the indices of its powers in pool
+    for i, (_, p, _, _) in enumerate(pool):
+        powers.setdefault(p, []).append(i)
     for i, (k1, p1, v1, lp1) in enumerate(pool):
-        for k2, p2, v2, lp2 in pool[i:]:
+        stop = max(i, bisect_right(ks, limit // k1))
+        for j in chain(range(i, stop), (j for j in powers[p1] if j >= stop)):
+            k2, p2, v2, lp2 = pool[j]
             if p1 == p2:
                 fact, lcm = {p1: max(v1, v2)}, max(k1, k2)
             else:
                 fact, lcm = {p1: v1, p2: v2}, k1 * k2
-            if keep(lcm):
-                weight = lp1 * lp2
-                yield fact, lcm, weight if k1 == k2 else 2 * weight
+            weight = lp1 * lp2
+            yield fact, lcm, weight if k1 == k2 else 2 * weight
 
 
 def _extend(heads, pool, h):
@@ -248,20 +264,18 @@ def _smooth_sum(f, table, tuples):
                 for fact, _, weight in tuples)
 
 
-def _omega_sum(f, tuples):
-    """fsum of weight * omega_f(mod)."""
-    return fsum(weight * omega_factored(f, fact) for fact, _, weight in tuples)
-
-
 def _rooted(f, pool):
     """The entries p^v of `pool` with omega_f(p^v) > 0."""
     return [e for e in pool if len(lift_roots(f, e[1], e[2]))]
 
 
-def _tail_sum(f, heads, pool, h):
+def _tail_sum(f, heads, pool, h, lcm=False):
     """fsum of weight * log p * omega_f(mod * k) over the (fact, mod, weight)
     heads and the prime powers k = p^v of the k-sorted `pool` with
-    mod * k > h.
+    mod * k > h.  With `lcm`, every head is one prime power q^e and the
+    modulus is lcm(mod, k): a k = q^v joins the head as q^max(e, v), with a
+    term only where that exceeds h (below the escaping slice, lcm <= mod * k
+    <= h).
 
     Each term is fl(fl(weight * log p) * omega), as in the tuple-by-tuple
     sum.  A root mod p^(e+v) is a root mod p^e and mod p^v, so pool entries
@@ -287,8 +301,13 @@ def _tail_sum(f, heads, pool, h):
             for q, e in fact.items():  # k = q^v: omega(head / q^e) omega(q^(e+v))
                 rest = om_head // len(lift_roots(f, q, e))
                 for i, v in at.get(q, ()):
-                    if i >= s:
-                        om[i - s] = rest * len(lift_roots(f, q, e + v))
+                    if i < s:
+                        continue
+                    if lcm and max(mod, ks[i]) <= h:
+                        om[i - s] = 0
+                    else:
+                        ev = max(e, v) if lcm else e + v
+                        om[i - s] = rest * len(lift_roots(f, q, ev))
             yield ((weight * lps[s:]) * om).tolist()
 
     return fsum(chain.from_iterable(terms()))
@@ -304,16 +323,15 @@ def vw_prop21(inst: VWInstance) -> VWReport:
     k <= f(x) with sqrt(y) < P+(k) <= y; W is the analogous double sum over
     P+(k_i) <= sqrt(y) with modulus lcm(k1, k2).
     """
-    fx = _check_scale(inst)
-    f, x, z, y = inst.f, inst.x, inst.z, inst.y
-    table = sieve_range(f, z + 1, x, y)
-    log_fz = log(f(z))
-    primes = primes_up_to(int(min(y, fx)))
-    root_classes(f, primes)  # the sieve fills only the caches of f's parts
+    fx, table, primes = _window(inst)
+    f, y = inst.f, inst.y
+    log_fz = log(f(inst.z))
     big = _prime_powers(fx, primes, lambda p: p * p > y)
     small = _prime_powers(fx, primes, lambda p: p * p <= y)
     V = _smooth_sum(f, table, _walk(_ROOT, big, fx, 1)) / log_fz
-    W = _smooth_sum(f, table, _pairs(small, lambda lcm: True)) / (log_fz * log_fz)
+    # f is increasing past T_0, so no f(n) in the window exceeds f(x): a
+    # pair with lcm > f(x) counts nothing
+    W = _smooth_sum(f, table, _pairs(small, fx)) / (log_fz * log_fz)
     return _finish_report(table.psi, V, W, V, W, [], [], 1, "prop21", inst)
 
 
@@ -349,37 +367,32 @@ def vw_prop32(inst: VWInstance) -> VWReport:
     P+ <= sqrt(y), and every tail sum relaxes to P+ <= y with the inner count
     bounded by omega_f of the full product.
     """
-    fx = _check_scale(inst)
+    fx, table, primes = _window(inst)
     f, x, z, y, m = inst.f, inst.x, inst.z, inst.y, inst.depth
     fz = f(z)
     if fz <= x:
         raise ValueError(f"depth recursion requires f(z) > x, got f(z)={fz}")
     h = inst.h
-    table = sieve_range(f, z + 1, x, y)
     log_fz = log(fz)
     log_fzx = log_fz - log(x)
-    primes = primes_up_to(int(min(y, fx)))
-    root_classes(f, primes)
 
     pool_y_h = _prime_powers(h, primes, lambda p: True)
     pool_v1 = _prime_powers(h, primes, lambda p: p * p > y)
     pool_sq_h = _prime_powers(h, primes, lambda p: p * p <= y)
     pool_y_fx = _prime_powers(fx, primes, lambda p: True)
 
-    def inside(lcm):
-        return lcm <= h
-
     v_plus = _smooth_sum(
         f, table, _walk(_walk(_ROOT, pool_v1, h, 1), pool_y_h, h, m - 1)
     ) / (log_fz * log_fzx ** (m - 1))
     w_plus = _smooth_sum(
-        f, table, _walk(_pairs(pool_sq_h, inside), pool_y_h, h, m - 1)
+        f, table, _walk(_pairs(pool_sq_h, h), pool_y_h, h, m - 1)
     ) / (log_fz * log_fz * log_fzx ** (m - 1))
 
     # V_i^-: i - 1 prime powers inside h, the i-th escaping it.  W_i^-: the
-    # pair and k_3 .. k_i inside h, k_{i+1} escaping; W_1^-'s pair escapes.
-    # A pair with omega_f(p^v) = 0 at either end has omega_f(lcm) = 0, so
-    # W_1^- pairs only the pool entries with roots.
+    # pair and k_3 .. k_i inside h, k_{i+1} escaping; W_1^-'s pair escapes,
+    # a tail over the single prime powers as heads, joined by lcm.  A pair
+    # with omega_f(p^v) = 0 at either end has omega_f(lcm) = 0, so only the
+    # pool entries with roots head W_1^-.
     v_minus = []
     w_minus = []
     for i in range(1, m + 1):
@@ -387,10 +400,10 @@ def vw_prop32(inst: VWInstance) -> VWReport:
         v_minus.append(_tail_sum(f, heads, pool_y_fx, h)
                        / (log_fz * log_fzx ** (i - 1)))
         if i == 1:
-            tail = _omega_sum(f, _pairs(_rooted(f, pool_y_fx),
-                                        lambda lcm: lcm > h))
+            heads = [({p: v}, k, lp) for k, p, v, lp in _rooted(f, pool_y_fx)]
+            tail = _tail_sum(f, heads, pool_y_fx, h, lcm=True)
         else:
-            heads = _walk(_pairs(pool_y_h, inside), pool_y_h, h, i - 2)
+            heads = _walk(_pairs(pool_y_h, h), pool_y_h, h, i - 2)
             tail = _tail_sum(f, heads, pool_y_fx, h)
         w_minus.append(tail / (log_fz * log_fz * log_fzx ** (i - 1)))
 
@@ -420,20 +433,16 @@ def vw_depth_pair(inst: VWInstance):
 def lemma31_check(inst: VWInstance, kappa: int) -> Lemma31Result:
     """One application of the recursion inequality: the smooth-restricted
     count of n with kappa | f(n) against the two-term lambda sum."""
-    fx = _check_scale(inst)
-    f, x, z, y = inst.f, inst.x, inst.z, inst.y
-    h = inst.h
+    fx, table, primes = _window(inst)
+    f, x, z, h = inst.f, inst.x, inst.z, inst.h
     if not 1 <= kappa <= h:
         raise ValueError(f"kappa must lie in [1, h] = [1, {h}]")
     fz = f(z)
     if fz <= x:
         raise ValueError("lemma requires f(z) > x")
-    table = sieve_range(f, z + 1, x, y)
     kfact = factorize(kappa)
     lhs = _count_smooth(f, kfact, table)
     log_fzx = log(fz) - log(x)
-    primes = primes_up_to(int(min(y, fx)))
-    root_classes(f, primes)
     pool = _prime_powers(fx, primes, lambda p: True)
     head = ((kfact, kappa, 1.0),)
     head_sum = _smooth_sum(f, table, _walk(head, pool, h, 1)) / log_fzx

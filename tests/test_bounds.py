@@ -11,7 +11,6 @@ from polysmooth.bounds import (
     hmyrova_main_term,
     make_bound_report,
     thm11_in_range,
-    thm11_main_term,
     timofeev_main_term,
 )
 
@@ -79,11 +78,11 @@ def test_gamma_irreducible_cap():
 
 def test_thm11_main_term():
     f = build_factored(["t^2+1"])
-    v = thm11_main_term(f, 10**6, 1)
+    v = make_bound_report(f.d, f.g, 1, x=10**6).thm11_main_x
     assert abs(v - GAMMA_211 / 2 * 10**6) < 1e-3
     assert abs(v - 456983.64) < 1.0
     with pytest.raises(ValueError):
-        thm11_main_term(build_factored(["t"]), 10**6, 1)
+        make_bound_report(1, 1, 1, x=10**6)  # d = 1: no theorem
     assert thm11_in_range(10**6, 1)
     assert not thm11_in_range(10**6, 2)  # sqrt(log 1e6)/loglog 1e6 = 1.42
 
@@ -97,7 +96,8 @@ def test_thm11_range_is_empty_up_to_e():
 
 def test_timofeev():
     assert abs(timofeev_main_term(2, 1, 1, 0) - 0.5) < 1e-15
-    ratio = thm11_main_term((2, 1), 1, 1) / timofeev_main_term(2, 1, 1, 0)
+    ratio = (make_bound_report(2, 1, 1, x=1).thm11_main_x
+             / timofeev_main_term(2, 1, 1, 0))
     assert abs(ratio - GAMMA_211) < 1e-12
     assert abs(timofeev_main_term(3, 2, 2, 0.1) - 0.18375) < 1e-12
 

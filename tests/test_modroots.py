@@ -9,7 +9,6 @@ from polysmooth.polyarith import IntPoly, build_factored
 from polysmooth.modroots import (
     _eval_mod,
     lift_roots,
-    mangoldt,
     omega,
     omega_grid,
     omega_scan,
@@ -380,16 +379,6 @@ def test_lemma42_inequality_small():
         # compare lhs <= (d sqrt(Delta))^(m-|S|) * rhs_prod via squaring
         k = m - len(s_idx)
         assert lhs * lhs <= (f.d * f.d * delta) ** k * rhs_prod * rhs_prod, tup
-
-
-def test_mangoldt():
-    assert mangoldt(8) == (2, 3)
-    assert mangoldt(12) is None
-    assert mangoldt(1) is None
-    assert mangoldt(97) == (97, 1)
-    assert mangoldt(3**7) == (3, 7)
-    with pytest.raises(ValueError):
-        mangoldt(0)
 
 
 # ------------------------------------------------ batched roots vs the scalar path

@@ -5,6 +5,7 @@ import pytest
 from polysmooth.polyarith import (
     IntPoly,
     _cauchy_bound,
+    _has_rational_root,
     _no_roots_beyond,
     build_factored,
     discriminant,
@@ -100,13 +101,42 @@ def test_build_factored_validation():
     # degree >= 4 without rational roots: accepted but flagged
     fp = build_factored(["t^4+1"])
     assert fp.statuses == ("asserted",)
-    assert fp.warned
+
+
+def test_quadratic_rational_root_by_discriminant():
+    for text in ["6t^2+5t+1", "t^2+t"]:  # roots -1/2, -1/3; 0, -1
+        with pytest.raises(ValueError, match="rational root"):
+            build_factored([text])
+    assert build_factored(["t^2-2"]).statuses == ("proven",)
+    # constant terms no divisor walk can afford: a 31-digit prime, and
+    # 963761198400 with 6720 divisors against its equal lead
+    for coeffs in ([10**30 + 57, 1, 1], [963761198400, 1, 963761198400]):
+        start = time.perf_counter()
+        assert build_factored([coeffs]).statuses == ("proven",)
+        assert time.perf_counter() - start < 1.0
+
+
+def _rational_roots_scan(c, b, a):
+    """Any rational root of c + bt + at^2, searched over p/q with q | a and
+    p | c (c != 0)."""
+    divs = [k for k in range(1, max(abs(a), abs(c)) + 1)]
+    return any(c * q * q + b * p * q + a * p * p == 0
+               for q in divs if a % q == 0
+               for p0 in divs if c % p0 == 0 for p in (p0, -p0))
+
+
+def test_quadratic_rational_root_matches_divisor_scan():
+    for a in range(1, 7):
+        for b in range(-8, 9):
+            for c in range(-8, 9):
+                f = IntPoly([c, b, a])
+                want = c == 0 or _rational_roots_scan(c, b, a)
+                assert _has_rational_root(f) == want, (c, b, a)
 
 
 def test_build_factored_sign_normalization():
     fp = build_factored(["-t^2-1"])
     assert fp.factors[0].coeffs == (1, 0, 1)
-    assert fp.orientation_flipped
 
 
 def _t0_oracle_valid(f, T, window=200):
@@ -149,9 +179,9 @@ def test_t0_monotone_window():
 
 def test_t0_sign_flip():
     f = parse_poly("-t^2-1")
-    assert t0(f, sign=-1) == 2
+    assert t0(-f) == 2
     with pytest.raises(ValueError):
-        t0(f, sign=1)
+        t0(f)
     with pytest.raises(ValueError):
         t0(parse_poly("5"))
 
@@ -190,7 +220,7 @@ def test_t0_bisection_on_products_and_flipped_sign():
         f = build_factored(factors)
         assert t0(f) == _t0_scan(f.product)
     g = parse_poly("-t^2+5t-1")
-    assert t0(g, sign=-1) == _t0_scan(-g)
+    assert t0(-g) == _t0_scan(-g)
 
 
 def test_t0_far_root_is_fast():

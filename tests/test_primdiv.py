@@ -2,7 +2,6 @@ import pytest
 
 from polysmooth.acceptance import _primitive_definition_oracle
 from polysmooth.primdiv import (
-    has_primitive_divisor,
     n_arctan,
     r_b,
     verify_prop63,
@@ -29,14 +28,13 @@ def _first_occurrence_flags(b, x):
 
 
 def test_examples():
-    assert has_primitive_divisor(1, 2).has_primitive  # P+(5) = 5 > 4
-    assert not has_primitive_divisor(1, 3).has_primitive  # arctan 3 reducible
-    assert not has_primitive_divisor(1, 7).has_primitive  # 50 = 2 * 5^2
+    records = r_b(1, 7, collect_records=True).records
+    assert records[1].has_primitive  # P+(5) = 5 > 4
+    assert not records[2].has_primitive  # arctan 3 reducible
+    assert not records[6].has_primitive  # 50 = 2 * 5^2
 
 
 def test_hypothesis_violation():
-    with pytest.raises(ValueError):
-        has_primitive_divisor(-4, 3)
     with pytest.raises(ValueError):
         r_b(-4, 10)
     with pytest.raises(ValueError):
@@ -44,7 +42,7 @@ def test_hypothesis_violation():
 
 
 def test_n1_definition_vs_criterion():
-    rec = has_primitive_divisor(1, 1)
+    rec = r_b(1, 1, collect_records=True).records[0]
     assert rec.has_primitive  # A_1 = 2, empty earlier-term relation
     assert rec.method == "direct"
     assert rec.criterion_mismatch  # P+(2) = 2 is not > 2
@@ -70,8 +68,10 @@ def test_criterion_matches_definition():
 
 def test_boundary_direct_method():
     for b in [3, 5, 7, -2, -3, -6]:
-        for n in range(1, abs(b) + 1):
-            rec = has_primitive_divisor(b, n)
+        records = r_b(b, abs(b) + 1, collect_records=True).records
+        assert records[-1].method == "criterion"
+        for n, rec in enumerate(records[:-1], 1):
+            assert rec.n == n
             assert rec.method == "direct"
             assert rec.has_primitive == _primitive_definition_oracle(b, n), (b, n)
 
@@ -98,14 +98,12 @@ def test_n_arctan_examples():
 
 def test_n_equals_r1():
     res = r_b(1, 2000, collect_records=True)
-    flags_rb = [r.has_primitive for r in res.records]
-    # per-n equality => N(x) = R_1(x) for every x <= 2000
+    # N(x) = R_1(x) for every x <= 2000: the prefix counts of R_1's records
     count = 0
-    for n in range(1, 2001):
-        rec = has_primitive_divisor(1, n)
-        if rec.has_primitive:
-            count += 1
-        assert rec.has_primitive == flags_rb[n - 1], n
+    for n, rec in enumerate(res.records, 1):
+        count += rec.has_primitive
+        if n % 97 == 0 or n <= 20:
+            assert n_arctan(n).count == count, n
     assert n_arctan(2000).count == count == res.count
 
 

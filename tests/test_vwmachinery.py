@@ -8,7 +8,8 @@ factorization P+ (not the sieve), and count roots by residue scan for small
 moduli.
 """
 
-from math import fsum, log, sqrt
+from collections import Counter
+from math import fsum, lcm as _lcm, log, prod, sqrt
 
 import pytest
 
@@ -41,6 +42,9 @@ T2M2 = build_factored(["t^2-2"])
 T_T2P1 = build_factored(["t", "t^2+1"])
 MIXED = build_factored(["t+1", "t^2+2"])
 T3P2 = build_factored(["t^3+2"])
+# omega(2^e) = 1, 2, 2, 4, 4, 8, 8 for e <= 7, then 0: lcm(2^e, 2^v) and
+# 2^(e+v) give different omega past h = 60
+T2M128 = build_factored(["t^2-128"])
 
 
 def test_prop21_matches_literal_oracle():
@@ -57,6 +61,35 @@ def test_prop21_matches_literal_oracle():
         V, W = _oracle_v_w(f, x, z, y)
         assert abs(rep.V - V) <= 1e-9 * max(1, abs(V)), (f, x, z, y)
         assert abs(rep.W - W) <= 1e-9 * max(1, abs(W)), (f, x, z, y)
+
+
+def test_prop21_at_y_past_fx_matches_literal_oracle():
+    # sqrt(y) >= f(x): W's pool is every prime power <= f(x), as at y = inf,
+    # and only the pairs with lcm <= f(x) can divide a value in the window
+    for f, x, z in [(T2P1, 20, 5), (T_T2P1, 8, 3), (MIXED, 8, 3)]:
+        y = f(x) ** 2
+        rep = vw_prop21(VWInstance(f, x, z, y))
+        V, W = _oracle_v_w(f, x, z, y)
+        assert rep.W > 0, f
+        assert abs(rep.V - V) <= 1e-9 * max(1, abs(V)), f
+        assert abs(rep.W - W) <= 1e-9 * max(1, abs(W)), f
+
+
+def test_pairs_equal_brute_force_filter():
+    pool = _prime_powers(500, primes_up_to(60), lambda p: True)
+    for limit in [500, 360, 97, 64, 12]:
+        sub = [e for e in pool if e[0] <= limit]
+        want = Counter()
+        for i, (k1, p1, _, lp1) in enumerate(sub):
+            for k2, p2, _, lp2 in sub[i:]:
+                lcm = _lcm(k1, k2)
+                if lcm <= limit:
+                    weight = lp1 * lp2
+                    want[lcm, weight if k1 == k2 else 2 * weight] += 1
+        got = Counter((lcm, weight) for _, lcm, weight in _pairs(sub, limit))
+        assert got == want, limit
+        assert all(prod(p**v for p, v in fact.items()) == lcm
+                   for fact, lcm, _ in _pairs(sub, limit)), limit
 
 
 def test_prop21_verdicts_and_chain():
@@ -259,8 +292,8 @@ def _pools(f, x, z, y):
             _prime_powers(f(x), primes, lambda p: True))
 
 
-@pytest.mark.parametrize("f", [T2P1, T2M2, T3P2, T_T2P1],
-                         ids=["t^2+1", "t^2-2", "t^3+2", "t(t^2+1)"])
+@pytest.mark.parametrize("f", [T2P1, T2M2, T3P2, T_T2P1, T2M128],
+                         ids=["t^2+1", "t^2-2", "t^3+2", "t(t^2+1)", "t^2-128"])
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_prop32_tails_equal_literal_tails_exactly(f, depth):
     x, z, y = 120, 60, 20
@@ -275,11 +308,12 @@ def test_prop32_tails_equal_literal_tails_exactly(f, depth):
         assert _tail_sum(f, heads, pool_y_fx, h) == tail
         assert rep.v_minus[i - 1] == tail / (log_fz * log_fzx ** (i - 1))
         if i == 1:
-            tail = fsum(weight * omega(f, lcm) for _, lcm, weight
-                        in _pairs(pool_y_fx, lambda lcm: lcm > h))
+            tail = fsum((lp1 * lp2) * omega(f, _lcm(k1, k2))
+                        for k1, _, _, lp1 in pool_y_fx
+                        for k2, _, _, lp2 in pool_y_fx
+                        if _lcm(k1, k2) > h)
         else:
-            heads = list(_walk(_pairs(pool_y_h, lambda lcm: lcm <= h),
-                               pool_y_h, h, i - 2))
+            heads = list(_walk(_pairs(pool_y_h, h), pool_y_h, h, i - 2))
             tail = _literal_tail(f, heads, pool_y_fx, h)
             assert _tail_sum(f, heads, pool_y_fx, h) == tail
         assert rep.w_minus[i - 1] == tail / (log_fz * log_fz * log_fzx ** (i - 1))

@@ -73,8 +73,8 @@ def timofeev_main_term(d, g, u, eps):
     """(g+eps)^[u] / (d (d-1)^([u]-1) u^[u])."""
     if not 1 <= u < float("inf"):
         raise ValueError("u must be finite and >= 1")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if not 0 <= eps < float("inf"):
+        raise ValueError("eps must be finite and >= 0")
     with localcontext(_CONTEXT):
         return float(_main_coeff(d, _dec(g) + _dec(eps), u))
 

@@ -67,8 +67,17 @@ def _emit(records, fmt, out, header_keys=None, cleaned=False):
         keys = header_keys or sorted({k for r in rows for k in r})
         lines = [",".join(keys)]
         for r in rows:
-            lines.append(",".join(str(r.get(k, "")) for k in keys))
+            lines.append(",".join(_csv_cell(r.get(k, "")) for k in keys))
     _write(lines, out)
+
+
+def _csv_cell(v):
+    """One CSV cell: a dict or list as its JSON text, quoted (RFC 4180)
+    where it holds a comma, a double quote or a newline."""
+    s = _JSON.encode(v) if isinstance(v, (dict, list)) else str(v)
+    if "," in s or '"' in s or "\n" in s:
+        s = '"' + s.replace('"', '""') + '"'
+    return s
 
 
 def _write(lines, out):

@@ -9,7 +9,8 @@ drops where p divides the leading coefficient: closed forms for degree
 >= 3.  p = 2 is scanned.  roots_mod_p asks root_classes for a prime not yet
 in f's root cache; a caller that visits many primes one at a time fills the
 cache with one root_classes call first.  Roots mod p^v come from Hensel
-lifting, with singular roots scanned level by level.
+lifting one level at a time, where a singular root lifts to all p classes
+above it or to none, by one evaluation of f.
 """
 
 import random
@@ -404,10 +405,13 @@ def root_classes(f: FactoredPoly, primes):
 
 
 def lift_roots(f: FactoredPoly, p: int, v: int) -> RootSet:
-    """All u (mod p^v) with f(u) = 0 (mod p^v), by Hensel lifting.
+    """All u (mod p^v) with f(u) = 0 (mod p^v), by Hensel lifting the roots
+    mod p^(v-1); every level is built once and cached.
 
-    Simple roots (f'(u) != 0 mod p) lift uniquely; singular roots are
-    scanned through the p candidates u + t*p^k at each level.
+    For a root u mod p^k, f(u + t p^k) = f(u) + t p^k f'(u) (mod p^(k+1)).
+    So a simple root (f'(u) != 0 mod p) lifts to the one t that solves it,
+    and a singular root lifts to all p classes u + t p^k when p^(k+1)
+    divides f(u), and to none otherwise.
     """
     if v < 1:
         raise ValueError("v must be >= 1")
@@ -415,39 +419,24 @@ def lift_roots(f: FactoredPoly, p: int, v: int) -> RootSet:
         raise ValueError(f"p^v = {p}^{v} exceeds the magnitude budget 2^64")
     if v == 1:
         return roots_mod_p(f, p)
-    cached = f._lift_cache.get((p, v))
-    if cached is not None:
-        return cached
-    residues = _roots_of_prime(f, p)
-    fpoly = f.product
-    fprime = f.derivative()
-    start = 1
-    roots = list(residues)
-    for k in range(v - 1, 1, -1):
-        hit = f._lift_cache.get((p, k))
-        if hit is not None:
-            start, roots = k, list(hit.residues)
-            break
-    mod_k = p**start
-    for k in range(start, v):
+    rs = f._lift_cache.get((p, v))
+    if rs is None:
+        # level 1 straight from the root cache: no RootSet for it
+        roots = (_roots_of_prime(f, p) if v == 2
+                 else lift_roots(f, p, v - 1).residues)
+        fpoly, fprime = f.product, f.derivative()
+        mod_k = p ** (v - 1)
         mod_next = mod_k * p
         nxt = []
         for u in roots:
+            fu = _eval_mod(fpoly, u, mod_next)
             fp_u = _eval_mod(fprime, u, p)
             if fp_u:
-                fu = _eval_mod(fpoly, u, mod_next)
-                t = (-(fu // mod_k)) * pow(fp_u, -1, p) % p
-                nxt.append(u + t * mod_k)
-            else:
-                for t in range(p):
-                    cand = u + t * mod_k
-                    if _eval_mod(fpoly, cand, mod_next) == 0:
-                        nxt.append(cand)
-        roots = nxt
-        mod_k = mod_next
-        rs = RootSet(p, k + 1, tuple(sorted(roots)))
-        f._lift_cache[(p, k + 1)] = rs
-    return f._lift_cache[(p, v)]
+                nxt.append(u + (-(fu // mod_k)) * pow(fp_u, -1, p) % p * mod_k)
+            elif fu == 0:
+                nxt.extend(range(u, mod_next, mod_k))
+        rs = f._lift_cache[(p, v)] = RootSet(p, v, tuple(sorted(nxt)))
+    return rs
 
 
 def omega_factored(f: FactoredPoly, fact: dict) -> int:

@@ -9,10 +9,8 @@ discriminants and pairwise resultants.
 
 import json
 import re
-from math import gcd, isqrt
+from math import gcd
 from numbers import Integral
-
-from .primes import factorize
 
 __all__ = [
     "IntPoly",
@@ -235,46 +233,42 @@ def discriminant(f):
     return q
 
 
-def _divisors_abs(n):
-    n = abs(n)
-    fac = factorize(n)
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return divs
+def _cuts(g, lo, hi):
+    """Sorted integers from lo to hi with no real root of g strictly between
+    two neighbours 2 or more apart.  They hold the cuts of g', so g is
+    monotone between two such neighbours, and a sign change of g there is
+    one root, bracketed by bisection between two adjacent integers."""
+    if g.degree == 0:
+        return [lo, hi]
+    cuts = _cuts(g.derivative(), lo, hi)
+    out = set(cuts)
+    vals = [g(c) for c in cuts]
+    for a, b, ga, gb in zip(cuts, cuts[1:], vals, vals[1:]):
+        if ga * gb < 0:
+            while b - a > 1:
+                m = (a + b) // 2
+                a, b = (m, b) if g(m) * ga > 0 else (a, m)
+            out.update((a, b))
+    return sorted(out)
 
 
 def _has_rational_root(f):
-    """Rational root test.  A quadratic c + bt + at^2 has one iff b^2 - 4ac
-    is a square; in higher degree any root p/q has p | a0 and q | lead."""
-    if f.degree == 2:
-        c, b, a = f.coeffs
-        disc = b * b - 4 * a * c
-        return disc >= 0 and isqrt(disc) ** 2 == disc
-    a0 = f.coeffs[0]
-    if a0 == 0:
-        return True
-    for q in _divisors_abs(f.lead):
-        for p in _divisors_abs(a0):
-            if gcd(p, q) > 1:
-                continue
-            for pp in (p, -p):
-                # f(pp/q) = 0  <=>  sum a_i pp^i q^(d-i) = 0
-                acc = 0
-                d = f.degree
-                for i, c in enumerate(f.coeffs):
-                    acc += c * pp**i * q ** (d - i)
-                if acc == 0:
-                    return True
-    return False
+    """Rational root test.  r is a root of f iff z = lead*r is an integer
+    root of the monic h(z) = lead^(d-1) f(z/lead), and every such z has
+    |z| < 1 + max |h_i| (Cauchy); each one is among the cuts of h."""
+    d, lead = f.degree, f.lead
+    h = IntPoly([c * lead ** (d - 1 - i) for i, c in enumerate(f.coeffs[:-1])]
+                + [1])
+    top = 1 + max(abs(c) for c in h.coeffs[:-1])
+    return any(h(z) == 0 for z in _cuts(h, -top, top))
 
 
 class FactoredPoly:
     """A product of distinct irreducible factors over Z[t], with total degree
     d, factor count g, and absolute discriminant.
 
-    Factors of degree <= 3 are proven irreducible by the rational root test;
-    higher degrees are accepted with the status "asserted".
+    The rational root test proves factors of degree <= 3 irreducible;
+    higher degrees pass it and are accepted with the status "asserted".
     """
 
     __slots__ = (
@@ -352,7 +346,7 @@ def build_factored(factors):
     disc(FG) = disc(F) disc(G) Res(F, G)^2 is applied pairwise, so the total
     discriminant never requires expanding-then-factoring.  Rejects duplicate
     factors, non-primitive factors, and any factor of degree >= 2 with a
-    rational root.
+    rational root (found by bisection, with no coefficient factored).
     """
     if not isinstance(factors, (list, tuple)):
         raise ValueError("factors must be a list of factors")

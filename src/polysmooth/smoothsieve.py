@@ -59,8 +59,8 @@ _FLOAT_LIMIT = 1 << 1000
 _LOG_BITS = 1 << 20
 # Lifting caps (_log_classes): levels q = p^k with q * p <= 2^62 keep int64
 # offsets exact; a level holds at most _MAX_CLASSES classes; and a prime
-# dividing lead * disc is lifted only up to _MAX_CLASSES, since lift_roots
-# scans p candidates per singular root.
+# dividing lead * disc is lifted only up to _MAX_CLASSES, since a singular
+# root that lifts becomes p classes at once.
 _MAX_LEVEL = 1 << 62
 _MAX_CLASSES = 256
 
@@ -246,8 +246,9 @@ def _log_classes(f, primes, lo, hi):
     1), where exact valuations cost less than lifting further; at q * p >
     2^62, where int64 offsets would overflow; at more than _MAX_CLASSES
     classes; and at level 1 for a prime p > _MAX_CLASSES that may give a
-    factor a singular root (p | lead * disc), since lift_roots scans p
-    candidates per singular root.  Each factor is sieved on its own, which
+    factor a singular root (p | lead * disc), since a singular root that
+    lifts becomes p classes at once, which would only fill the lift cache
+    with tuples past _MAX_CLASSES.  Each factor is sieved on its own, which
     keeps the classes few where factors share roots mod p^k.
     """
     count = hi - lo + 1

@@ -102,6 +102,12 @@ def test_timofeev():
     assert abs(timofeev_main_term(3, 2, 2, 0.1) - 0.18375) < 1e-12
 
 
+@pytest.mark.parametrize("eps", [-0.1, float("nan"), float("inf")])
+def test_timofeev_rejects_eps_outside_its_domain(eps):
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        timofeev_main_term(2, 1, 1, eps)
+
+
 def test_hmyrova():
     assert abs(hmyrova_main_term(exp(1)) - 1.0) < 1e-12
     assert hmyrova_main_term(10) < 1

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -46,6 +47,29 @@ def test_bound_grid_csv(capsys):
     assert rc == 0
     lines = out.strip().splitlines()
     assert len(lines) == 5  # header + 4 grid points
+    rows = list(csv.reader(lines))
+    assert {len(r) for r in rows} == {len(rows[0])}
+    config = json.loads(rows[1][rows[0].index("config")])
+    assert (config["options"]["d"], config["options"]["u"]) == (2, 1.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--poly", "t^2+1", "--x", "100", "--y", "10"],
+    ["omega", "--poly", "t^2+1", "--k", "10,4"],
+    ["arctan", "--x", "10"],
+    ["rb", "--b", "1", "--x", "10"],
+    ["calpha", "--m", "2", "--x", "3"],
+    ["vw-verify", "--poly", "t^2+1", "--x", "100", "--z", "50", "--y", "10"],
+])
+def test_record_csv_rows_are_as_wide_as_the_header(capsys, argv):
+    # dict and list cells are quoted JSON text, so their commas split nothing
+    rc, out = run_cli(capsys, argv + ["--format", "csv"])
+    assert rc == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert len(rows) >= 2
+    assert {len(r) for r in rows} == {len(rows[0])}
+    for r in rows[1:]:
+        assert json.loads(r[rows[0].index("config")])["options"]
 
 
 def test_dickman_csv(capsys):
@@ -282,6 +306,15 @@ def test_bound_rejects_x_outside_its_domain(capsys, x):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: x must be finite and >= 1\n"
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+def test_bound_rejects_eps_outside_its_domain(capsys, eps):
+    argv = ["bound", "--d", "2", "--g", "1", "--u", "1", "--eps", eps]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eps must be finite and >= 0\n"
 
 
 @pytest.mark.parametrize("argv", [

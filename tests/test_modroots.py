@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import numpy as np
@@ -277,12 +278,27 @@ def test_lift_roots_examples():
 
 
 def test_lift_roots_scan_oracle():
-    for f in [T2P1, T2M2, T_T2P1, CUBIC]:
-        for p in [2, 3, 5, 7, 11, 13]:
-            for v in [1, 2, 3, 4]:
-                mod = p**v
-                expect = tuple(u for u in range(mod) if f(u) % mod == 0)
-                assert lift_roots(f, p, v).residues == expect, (f, p, v)
+    cases = [(f, p, 4) for f in [T2P1, T2M2, T_T2P1, CUBIC]
+             for p in [2, 3, 5, 7, 11, 13]]
+    # every root singular: t^2 + 3^10 has 3^[v/2] roots mod 3^v for v <= 8,
+    # and t^2 + 2^6 has 2^[v/2] mod 2^v up to v = 7 and none above
+    cases += [(build_factored(["t^2+59049"]), 3, 8),
+              (build_factored(["t^2+64"]), 2, 12)]
+    for f, p, top in cases:
+        for v in range(1, top + 1):
+            mod = p**v
+            expect = tuple(u for u in range(mod) if f(u) % mod == 0)
+            assert lift_roots(f, p, v).residues == expect, (f, p, v)
+
+
+def test_omega_of_a_singular_prime_square_needs_no_scan():
+    # 0 is a double root mod p = 10000019, and p^2 does not divide f(0) = -p,
+    # so it lifts to no root mod p^2: one evaluation, not p
+    p = 10000019
+    f = build_factored([[-p, 0, 1]])
+    start = time.perf_counter()
+    assert omega(f, p * p) == 0
+    assert time.perf_counter() - start < 1.0
 
 
 def test_lift_budget():

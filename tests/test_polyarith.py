@@ -1,4 +1,5 @@
 import time
+from itertools import product
 
 import pytest
 
@@ -109,29 +110,52 @@ def test_quadratic_rational_root_by_discriminant():
             build_factored([text])
     assert build_factored(["t^2-2"]).statuses == ("proven",)
     # constant terms no divisor walk can afford: a 31-digit prime, and
-    # 963761198400 with 6720 divisors against its equal lead
-    for coeffs in ([10**30 + 57, 1, 1], [963761198400, 1, 963761198400]):
+    # 963761198400 with 6720 divisors against its equal lead, in degree 2
+    # and 3
+    for coeffs in ([10**30 + 57, 1, 1], [963761198400, 1, 963761198400],
+                   [10**30 + 57, 0, 0, 1], [963761198400, 1, 0, 963761198400]):
         start = time.perf_counter()
         assert build_factored([coeffs]).statuses == ("proven",)
         assert time.perf_counter() - start < 1.0
 
 
-def _rational_roots_scan(c, b, a):
-    """Any rational root of c + bt + at^2, searched over p/q with q | a and
-    p | c (c != 0)."""
-    divs = [k for k in range(1, max(abs(a), abs(c)) + 1)]
-    return any(c * q * q + b * p * q + a * p * p == 0
-               for q in divs if a % q == 0
-               for p0 in divs if c % p0 == 0 for p in (p0, -p0))
+def _rational_roots_scan(cs):
+    """Any rational root of the polynomial with coefficients cs (lowest
+    degree first), searched literally over p/q with q | lead and p | a0;
+    0 is one when a0 = 0."""
+    a0, lead, d = cs[0], cs[-1], len(cs) - 1
+    if a0 == 0:
+        return True
+    return any(sum(c * p**i * q ** (d - i) for i, c in enumerate(cs)) == 0
+               for q in range(1, abs(lead) + 1) if lead % q == 0
+               for p0 in range(1, abs(a0) + 1) if a0 % p0 == 0
+               for p in (p0, -p0))
 
 
 def test_quadratic_rational_root_matches_divisor_scan():
     for a in range(1, 7):
         for b in range(-8, 9):
             for c in range(-8, 9):
-                f = IntPoly([c, b, a])
-                want = c == 0 or _rational_roots_scan(c, b, a)
-                assert _has_rational_root(f) == want, (c, b, a)
+                want = _rational_roots_scan([c, b, a])
+                assert _has_rational_root(IntPoly([c, b, a])) == want, (c, b, a)
+
+
+@pytest.mark.parametrize("degree, box", [(3, 4), (4, 3), (5, 2)])
+def test_rational_root_matches_divisor_scan(degree, box):
+    rng = range(-box, box + 1)
+    for lower in product(rng, repeat=degree):
+        for lead in range(1, box + 1):
+            cs = [*lower, lead]
+            assert _has_rational_root(IntPoly(cs)) == _rational_roots_scan(cs), cs
+
+
+def test_rational_root_between_two_sign_changes_of_the_derivative():
+    # f' changes sign twice between two adjacent integers next to the root
+    # 0, so the root is found only if the cuts of f' stay among f's
+    f = IntPoly([0, -26, -50, 12, -25, 37, 23, -41, 1])
+    assert _has_rational_root(f)
+    for g in (f.taylor_shift(7), f - 1):
+        assert _has_rational_root(g) == _rational_roots_scan(g.coeffs), g
 
 
 def test_build_factored_sign_normalization():

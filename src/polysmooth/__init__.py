@@ -39,7 +39,6 @@ from .quadfield import (
     windowed_cassels,
 )
 from .primdiv import (
-    PrimDivRecord,
     r_b,
     n_arctan,
     verify_prop63,

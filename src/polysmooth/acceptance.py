@@ -662,13 +662,13 @@ def _primitive_definition_oracle(b, n):
 def criterion_9(quick=False):
     details = {}
     ok = True
-    res10 = r_b(1, 10, collect_records=True)
+    res10 = r_b(1, 10)
     oracle10 = sum(1 for n in range(1, 11) if _primitive_definition_oracle(1, n))
     details["r1_10"] = res10.count
     ok &= res10.count == 7 == oracle10
 
     x_eq = 2000 if quick else 10**4
-    rb_records = r_b(1, x_eq, collect_records=True).records
+    rb_has = r_b(1, x_eq).has_primitive
     f1 = _poly("t^2+1")
     table = pplus_table(f1, x_eq)
     per_n_fail = 0
@@ -677,7 +677,7 @@ def criterion_9(quick=False):
         arc_flag = True if n == 1 else table.pplus_of(n) > 2 * n
         if arc_flag:
             count_arc += 1
-        if arc_flag != rb_records[n - 1].has_primitive:
+        if arc_flag != rb_has[n - 1]:
             per_n_fail += 1
     details["n_eq_r1_per_n_failures"] = per_n_fail
     ok &= per_n_fail == 0

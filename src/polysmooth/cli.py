@@ -14,6 +14,8 @@ from contextlib import nullcontext
 from dataclasses import asdict, is_dataclass
 from math import inf
 
+import numpy as np
+
 from . import __version__
 from .bounds import make_bound_report
 from .dickman import U_MAX, martin_prediction, rho_grid
@@ -25,7 +27,8 @@ from .vwmachinery import VWInstance, lemma31_check, vw_prop21, vw_prop32
 
 __all__ = ["main"]
 
-MAX_GRID_POINTS = 10**6  # dickman rows: about 700 bytes each until emitted
+MAX_GRID_POINTS = 10**6  # dickman --format json holds its grid as one record
+_BLOCK = 1 << 16  # rows of a per-n CSV table formatted at a time
 
 
 def _fmt_float(v):
@@ -57,18 +60,18 @@ def _clean(obj):
 _JSON = json.JSONEncoder(sort_keys=True)
 
 
-def _emit(records, fmt, out, header_keys=None, cleaned=False):
+def _emit(records, fmt, out, cleaned=False):
     """Write records as JSON lines or CSV; `cleaned` records are already
     what _clean would make of them."""
     rows = records if cleaned else [_clean(r) for r in records]
     if fmt == "json":
         lines = [_JSON.encode(r) for r in rows]
     else:
-        keys = header_keys or sorted({k for r in rows for k in r})
+        keys = sorted({k for r in rows for k in r})
         lines = [",".join(keys)]
         for r in rows:
             lines.append(",".join(_csv_cell(r.get(k, "")) for k in keys))
-    _write(lines, out)
+    _write(out, "\n".join(lines))
 
 
 def _csv_cell(v):
@@ -80,12 +83,26 @@ def _csv_cell(v):
     return s
 
 
-def _write(lines, out):
-    # one line joins to itself: the text is never copied
-    text = "\n".join(lines)
+def _write(out, head, rows=0, block=None):
+    """Write `head` and a newline, then the `rows` rows of a per-n CSV table
+    a block at a time: block(i, j) gives rows i..j-1 as columns of str
+    cells, joined here row by row, so only one block's cells are held."""
     with open(out, "w") if out else nullcontext(sys.stdout) as fh:
-        fh.write(text)
+        fh.write(head)
         fh.write("\n")
+        for i in range(0, rows, _BLOCK):
+            cells = block(i, min(i + _BLOCK, rows))
+            fh.write("\n".join(map(",".join, zip(*cells))))
+            fh.write("\n")
+
+
+def _str_cells(*columns):
+    return [map(str, c.tolist()) for c in columns]
+
+
+def _float_cells(values):
+    """The CSV cells _clean makes of floats: 12 significant digits."""
+    return map(str, map(float, map("{:.12g}".format, values.tolist())))
 
 
 def _poly_from_args(args):
@@ -202,12 +219,13 @@ def _cmd_psi(args):
             rec["thm11_main_x"] = rep.thm11_main_x
             rec["thm11_u_in_range"] = rep.thm11_u_in_range
     if args.dump:
-        # P+(0), stored as 0, is written as the "inf" _clean writes
-        columns = (range(1, args.x + 1), eval_range(f.product, 1, args.x).tolist(),
-                   [p or inf for p in table.pplus.tolist()],
-                   table.flags.astype(int).tolist())
-        _write(["n,f_n,pplus,smooth",
-                *map(",".join, zip(*(map(str, c) for c in columns)))], args.out)
+        def block(i, j):
+            # P+(0), stored as 0, is written as the "inf" _clean writes
+            return (map(str, range(i + 1, j + 1)),
+                    *_str_cells(eval_range(f.product, i + 1, j - i)),
+                    map(str, [p or inf for p in table.pplus[i:j].tolist()]),
+                    *_str_cells(table.flags[i:j].astype(int)))
+        _write(args.out, "n,f_n,pplus,smooth", args.x, block)
         return 0
     _emit([rec], args.format, args.out)
     return 0
@@ -233,26 +251,23 @@ def _cmd_bound(args):
     return 0
 
 
-def _rho_rows(us):
-    """The (u, rho) rows; the grid list dies with this frame, so it is not
-    held while the rows are emitted."""
-    return [{"u": u, "rho": r} for u, r in zip(us, rho_grid(us).tolist())]
-
-
 def _cmd_dickman(args):
-    if not args.step > 0:
-        raise ValueError("--step must be > 0")
+    if not 0 < args.step < inf:
+        raise ValueError("--step must be finite and > 0")
     if not 0 <= args.u_max <= U_MAX:
         raise ValueError(f"--u-max must lie in [0, {U_MAX}]")
     span = args.u_max / args.step
     if not span < MAX_GRID_POINTS - 0.5:  # round(span) + 1 points; inf too
         raise ValueError(f"--u-max {args.u_max} at --step {args.step} gives "
                          f"more than {MAX_GRID_POINTS} grid points")
-    rows = _rho_rows([i * args.step for i in range(round(span) + 1)])
+    us = np.arange(round(span) + 1) * args.step
+    rho = rho_grid(us)
     if args.format == "json":
-        _emit([{"grid": rows, "config": _config(args)}], "json", args.out)
+        grid = [{"u": u, "rho": r} for u, r in zip(us.tolist(), rho.tolist())]
+        _emit([{"grid": grid, "config": _config(args)}], "json", args.out)
     else:
-        _emit(rows, "csv", args.out, header_keys=["u", "rho"])
+        _write(args.out, "u,rho", us.size,
+               lambda i, j: (_float_cells(us[i:j]), _float_cells(rho[i:j])))
     return 0
 
 
@@ -342,34 +357,32 @@ def _cmd_calpha(args):
             N, M = int(n_str), int(m_str)
         except ValueError:
             raise ValueError("--window wants N,M: two integers") from None
-        res = windowed_cassels(ctx, N, M,
-                               include_zero=not args.exclude_zero,
-                               collect_witnesses=args.dump)
+        res = windowed_cassels(ctx, N, M, include_zero=not args.exclude_zero)
     elif args.x is not None:
-        res = c_alpha(ctx, args.x, collect_witnesses=args.dump)
+        res = c_alpha(ctx, args.x)
     else:
         raise ValueError("one of --x / --window is required")
-    rec = asdict(res)
-    if not args.dump:
-        rec.pop("witnesses", None)
+    n, p = res.witnesses.T
+    if args.dump and args.format == "csv":
+        _write(args.out, "n,p,cls", n.size,
+               lambda i, j: _str_cells(n[i:j], p[i:j], n[i:j] % p[i:j]))
+        return 0
+    rec = {k: v for k, v in vars(res).items() if k != "witnesses"}
     if args.prop54:
         rec["prop54"] = asdict(verify_prop54(ctx, args.x))
     rec["config"] = _config(args)
-    if args.dump and args.format == "csv":
-        rows = [{"n": n, "p": p, "cls": c} for n, p, c in res.witnesses]
-        _emit(rows, "csv", args.out, header_keys=["n", "p", "cls"])
-        return 0
-    _emit([rec], args.format, args.out)
+    rec = _clean(rec)
+    if args.dump:
+        rec["witnesses"] = np.column_stack((n, p, n % p)).tolist()
+    _emit([rec], args.format, args.out, cleaned=True)
     return 0
 
 
 def _cmd_rb(args):
-    res = r_b(args.b, args.x, collect_records=args.dump)
+    res = r_b(args.b, args.x)
     if args.dump:
-        rows = [asdict(r) for r in res.records]
-        _emit(rows, "csv", args.out,
-              header_keys=["b", "n", "pplus", "has_primitive", "method",
-                           "criterion_mismatch"])
+        _write(args.out, ",".join(res.dump_columns(0, 0)), args.x,
+               lambda i, j: _str_cells(*res.dump_columns(i, j).values()))
         return 0
     rec = {"b": args.b, "x": args.x, "count": res.count, "ratio": res.ratio,
            "config": _config(args)}
@@ -499,7 +512,7 @@ def build_parser():
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--dump", action="store_true",
-                    help="emit per-n PrimDivRecords as CSV")
+                    help="emit the per-n CSV table")
     sp.set_defaults(func=_cmd_rb)
 
     sp = sub.add_parser("arctan", help="arctangent irreducibility count N(x)")

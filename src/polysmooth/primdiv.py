@@ -5,9 +5,9 @@ m^2 + b, 1 <= m < n) iff P+(|n^2 + b|) >= 2n, or n is prime and n | b.
 A prime d | n^2 + b divides m^2 + b iff m = +-n (mod d), and such an m in
 [1, n) exists (n - d or d - n) iff d < 2n and d != n; d = n divides n^2 + b
 iff n | b.  (_check_b keeps every m^2 + b nonzero.)  For n > |b| the rule is
-the criterion P+ > 2n; records mark n <= |b| as "direct" and flag where the
-criterion alone would disagree.  arctan n is irreducible iff the rule holds
-for b = 1, which keeps N(x) = R_1(x) exactly.
+the criterion P+ > 2n; the dump columns mark n <= |b| as "direct" and flag
+where the criterion alone would disagree.  arctan n is irreducible iff the
+rule holds for b = 1, which keeps N(x) = R_1(x) exactly.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,6 @@ from .primes import factorize
 from .smoothsieve import pplus_table
 
 __all__ = [
-    "PrimDivRecord",
     "r_b",
     "n_arctan",
     "verify_prop63",
@@ -30,16 +29,6 @@ __all__ = [
 
 MAX_X = 10**8
 MAX_ABS_B = 10**6
-
-
-@dataclass(frozen=True)
-class PrimDivRecord:
-    b: int
-    n: int
-    pplus: int
-    has_primitive: bool
-    method: str  # criterion | direct
-    criterion_mismatch: bool = False
 
 
 def _check_b(b):
@@ -58,57 +47,54 @@ def _quad_poly(b):
     return build_factored([[b, 0, 1]])  # t^2 + b
 
 
-def _record(b, n, pplus, has):
-    if n > abs(b):
-        return PrimDivRecord(b, n, pplus, has, "criterion")
-    return PrimDivRecord(b, n, pplus, has, "direct",
-                         criterion_mismatch=has != (pplus > 2 * n))
-
-
 @dataclass
 class RBResult:
+    """R_b(x) and its per-n columns for n = 1..x: P+(|n^2 + b|) (int64) and
+    whether n^2 + b has a primitive divisor (bool)."""
+
     b: int
     x: int
     count: int
-    records: list = None  # filled on request
+    pplus: np.ndarray
+    has_primitive: np.ndarray
 
     @property
     def ratio(self):
         return self.count / self.x if self.x else 0.0
 
+    def dump_columns(self, lo=0, hi=None):
+        """The rows n = lo+1..hi of the per-n table as named columns: b, n,
+        pplus, has_primitive, method ("direct" for n <= |b|, else
+        "criterion") and criterion_mismatch (a direct n on which P+ > 2n
+        alone would disagree)."""
+        pplus = self.pplus[lo:hi]
+        has = self.has_primitive[lo:hi]
+        n = np.arange(lo + 1, lo + 1 + pplus.size)
+        direct = n <= abs(self.b)
+        return {"b": np.full(n.size, self.b), "n": n, "pplus": pplus,
+                "has_primitive": has,
+                "method": np.where(direct, "direct", "criterion"),
+                "criterion_mismatch": direct & (has != (pplus > 2 * n))}
 
-def _pplus(b, x):
-    """Exact P+(|n^2 + b|) for n = 1..x, from one sieve, as an int64 column
+
+def r_b(b: int, x: int) -> RBResult:
+    """Exact R_b(x): the number of n in [1, x] with a primitive divisor of
+    n^2 + b, from one sieved P+ table, held as an int64 column
     (|n^2 + b| <= 10^16 + 10^6 < 2^63)."""
     _check_b(b)
     if x < 1:
         raise ValueError("x must be >= 1")
     if x > MAX_X:
         raise ValueError(f"x={x} exceeds the sieve budget {MAX_X}")
-    return pplus_table(_quad_poly(b), x).pplus
-
-
-def _count(b, pplus, collect_records):
-    """R_b over the P+ column of n = 1..x: the count, and the per-n records
-    when asked for."""
+    pplus = pplus_table(_quad_poly(b), x).pplus
     # every n^2 + b is nonzero (_check_b): no entry is the P+(0) sentinel
-    has = pplus >= np.arange(2, 2 * pplus.size + 1, 2)  # P+ >= 2n
+    has = pplus >= np.arange(2, 2 * x + 1, 2)  # P+ >= 2n
     # the other way to qualify: n itself prime and n | b
     for n in factorize(abs(b)):
-        if n <= has.size:
+        if n <= x:
             has[n - 1] = True
-    records = None
-    if collect_records:
-        records = [_record(b, n, pp, h) for n, (pp, h) in
-                   enumerate(zip(pplus.tolist(), has.tolist()), 1)]
-    return int(np.count_nonzero(has)), records
-
-
-def r_b(b: int, x: int, collect_records: bool = False) -> RBResult:
-    """Exact R_b(x): the number of n in [1, x] with a primitive divisor of
-    n^2 + b, from one sieved P+ table."""
-    count, records = _count(b, _pplus(b, x), collect_records)
-    return RBResult(b=b, x=x, count=count, records=records)
+    return RBResult(b=b, x=x, count=int(np.count_nonzero(has)), pplus=pplus,
+                    has_primitive=has)
 
 
 @dataclass
@@ -140,14 +126,13 @@ def verify_prop63(b: int, x: int) -> Prop63Report:
     P+ table: Psi_f(x, x) is the number of n with P+(|f(n)|) <= x."""
     if x < 100:
         raise ValueError("x must be >= 100")
-    pplus = _pplus(b, x)
-    count, _ = _count(b, pplus, False)
-    ps = int(np.count_nonzero(pplus <= x))
-    r = abs(count - (x - ps))
+    res = r_b(b, x)
+    ps = int(np.count_nonzero(res.pplus <= x))
+    r = abs(res.count - (x - ps))
     return Prop63Report(
         b=b,
         x=x,
-        r_b=count,
+        r_b=res.count,
         x_minus_psi=x - ps,
         residual=r,
         ratio_normalized=r * log(x) / (x * log(log(x))),

@@ -86,14 +86,15 @@ class CAlphaResult:
     m: int
     x: int
     count: int
-    witnesses: list  # (n, p, n mod p) per counted n
+    witnesses: np.ndarray  # (n, P+) rows, int64, per counted n
     include_zero: bool = False
     lo: int = 1
 
 
-def _unique_class_count(table, exclusion_lo, exclusion_hi, collect_witnesses):
-    """Count n in [table.lo, table.hi] such that some prime p | n^2 - m has
-    its class n (mod p) free of any other k in [exclusion_lo, exclusion_hi].
+def _unique_classes(table, exclusion_lo, exclusion_hi):
+    """The n in [table.lo, table.hi] such that some prime p | n^2 - m has its
+    class n (mod p) free of any other k in [exclusion_lo, exclusion_hi], as
+    (n, P+) rows.
 
     The class of n mod p contains another excluded k iff p <= n - exclusion_lo
     or p <= exclusion_hi - n, so the test is P+(|n^2 - m|) > threshold; the
@@ -103,21 +104,15 @@ def _unique_class_count(table, exclusion_lo, exclusion_hi, collect_witnesses):
     pp = table.pplus
     n = np.arange(table.lo, table.hi + 1)
     hit = pp > np.maximum(np.maximum(n - exclusion_lo, exclusion_hi - n), 1)
-    witnesses = None
-    if collect_witnesses:
-        idx = np.flatnonzero(hit)
-        witnesses = [(k, p, k % p) for k, p in
-                     zip((idx + table.lo).tolist(), pp[idx].tolist())]
-    return int(np.count_nonzero(hit)), witnesses
+    return np.column_stack((n[hit], pp[hit]))
 
 
-def c_alpha(ctx: QuadContext, x: int, collect_witnesses: bool = True) -> CAlphaResult:
+def c_alpha(ctx: QuadContext, x: int) -> CAlphaResult:
     """The number of n in [1, x] such that some prime ideal divides
     (n + sqrt(m)) and divides no other (k + sqrt(m)), 1 <= k <= x."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    return windowed_cassels(ctx, 0, x, include_zero=False,
-                            collect_witnesses=collect_witnesses)
+    return windowed_cassels(ctx, 0, x, include_zero=False)
 
 
 def _window_table(ctx, N, M):
@@ -133,15 +128,14 @@ def _window_table(ctx, N, M):
 
 
 def windowed_cassels(ctx: QuadContext, N: int, M: int,
-                     include_zero: bool = True,
-                     collect_witnesses: bool = False) -> CAlphaResult:
+                     include_zero: bool = True) -> CAlphaResult:
     """Count n in (N, N+M] whose ideal (n + sqrt(m)) has a prime divisor
     dividing no (k + sqrt(m)) for k in [0, N+M] (k from 1 with
     include_zero=False), k != n."""
     table = _window_table(ctx, N, M)
     k0 = 0 if include_zero else 1
-    count, wit = _unique_class_count(table, k0, N + M, collect_witnesses)
-    return CAlphaResult(m=ctx.m, x=N + M, count=count, witnesses=wit or [],
+    wit = _unique_classes(table, k0, N + M)
+    return CAlphaResult(m=ctx.m, x=N + M, count=len(wit), witnesses=wit,
                         include_zero=include_zero, lo=N + 1)
 
 
@@ -164,7 +158,7 @@ def verify_prop54(ctx: QuadContext, x: int) -> Prop54Report:
     if x < 1:
         raise ValueError("x must be >= 1")
     table = _window_table(ctx, 0, x)
-    c, _ = _unique_class_count(table, 1, x, False)
+    c = len(_unique_classes(table, 1, x))
     ps = int(np.count_nonzero(table.pplus <= x))
     r = abs(c - (x - ps))
     return Prop54Report(

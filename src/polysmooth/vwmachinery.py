@@ -21,9 +21,9 @@ the sums live with the oracles in `acceptance`.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from math import fsum, log, sqrt
+from math import fsum, inf, log, sqrt
 
 import numpy as np
 
@@ -121,27 +121,15 @@ class Lemma41Sums:
     s2: float  # same over sqrt(y) < P+(k) <= y
     s3: float  # sum (2 log k - Lambda(k)) Lambda(k) omega(k) / k
     s4: float  # sum Lambda(k) omega(k)
-    comp1: float = field(init=False, default=0.0)
-    comp2: float = field(init=False, default=0.0)
-    comp3: float = field(init=False, default=0.0)
-    comp4: float = field(init=False, default=0.0)
-    res1: float = field(init=False, default=0.0)
-    res2: float = field(init=False, default=0.0)
-    res3: float = field(init=False, default=0.0)
-    res4: float = field(init=False, default=0.0)
-    g: int = 1
-
-    def finalize(self, g, logy, logx):
-        self.g = g
-        self.comp1 = g * logy
-        self.comp2 = g / 2 * logy
-        self.comp3 = g / 2 * logy * logy
-        self.comp4 = (self.y * logx / logy) if logy > 0 else 0.0
-        self.res1 = self.s1 - self.comp1
-        self.res2 = self.s2 - self.comp2
-        self.res3 = self.s3 - self.comp3
-        self.res4 = self.s4 - self.comp4
-        return self
+    comp1: float  # g log y
+    comp2: float  # g/2 log y
+    comp3: float  # g/2 log^2 y
+    comp4: float  # y log x / log y
+    res1: float  # s_i - comp_i
+    res2: float
+    res3: float
+    res4: float
+    g: int
 
 
 def _window(inst):
@@ -468,6 +456,8 @@ def lemma41_sums(f: FactoredPoly, x: int, y) -> Lemma41Sums:
         raise ValueError(f"x={x} exceeds the bound {MAX_LEMMA41_X}")
     if x < 1:
         raise ValueError("x must be >= 1")
+    if not 1 <= y < inf:  # nan fails too
+        raise ValueError("y must be finite and >= 1")
     t1, t2, t3, t4 = [], [], [], []
     primes = primes_up_to(min(int(y), x))
     root_classes(f, primes)
@@ -485,7 +475,12 @@ def lemma41_sums(f: FactoredPoly, x: int, y) -> Lemma41Sums:
                 t4.append(lp * w)
             k *= p
             v += 1
-    sums = Lemma41Sums(x=x, y=float(y), s1=fsum(t1), s2=fsum(t2),
-                       s3=fsum(t3), s4=fsum(t4))
+    s1, s2, s3, s4 = fsum(t1), fsum(t2), fsum(t3), fsum(t4)
+    g = f.g
     logy = log(y) if y >= 2 else 0.0
-    return sums.finalize(f.g, logy, log(x))
+    comp1, comp2, comp3 = g * logy, g / 2 * logy, g / 2 * logy * logy
+    comp4 = float(y) * log(x) / logy if logy > 0 else 0.0
+    return Lemma41Sums(x=x, y=float(y), s1=s1, s2=s2, s3=s3, s4=s4,
+                       comp1=comp1, comp2=comp2, comp3=comp3, comp4=comp4,
+                       res1=s1 - comp1, res2=s2 - comp2, res3=s3 - comp3,
+                       res4=s4 - comp4, g=g)

@@ -220,6 +220,47 @@ def test_rb_dump(capsys):
     assert len(lines) == 11
 
 
+@pytest.mark.parametrize("argv", [
+    ["psi", "--factors", "[[-2,1],[2,1]]", "--x", "23", "--y", "5", "--dump"],
+    # f(n) passes 2^63 at n = 10: object cells after int64 ones
+    ["psi", "--factors", "[[9223372036854775708,0,1]]", "--x", "23", "--y",
+     "1000", "--dump"],
+    ["rb", "--b", "-2", "--x", "23", "--dump"],
+    ["calpha", "--m", "2", "--x", "60", "--dump", "--format", "csv"],
+    ["calpha", "--m", "2", "--window", "0,0", "--dump", "--format", "csv"],
+    ["dickman", "--u-max", "3", "--step", "0.125", "--format", "csv"],
+])
+def test_tables_written_in_blocks_match_one_block(monkeypatch, capsys, argv):
+    rc, whole = run_cli(capsys, argv)
+    assert rc == 0
+    rows = whole.count("\n") - 1
+    assert rows < cli._BLOCK
+    # blocks of 1, blocks of 4 with a partial last one, one short block
+    for block in (1, 4, rows + 1):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        assert run_cli(capsys, argv) == (0, whole), block
+
+
+def test_calpha_dump_classes(capsys):
+    rc, out = run_cli(capsys, ["calpha", "--m", "2", "--x", "60", "--dump",
+                               "--format", "csv"])
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "n,p,cls"
+    for line in lines[1:]:
+        n, p, cls = map(int, line.split(","))
+        assert (n * n - 2) % p == 0 and n % p == cls
+
+
+def test_empty_record_list_prints_one_newline(tmp_path, capsys):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("[]")
+    for fmt in ("json", "csv"):
+        rc, out = run_cli(capsys, ["vw-verify", "--config", str(cfg),
+                                   "--format", fmt])
+        assert (rc, out) == (0, "\n"), fmt
+
+
 def test_arctan_subcommand(capsys):
     rc, out = run_cli(capsys, ["arctan", "--x", "10"])
     assert rc == 0
@@ -392,8 +433,10 @@ def test_bad_inputs_are_domain_errors(tmp_path, capsys):
         (["bound", "--d", "2", "--g", "1", "--u", "1e18"], "decimal limit"),
         (["psi", "--poly", "t^2+1", "--x", "10", "--u", "1e18"],
          "decimal limit"),
-        (["dickman", "--step", "0"], "--step must be > 0"),
-        (["dickman", "--step", "-1"], "--step must be > 0"),
+        (["dickman", "--step", "0"], "--step must be finite and > 0"),
+        (["dickman", "--step", "-1"], "--step must be finite and > 0"),
+        (["dickman", "--step", "inf"], "--step must be finite and > 0"),
+        (["dickman", "--step", "nan"], "--step must be finite and > 0"),
         (["dickman", "--u-max", "inf"], "--u-max must lie in"),
         (["vw-verify", "--poly", "t^2+1", "--x", "50", "--z", "10"],
          "needs --x, --z and --y"),

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from polysmooth.acceptance import _primitive_definition_oracle
@@ -28,10 +29,10 @@ def _first_occurrence_flags(b, x):
 
 
 def test_examples():
-    records = r_b(1, 7, collect_records=True).records
-    assert records[1].has_primitive  # P+(5) = 5 > 4
-    assert not records[2].has_primitive  # arctan 3 reducible
-    assert not records[6].has_primitive  # 50 = 2 * 5^2
+    has = r_b(1, 7).has_primitive
+    assert has[1]  # P+(5) = 5 > 4
+    assert not has[2]  # arctan 3 reducible
+    assert not has[6]  # 50 = 2 * 5^2
 
 
 def test_hypothesis_violation():
@@ -42,10 +43,10 @@ def test_hypothesis_violation():
 
 
 def test_n1_definition_vs_criterion():
-    rec = r_b(1, 1, collect_records=True).records[0]
-    assert rec.has_primitive  # A_1 = 2, empty earlier-term relation
-    assert rec.method == "direct"
-    assert rec.criterion_mismatch  # P+(2) = 2 is not > 2
+    row = {k: c[0] for k, c in r_b(1, 1).dump_columns().items()}
+    assert row["has_primitive"]  # A_1 = 2, empty earlier-term relation
+    assert row["method"] == "direct"
+    assert row["criterion_mismatch"]  # P+(2) = 2 is not > 2
 
 
 def test_first_occurrence_oracle_matches_literal_scan():
@@ -60,26 +61,27 @@ def test_criterion_matches_definition():
     # n | b also decides): negative b, and b with many prime divisors
     for b in [1, 2, 3, 5, -2, -6, 30, -30, 210, -399, 2000]:
         flags = _first_occurrence_flags(b, 2000)
-        res = r_b(b, 2000, collect_records=True)
+        res = r_b(b, 2000)
         for n in range(1, 2001):
-            assert res.records[n - 1].has_primitive == flags[n - 1], (b, n)
+            assert res.has_primitive[n - 1] == flags[n - 1], (b, n)
         assert r_b(b, 2000).count == res.count == sum(flags), b
 
 
 def test_boundary_direct_method():
     for b in [3, 5, 7, -2, -3, -6]:
-        records = r_b(b, abs(b) + 1, collect_records=True).records
-        assert records[-1].method == "criterion"
-        for n, rec in enumerate(records[:-1], 1):
-            assert rec.n == n
-            assert rec.method == "direct"
-            assert rec.has_primitive == _primitive_definition_oracle(b, n), (b, n)
+        cols = r_b(b, abs(b) + 1).dump_columns()
+        assert cols["method"][-1] == "criterion"
+        for n in range(1, abs(b) + 1):
+            assert cols["n"][n - 1] == n
+            assert cols["method"][n - 1] == "direct"
+            assert cols["has_primitive"][n - 1] == \
+                _primitive_definition_oracle(b, n), (b, n)
 
 
 def test_r1_of_10():
-    res = r_b(1, 10, collect_records=True)
+    res = r_b(1, 10)
     assert res.count == 7
-    members = [r.n for r in res.records if r.has_primitive]
+    members = (np.flatnonzero(res.has_primitive) + 1).tolist()
     assert members == [1, 2, 4, 5, 6, 9, 10]
 
 
@@ -97,11 +99,11 @@ def test_n_arctan_examples():
 
 
 def test_n_equals_r1():
-    res = r_b(1, 2000, collect_records=True)
-    # N(x) = R_1(x) for every x <= 2000: the prefix counts of R_1's records
+    res = r_b(1, 2000)
+    # N(x) = R_1(x) for every x <= 2000: the prefix counts of R_1's column
     count = 0
-    for n, rec in enumerate(res.records, 1):
-        count += rec.has_primitive
+    for n, has in enumerate(res.has_primitive.tolist(), 1):
+        count += has
         if n % 97 == 0 or n <= 20:
             assert n_arctan(n).count == count, n
     assert n_arctan(2000).count == count == res.count
@@ -114,6 +116,6 @@ def test_prop63_shape():
 
 
 def test_degenerate_range_below_b():
-    res = r_b(100, 5, collect_records=True)
-    assert len(res.records) == 5
-    assert all(r.method == "direct" for r in res.records)
+    res = r_b(100, 5)
+    assert len(res.has_primitive) == 5
+    assert all(m == "direct" for m in res.dump_columns()["method"])

@@ -93,9 +93,11 @@ def test_c_alpha_against_oracle():
             got = c_alpha(ctx, x)
             assert got.count == _c_alpha_oracle(ctx.m, x), (ctx.m, x)
             assert len(got.witnesses) == got.count
-            for n, p, cls in got.witnesses:
+            for n, p in got.witnesses.tolist():
                 assert (n * n - ctx.m) % p == 0
-                assert n % p == cls
+                # the class n mod p is a root class of t^2 - m
+                cls = n % p
+                assert (cls * cls - ctx.m) % p == 0
                 # the witness ideal divides no other (k + sqrt m), k <= x
                 assert p > max(n - 1, x - n)
 

@@ -276,6 +276,29 @@ def test_lemma41_scale_guard():
         lemma41_sums(T2P1, 10**7 + 1, 10)
 
 
+@pytest.mark.parametrize("y", [float("inf"), float("nan"), 0.5, 0, -3])
+def test_lemma41_rejects_y_outside_its_domain(y):
+    with pytest.raises(ValueError, match="^y must be finite and >= 1$"):
+        lemma41_sums(T2P1, 100, y)
+
+
+def test_lemma41_comparators_and_residuals():
+    from dataclasses import asdict
+
+    res = lemma41_sums(T2P1, 1000, 50)
+    logy = log(50)
+    assert (res.g, res.x, res.y) == (1, 1000, 50.0)
+    assert (res.comp1, res.comp2, res.comp3) == \
+        (logy, 1 / 2 * logy, 1 / 2 * logy * logy)
+    assert res.comp4 == 50.0 * log(1000) / logy
+    for i in range(1, 5):
+        rec = asdict(res)
+        assert rec[f"res{i}"] == rec[f"s{i}"] - rec[f"comp{i}"]
+    # y in [1, 2): no primes, and no log y to compare with
+    res = lemma41_sums(T2P1, 100, 1)
+    assert res.comp1 == res.comp4 == res.res4 == 0.0
+
+
 def _literal_tail(f, heads, pool, h):
     """The "-" tail tuple by tuple: every head times every pool entry that
     escapes h, zero terms included, omega_f from a fresh factorization of

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
 from math import inf
 
 import numpy as np
@@ -42,8 +42,7 @@ def _fmt_float(v):
 
 
 def _clean(obj):
-    """12-significant-digit floats, JSON-safe infinities, dataclass unwrap."""
-    # scalars, then containers: is_dataclass is the dearest test
+    """12-significant-digit floats and JSON-safe infinities."""
     if isinstance(obj, float):
         return _fmt_float(obj)
     if obj is None or isinstance(obj, (int, str)):
@@ -52,8 +51,6 @@ def _clean(obj):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _clean(asdict(obj))
     return obj
 
 
@@ -137,8 +134,10 @@ _SCHEMAS = {
         "u": "log x / log y when supplied",
         "ratio": "psi / x",
         "martin": "product of rho(d_j u) over factor degrees (null if d_j*u > 20)",
-        "thm11_main": "main-term coefficient gamma_f(u) g^[u]/(d(d-1)^([u]-1) u^[u])",
-        "thm11_main_x": "main term times x (d >= 2 only)",
+        "thm11_main": "main-term coefficient gamma_f(u) g^[u]/(d(d-1)^([u]-1) u^[u]) "
+                      "(d >= 2 only; null if u < 1, where gamma_f(u) is undefined)",
+        "thm11_main_x": "main term times x (d >= 2 only; null if u < 1)",
+        "thm11_u_in_range": "1 <= u <= sqrt(log x)/log log x (d >= 2 only; false if u < 1)",
         "t0": "monotonicity threshold T_0(f) used by downstream instances",
         "dump columns": "n, f(n), pplus, smooth (CSV with --dump)",
     },
@@ -213,11 +212,14 @@ def _cmd_psi(args):
             rec["martin"] = martin_prediction(f.degrees, args.u)
         else:
             rec["martin"] = None
-        if f.d >= 2:
+        if f.d >= 2 and args.u >= 1:
             rep = make_bound_report(f.d, f.g, args.u, x=args.x)
             rec["thm11_main"] = rep.thm11_main
             rec["thm11_main_x"] = rep.thm11_main_x
             rec["thm11_u_in_range"] = rep.thm11_u_in_range
+        elif f.d >= 2:  # gamma_f(u) is defined for u >= 1 only
+            rec["thm11_main"] = rec["thm11_main_x"] = None
+            rec["thm11_u_in_range"] = False
     if args.dump:
         def block(i, j):
             # P+(0), stored as 0, is written as the "inf" _clean writes

@@ -6,11 +6,12 @@ list of primes at once, one uint64 numpy lane per prime.  Each factor is
 reduced mod p, and the lanes run grouped by the reduced degree, which
 drops where p divides the leading coefficient: closed forms for degree
 <= 2, and gcd(f, X^p - X) with randomized equal-degree splitting for degree
->= 3.  p = 2 is scanned.  roots_mod_p asks root_classes for a prime not yet
-in f's root cache; a caller that visits many primes one at a time fills the
-cache with one root_classes call first.  Roots mod p^v come from Hensel
-lifting one level at a time, where a singular root lifts to all p classes
-above it or to none, by one evaluation of f.
+>= 3.  p = 2 is scanned.  lift_roots reads every level from f's caches,
+as a sorted tuple: level 1 asks root_classes for a prime not yet in the
+root cache (a caller that visits many primes one at a time fills it with
+one root_classes call first), and level v >= 2 comes from Hensel lifting
+level v - 1, where a singular root lifts to all p classes above it or to
+none, by one evaluation of f.
 """
 
 import random
@@ -52,27 +53,10 @@ def _eval_mod(poly, u, m):
     return acc
 
 
-def _roots_of_prime(f, p):
-    """The sorted roots of f mod p, through f's root cache; a p not cached
-    yet is checked to be a prime below MAX_PRIME first."""
-    residues = f._root_cache.get(p)
-    if residues is None:
-        if p >= MAX_PRIME:
-            raise ValueError(f"p={p} exceeds the desk-scale prime bound 2^32")
-        if p < 2 or not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        root_classes(f, [p])
-        residues = f._root_cache[p]
-    return residues
-
-
 def roots_mod_p(f: FactoredPoly, p: int) -> RootSet:
-    """All u (mod p) with f(u) = 0 (mod p), exactly.  The RootSet is built
-    once, on the first request, and kept as level 1 of f's lift cache."""
-    rs = f._lift_cache.get((p, 1))
-    if rs is None:
-        rs = f._lift_cache[(p, 1)] = RootSet(p, 1, _roots_of_prime(f, p))
-    return rs
+    """All u (mod p) with f(u) = 0 (mod p), exactly, as a RootSet over the
+    tuple lift_roots caches."""
+    return RootSet(p, 1, lift_roots(f, p, 1))
 
 
 # ------------------------------------------------------------------- lanes
@@ -379,24 +363,19 @@ def root_classes(f: FactoredPoly, primes):
     `primes` is an ascending list of primes, as primes_up_to returns it;
     only its bound is checked, not the primality of each entry.  The roots
     mod every prime not yet in f's root cache are found by _batch_roots, in
-    blocks of LANE_BLOCK primes, and cached, so roots_mod_p and lift_roots
-    find them there.
+    blocks of LANE_BLOCK primes, and cached; the answer is read back from
+    the cache.
     """
     if primes and primes[-1] >= MAX_PRIME:
         raise ValueError(f"p={primes[-1]} exceeds the desk-scale prime bound 2^32")
     cache = f._root_cache
     todo = [p for p in primes if p not in cache]
-    Ps, Rs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for start in range(0, len(todo), LANE_BLOCK):
         block = todo[start:start + LANE_BLOCK]
         lanes, roots = _batch_roots(f, block)
         counts = np.bincount(lanes, minlength=len(block))
         it = iter(roots.tolist())
         cache.update(zip(block, [tuple(islice(it, c)) for c in counts.tolist()]))
-        Ps.append(np.array(block, dtype=np.int64)[lanes])
-        Rs.append(roots)
-    if len(todo) == len(primes):
-        return np.concatenate(Ps), np.concatenate(Rs)
     sets = [cache[p] for p in primes]
     counts = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
     R = np.fromiter(chain.from_iterable(sets), dtype=np.int64,
@@ -404,9 +383,11 @@ def root_classes(f: FactoredPoly, primes):
     return np.repeat(np.array(primes, dtype=np.int64), counts), R
 
 
-def lift_roots(f: FactoredPoly, p: int, v: int) -> RootSet:
-    """All u (mod p^v) with f(u) = 0 (mod p^v), by Hensel lifting the roots
-    mod p^(v-1); every level is built once and cached.
+def lift_roots(f: FactoredPoly, p: int, v: int) -> tuple:
+    """All u (mod p^v) with f(u) = 0 (mod p^v), as a sorted tuple; every
+    level is built once and cached.  Level 1 is f's root cache, where a p
+    not cached yet is checked prime and sent through root_classes; level
+    v >= 2 Hensel lifts the roots mod p^(v-1).
 
     For a root u mod p^k, f(u + t p^k) = f(u) + t p^k f'(u) (mod p^(k+1)).
     So a simple root (f'(u) != 0 mod p) lifts to the one t that solves it,
@@ -418,25 +399,28 @@ def lift_roots(f: FactoredPoly, p: int, v: int) -> RootSet:
     if p**v > MAX_PRIME_POWER:
         raise ValueError(f"p^v = {p}^{v} exceeds the magnitude budget 2^64")
     if v == 1:
-        return roots_mod_p(f, p)
-    rs = f._lift_cache.get((p, v))
-    if rs is None:
-        # level 1 straight from the root cache: no RootSet for it
-        roots = (_roots_of_prime(f, p) if v == 2
-                 else lift_roots(f, p, v - 1).residues)
+        roots = f._root_cache.get(p)
+        if roots is None:
+            if p < 2 or not is_prime(p):
+                raise ValueError(f"p={p} is not prime")
+            root_classes(f, [p])  # checks p < MAX_PRIME
+            roots = f._root_cache[p]
+        return roots
+    roots = f._lift_cache.get((p, v))
+    if roots is None:
         fpoly, fprime = f.product, f.derivative()
         mod_k = p ** (v - 1)
         mod_next = mod_k * p
         nxt = []
-        for u in roots:
+        for u in lift_roots(f, p, v - 1):
             fu = _eval_mod(fpoly, u, mod_next)
             fp_u = _eval_mod(fprime, u, p)
             if fp_u:
                 nxt.append(u + (-(fu // mod_k)) * pow(fp_u, -1, p) % p * mod_k)
             elif fu == 0:
                 nxt.extend(range(u, mod_next, mod_k))
-        rs = f._lift_cache[(p, v)] = RootSet(p, v, tuple(sorted(nxt)))
-    return rs
+        roots = f._lift_cache[(p, v)] = tuple(sorted(nxt))
+    return roots
 
 
 def omega_factored(f: FactoredPoly, fact: dict) -> int:

@@ -22,6 +22,10 @@ __all__ = [
     "discriminant",
 ]
 
+# the largest total degree: a dense degree-64 f with 2-digit coefficients
+# takes 1-4 s to build (rational root test, discriminant), degree 80 about 8 s
+MAX_DEGREE = 64
+
 
 class IntPoly:
     """Dense integer polynomial in t, lowest-degree-first coefficients.
@@ -170,6 +174,8 @@ def parse_poly(text):
         seen_term = True
     if not seen_term:
         raise ValueError(f"no terms found in {text!r}")
+    if max(coeffs) > MAX_DEGREE:  # before the coefficient list is allocated
+        raise ValueError(f"t^{max(coeffs)} exceeds the degree limit {MAX_DEGREE}")
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         out[e] = c
@@ -345,8 +351,9 @@ def build_factored(factors):
 
     disc(FG) = disc(F) disc(G) Res(F, G)^2 is applied pairwise, so the total
     discriminant never requires expanding-then-factoring.  Rejects duplicate
-    factors, non-primitive factors, and any factor of degree >= 2 with a
-    rational root (found by bisection, with no coefficient factored).
+    factors, non-primitive factors, a total degree above MAX_DEGREE, and any
+    factor of degree >= 2 with a rational root (found by bisection, with no
+    coefficient factored).
     """
     if not isinstance(factors, (list, tuple)):
         raise ValueError("factors must be a list of factors")
@@ -374,6 +381,9 @@ def build_factored(factors):
         polys.append(f)
     if len(set(polys)) != len(polys):
         raise ValueError("duplicate factor")
+    d = sum(f.degree for f in polys)
+    if d > MAX_DEGREE:
+        raise ValueError(f"total degree {d} exceeds the degree limit {MAX_DEGREE}")
     statuses = []
     for f in polys:
         if f.degree == 1:
@@ -399,7 +409,7 @@ def build_factored(factors):
         factors=tuple(polys),
         degrees=tuple(f.degree for f in polys),
         g=len(polys),
-        d=sum(f.degree for f in polys),
+        d=d,
         disc_abs=abs(disc_total),
         statuses=tuple(statuses),
         product=product,

@@ -280,7 +280,7 @@ def _log_classes(f, primes, lo, hi):
                 nxt = None
                 if (q < count and q * p <= _MAX_LEVEL
                         and (suspect % p or p <= _MAX_CLASSES)):
-                    nxt = lift_roots(part, p, k + 1).residues
+                    nxt = lift_roots(part, p, k + 1)
                 if nxt is None or len(nxt) > _MAX_CLASSES:
                     deep += [(i, p, q, r) for r in roots]
                     break

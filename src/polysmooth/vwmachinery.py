@@ -173,7 +173,7 @@ def _crt_roots(f, fact):
     mod = 1
     roots = [0]
     for p, e in fact.items():
-        rs = lift_roots(f, p, e).residues
+        rs = lift_roots(f, p, e)
         pe = p**e
         if not rs:
             return mod * pe, []

@@ -413,6 +413,24 @@ def test_infinite_and_tiny_bounds_give_exact_counts(capsys):
         assert json.loads(out)["thm11_main"] == 0.0, argv
 
 
+@pytest.mark.parametrize("poly, psi", [
+    (["--poly", "t^2+1"], 1000),
+    (["--poly", "t^3+2"], 645),
+    (["--factors", "[[0,1],[1,0,1]]"], 1000),
+])
+def test_psi_u_below_1_keeps_the_count(capsys, poly, psi):
+    # y = 1000^2: gamma_f(u) is undefined below u = 1, so the main term is
+    # null and u out of range, while the count is the one --y gives
+    rc, out = run_cli(capsys, ["psi", *poly, "--x", "1000", "--u", "0.5"])
+    assert rc == 0
+    rec = json.loads(out)
+    assert rec["psi"] == psi and rec["y"] == 1e6
+    assert rec["thm11_main"] is None and rec["thm11_main_x"] is None
+    assert rec["thm11_u_in_range"] is False
+    rc, out = run_cli(capsys, ["psi", *poly, "--x", "1000", "--y", "1e6"])
+    assert json.loads(out)["psi"] == psi
+
+
 def test_out_of_memory_is_a_domain_error(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -433,6 +451,10 @@ def test_bad_inputs_are_domain_errors(tmp_path, capsys):
         (["bound", "--d", "2", "--g", "1", "--u", "1e18"], "decimal limit"),
         (["psi", "--poly", "t^2+1", "--x", "10", "--u", "1e18"],
          "decimal limit"),
+        # past the limit: a RecursionError, 24 s of discriminant, a hang
+        *[(["psi", "--poly", poly, "--x", "10", "--y", "10"],
+           "exceeds the degree limit 64") for poly in ("t^3000+1", "t^300+t+1",
+                                                "t^10000000")],
         (["dickman", "--step", "0"], "--step must be finite and > 0"),
         (["dickman", "--step", "-1"], "--step must be finite and > 0"),
         (["dickman", "--step", "inf"], "--step must be finite and > 0"),

@@ -8,6 +8,7 @@ import pytest
 from polysmooth import modroots
 from polysmooth.polyarith import IntPoly, build_factored
 from polysmooth.modroots import (
+    RootSet,
     _eval_mod,
     lift_roots,
     omega,
@@ -270,11 +271,11 @@ def test_roots_deterministic_across_fresh_objects():
 
 
 def test_lift_roots_examples():
-    assert lift_roots(T2P1, 5, 2).residues == (7, 18)
-    assert lift_roots(T2P1, 2, 2).residues == ()
+    assert lift_roots(T2P1, 5, 2) == (7, 18)
+    assert lift_roots(T2P1, 2, 2) == ()
     t = build_factored(["t"])
     for p, v in [(3, 4), (7, 3), (2, 10)]:
-        assert lift_roots(t, p, v).residues == (0,)
+        assert lift_roots(t, p, v) == (0,)
 
 
 def test_lift_roots_scan_oracle():
@@ -288,7 +289,7 @@ def test_lift_roots_scan_oracle():
         for v in range(1, top + 1):
             mod = p**v
             expect = tuple(u for u in range(mod) if f(u) % mod == 0)
-            assert lift_roots(f, p, v).residues == expect, (f, p, v)
+            assert lift_roots(f, p, v) == expect, (f, p, v)
 
 
 def test_omega_of_a_singular_prime_square_needs_no_scan():
@@ -304,6 +305,37 @@ def test_omega_of_a_singular_prime_square_needs_no_scan():
 def test_lift_budget():
     with pytest.raises(ValueError):
         lift_roots(T2P1, 2, 65)
+
+
+def test_root_store_domain_errors():
+    f = build_factored(["t^2+1"])  # nothing cached yet
+    p32 = (1 << 32) + 15  # the least prime above 2^32
+    for p, v, msg in [(5, 0, "v must be >= 1"), (5, -1, "v must be >= 1"),
+                      (2, 65, "budget 2\\^64"), (3, 41, "budget 2\\^64"),
+                      (10, 1, "p=10 is not prime"), (10, 2, "p=10 is not prime"),
+                      (1, 1, "p=1 is not prime"), (p32, 1, "bound 2\\^32"),
+                      ((1 << 32) - 1, 1, "not prime")]:
+        with pytest.raises(ValueError, match=msg):
+            lift_roots(f, p, v)
+    with pytest.raises(ValueError, match="bound 2\\^32"):
+        root_classes(f, [2, 3, p32])
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        omega(f, -3)
+    assert not f._root_cache and not f._lift_cache
+
+
+def test_root_store_holds_one_tuple_per_level():
+    f = build_factored(["t^3+2", "t^2+7"])
+    root_classes(f, primes_up_to(100))
+    levels = [(p, v) for p in (2, 3, 5, 7, 11, 101, 103) for v in (1, 2, 3)]
+    first = {pv: lift_roots(f, *pv) for pv in levels}  # 101, 103: cache misses
+    assert all(lift_roots(f, *pv) is first[pv] for pv in levels)
+    stored = [*f._root_cache.values(), *f._lift_cache.values()]
+    assert len(stored) == 27 + 2 * 7  # 25 primes below 100, 101, 103
+    assert all(type(r) is tuple for r in stored)
+    for p in (2, 3, 5, 7, 11, 101, 103):
+        assert lift_roots(f, p, 1) is f._root_cache[p]
+        assert roots_mod_p(f, p) == RootSet(p, 1, lift_roots(f, p, 1))
 
 
 def test_omega_examples():

@@ -1,9 +1,11 @@
+import json
 import time
 from itertools import product
 
 import pytest
 
 from polysmooth.polyarith import (
+    MAX_DEGREE,
     IntPoly,
     _cauchy_bound,
     _has_rational_root,
@@ -35,6 +37,21 @@ def test_parse_rejects_garbage():
     for bad in ["[0]", "0", "", "t^-2", "x^2", "1.5t", "[1, 2.5]"]:
         with pytest.raises(ValueError):
             parse_poly(bad)
+
+
+def test_degree_limit():
+    assert parse_poly(f"t^{MAX_DEGREE}+t+1").degree == MAX_DEGREE
+    start = time.perf_counter()
+    for bad in [f"t^{MAX_DEGREE + 1}", "t^10000000"]:
+        with pytest.raises(ValueError, match="exceeds the degree limit"):
+            parse_poly(bad)
+    assert time.perf_counter() - start < 1.0  # no list of 10^7 coefficients
+    # the total degree of the product counts, in any input form
+    assert build_factored([f"t^{MAX_DEGREE - 1}+t+1", [1, 1]]).d == MAX_DEGREE
+    for bad in ([f"t^{MAX_DEGREE}+t+1", [1, 1]], [[1] * (MAX_DEGREE + 2)],
+                [parse_poly(json.dumps([1] * (MAX_DEGREE + 2)))]):
+        with pytest.raises(ValueError, match="exceeds the degree limit"):
+            build_factored(bad)
 
 
 def test_eval_exact():

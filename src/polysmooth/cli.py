@@ -9,9 +9,11 @@ error (or failed verify), 2 usage error.
 
 import argparse
 import json
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
+from itertools import repeat
 from math import inf
 
 import numpy as np
@@ -27,8 +29,8 @@ from .vwmachinery import VWInstance, lemma31_check, vw_prop21, vw_prop32
 
 __all__ = ["main"]
 
-MAX_GRID_POINTS = 10**6  # dickman --format json holds its grid as one record
-_BLOCK = 1 << 16  # rows of a per-n CSV table formatted at a time
+MAX_GRID_POINTS = 10**6  # bounds the rho grid dickman holds as two arrays
+_BLOCK = 1 << 16  # rows of a multi-row output formatted at a time
 
 
 def _fmt_float(v):
@@ -57,10 +59,9 @@ def _clean(obj):
 _JSON = json.JSONEncoder(sort_keys=True)
 
 
-def _emit(records, fmt, out, cleaned=False):
-    """Write records as JSON lines or CSV; `cleaned` records are already
-    what _clean would make of them."""
-    rows = records if cleaned else [_clean(r) for r in records]
+def _emit(records, fmt, out):
+    """Write records that share no row template as JSON lines or CSV."""
+    rows = [_clean(r) for r in records]
     if fmt == "json":
         lines = [_JSON.encode(r) for r in rows]
     else:
@@ -68,7 +69,7 @@ def _emit(records, fmt, out, cleaned=False):
         lines = [",".join(keys)]
         for r in rows:
             lines.append(",".join(_csv_cell(r.get(k, "")) for k in keys))
-    _write(out, "\n".join(lines))
+    _write(out, "\n".join(lines) + "\n")
 
 
 def _csv_cell(v):
@@ -80,26 +81,78 @@ def _csv_cell(v):
     return s
 
 
-def _write(out, head, rows=0, block=None):
-    """Write `head` and a newline, then the `rows` rows of a per-n CSV table
-    a block at a time: block(i, j) gives rows i..j-1 as columns of str
-    cells, joined here row by row, so only one block's cells are held."""
+def _slot(i):
+    """A per-row field of a record template: column i of the rows."""
+    return f"\x00{i}"
+
+
+# _slot(i) as JSON writes it (its quotes doubled inside a CSV cell) or as a
+# bare CSV cell.  No command-line argument holds a NUL, so no other text
+# of a record matches.
+_SLOTS = re.compile(r'(?:"{1,2}\\u0000|\x00)(\d+)"{0,2}')
+
+
+def _template(obj, fmt="json"):
+    """The text _clean and _JSON make of `obj`, or for fmt "csv" the CSV
+    row of its sorted fields, as a row template: its literal text with
+    the column number i in place of each _slot(i)."""
+    obj = _clean(obj)
+    if fmt == "json":
+        text = _JSON.encode(obj)
+    else:
+        text = ",".join(_csv_cell(obj[k]) for k in sorted(obj))
+    parts = _SLOTS.split(text)
+    parts[1::2] = map(int, parts[1::2])
+    return parts
+
+
+def _csv_row(n):
+    """The row template of a CSV table of n columns."""
+    return [x for i in range(n) for x in (",", i)][1:] + ["\n"]
+
+
+def _write(out, head, rows=0, block=None, row=(), sep="", tail=""):
+    """Write `head`, then `rows` rows a block at a time, then `tail`.
+    block(i, j) gives rows i..j-1 as columns of str cells (a list, where
+    the template uses the column twice), the row template `row` joins one
+    row's literal text and cells, and `sep` goes between rows, so only
+    one block's cells are held."""
     with open(out, "w") if out else nullcontext(sys.stdout) as fh:
         fh.write(head)
-        fh.write("\n")
         for i in range(0, rows, _BLOCK):
+            if i:
+                fh.write(sep)
             cells = block(i, min(i + _BLOCK, rows))
-            fh.write("\n".join(map(",".join, zip(*cells))))
-            fh.write("\n")
+            parts = (cells[p] if isinstance(p, int) else repeat(p)
+                     for p in row if p != "")
+            fh.write(sep.join(map("".join, zip(*parts))))
+        fh.write(tail)
+
+
+def _emit_list(rec, key, item, rows, block, out):
+    """Write `rec` as one JSON line whose field `key` is a list of `rows`
+    items, each the template of `item` filled from the columns of
+    block(i, j), a block at a time."""
+    head, _, tail = _template({**rec, key: _slot(0)})
+    _write(out, head + "[", rows, block, _template(item), ", ",
+           "]" + tail + "\n")
 
 
 def _str_cells(*columns):
     return [map(str, c.tolist()) for c in columns]
 
 
-def _float_cells(values):
-    """The CSV cells _clean makes of floats: 12 significant digits."""
-    return map(str, map(float, map("{:.12g}".format, values.tolist())))
+_QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+
+
+def _float_cells(values, fmt):
+    """The text _clean makes of floats, as _JSON writes it or as a CSV
+    cell: 12 significant digits, and nan and the infinities as strings,
+    quoted in JSON."""
+    cells = map(repr, map(float, map("{:.12g}".format, values.tolist())))
+    if fmt == "json" and not np.isfinite(values).all():
+        return [_QUOTED.get(c, c) for c in cells]
+    return cells
 
 
 def _poly_from_args(args):
@@ -227,7 +280,7 @@ def _cmd_psi(args):
                     *_str_cells(eval_range(f.product, i + 1, j - i)),
                     map(str, [p or inf for p in table.pplus[i:j].tolist()]),
                     *_str_cells(table.flags[i:j].astype(int)))
-        _write(args.out, "n,f_n,pplus,smooth", args.x, block)
+        _write(args.out, "n,f_n,pplus,smooth\n", args.x, block, _csv_row(4))
         return 0
     _emit([rec], args.format, args.out)
     return 0
@@ -246,9 +299,8 @@ def _cmd_bound(args):
         for g in _parse_grid(args.g, int):
             for u in _parse_grid(args.u, float):
                 rep = make_bound_report(d, g, u, eps=args.eps, x=args.x)
-                rec = asdict(rep)
-                rec["config"] = _config(args, d=d, g=g, u=u)
-                records.append(rec)
+                records.append({**vars(rep),
+                                "config": _config(args, d=d, g=g, u=u)})
     _emit(records, args.format, args.out)
     return 0
 
@@ -264,12 +316,16 @@ def _cmd_dickman(args):
                          f"more than {MAX_GRID_POINTS} grid points")
     us = np.arange(round(span) + 1) * args.step
     rho = rho_grid(us)
-    if args.format == "json":
-        grid = [{"u": u, "rho": r} for u, r in zip(us.tolist(), rho.tolist())]
-        _emit([{"grid": grid, "config": _config(args)}], "json", args.out)
+    fmt = args.format
+
+    def block(i, j):
+        return _float_cells(us[i:j], fmt), _float_cells(rho[i:j], fmt)
+
+    if fmt == "json":
+        _emit_list({"config": _config(args)}, "grid",
+                   {"u": _slot(0), "rho": _slot(1)}, us.size, block, args.out)
     else:
-        _write(args.out, "u,rho", us.size,
-               lambda i, j: (_float_cells(us[i:j]), _float_cells(rho[i:j])))
+        _write(args.out, "u,rho\n", us.size, block, _csv_row(2))
     return 0
 
 
@@ -277,12 +333,14 @@ def _cmd_omega(args):
     from .modroots import omega_grid
 
     f = _poly_from_args(args)
-    config = _clean(_config(args))
+    config = _config(args)
+    config["options"]["k"] = _slot(0)
     ks = _parse_grid(args.k, int)
-    records = [{"k": k, "omega": w,
-                "config": {**config, "options": {**config["options"], "k": k}}}
-               for k, w in zip(ks, omega_grid(f, ks))]
-    _emit(records, args.format, args.out, cleaned=True)
+    cells = [list(map(str, ks)), list(map(str, omega_grid(f, ks)))]
+    rec = {"k": _slot(0), "omega": _slot(1), "config": config}
+    head = "" if args.format == "json" else ",".join(sorted(rec)) + "\n"
+    _write(args.out, head, len(ks), lambda i, j: [c[i:j] for c in cells],
+           _template(rec, args.format) + ["\n"])
     return 0
 
 
@@ -365,26 +423,32 @@ def _cmd_calpha(args):
     else:
         raise ValueError("one of --x / --window is required")
     n, p = res.witnesses.T
+
+    def block(i, j):
+        return _str_cells(n[i:j], p[i:j], n[i:j] % p[i:j])
+
     if args.dump and args.format == "csv":
-        _write(args.out, "n,p,cls", n.size,
-               lambda i, j: _str_cells(n[i:j], p[i:j], n[i:j] % p[i:j]))
+        _write(args.out, "n,p,cls\n", n.size, block, _csv_row(3))
         return 0
     rec = {k: v for k, v in vars(res).items() if k != "witnesses"}
     if args.prop54:
         rec["prop54"] = asdict(verify_prop54(ctx, args.x))
     rec["config"] = _config(args)
-    rec = _clean(rec)
     if args.dump:
-        rec["witnesses"] = np.column_stack((n, p, n % p)).tolist()
-    _emit([rec], args.format, args.out, cleaned=True)
+        _emit_list(rec, "witnesses", [_slot(0), _slot(1), _slot(2)], n.size,
+                   block, args.out)
+    else:
+        _emit([rec], args.format, args.out)
     return 0
 
 
 def _cmd_rb(args):
     res = r_b(args.b, args.x)
     if args.dump:
-        _write(args.out, ",".join(res.dump_columns(0, 0)), args.x,
-               lambda i, j: _str_cells(*res.dump_columns(i, j).values()))
+        names = res.dump_columns(0, 0)
+        _write(args.out, ",".join(names) + "\n", args.x,
+               lambda i, j: _str_cells(*res.dump_columns(i, j).values()),
+               _csv_row(len(names)))
         return 0
     rec = {"b": args.b, "x": args.x, "count": res.count, "ratio": res.ratio,
            "config": _config(args)}

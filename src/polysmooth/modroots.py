@@ -17,10 +17,11 @@ none, by one evaluation of f.
 import random
 from dataclasses import dataclass
 from itertools import chain, islice
+from math import isqrt
 
 import numpy as np
 
-from .primes import factorize, is_prime
+from .primes import factorize, is_prime, primes_up_to
 from .polyarith import FactoredPoly
 
 __all__ = ["RootSet", "roots_mod_p", "root_classes", "lift_roots", "omega",
@@ -433,29 +434,80 @@ def omega_factored(f: FactoredPoly, fact: dict) -> int:
     return result
 
 
-def _omega_factorization(k):
-    """The prime factorization of a modulus k that omega accepts."""
+def _check_modulus(k):
+    """Refuse a modulus k that omega does not accept."""
     if k == 0:
         raise ValueError("omega_f(0) is undefined")
     if k < 0:
         raise ValueError("k must be >= 1")
     if k > MAX_OMEGA_K:
         raise ValueError(f"k={k} exceeds the factoring budget 2^48")
-    return factorize(k)
 
 
 def omega(f: FactoredPoly, k: int) -> int:
     """omega_f(k) = #{u mod k : f(u) = 0 mod k}, via multiplicativity over
     the prime factorization of k.  omega_f(1) = 1."""
-    return omega_factored(f, _omega_factorization(k))
+    _check_modulus(k)
+    return omega_factored(f, factorize(k))
 
 
 def omega_grid(f: FactoredPoly, ks) -> list:
-    """omega_f(k) for every k of `ks`, in order, with the roots mod every
-    prime of the grid below 2^32 found in one root_classes batch."""
-    facts = [_omega_factorization(k) for k in ks]
-    root_classes(f, sorted({p for fact in facts for p in fact if p < MAX_PRIME}))
-    return [omega_factored(f, fact) for fact in facts]
+    """omega_f(k) for every k of `ks`, in order, as omega gives it.
+
+    Every k is checked first.  The grid is then factored in one numpy pass:
+    the primes up to B = min(isqrt(max k), len(ks)) are divided out of
+    every k, and a row leaves the pass once its cofactor c is below p^2,
+    so c is 1 or a prime.  A cofactor left at (B+1)^2 or more goes to
+    factorize.  A cofactor of 2^32 or more may hold a prime past MAX_PRIME:
+    that k takes omega itself, after the rest and in grid order, so it
+    fails, or gives 0 first, exactly as omega does.  The roots mod every
+    other prime come from one root_classes batch, and omega_f(k) is the
+    product of len(lift_roots(f, p, e)) over its prime powers p^e, one
+    lift_roots call per distinct (p, e).
+    """
+    ks = list(ks)
+    for k in ks:
+        _check_modulus(k)
+    n = len(ks)
+    if not n:
+        return []
+    cof = np.array(ks, dtype=np.int64)
+    B = min(isqrt(max(ks)), n)
+    rows, ps, es = [], [], []  # per prime p <= B: the rows p divides, p, e
+    live = np.arange(n)
+    for p in primes_up_to(B):
+        live = live[cof[live] >= p * p]
+        hit = live[cof[live] % p == 0]
+        e = np.zeros(hit.size, dtype=np.int64)
+        at = np.arange(hit.size)
+        while at.size:
+            cof[hit[at]] //= p
+            e[at] += 1
+            at = at[cof[hit[at]] % p == 0]
+        rows.append(hit)
+        ps.append(np.full(hit.size, p, dtype=np.int64))
+        es.append(e)
+    alone = np.flatnonzero((cof > 1) & (cof < min((B + 1) ** 2, MAX_PRIME)))
+    rows.append(alone)
+    ps.append(cof[alone])
+    es.append(np.ones(alone.size, dtype=np.int64))
+    big = np.flatnonzero(cof >= MAX_PRIME)
+    for i in np.flatnonzero((cof >= (B + 1) ** 2) & (cof < MAX_PRIME)).tolist():
+        fact = factorize(int(cof[i]))
+        rows.append(np.full(len(fact), i))
+        ps.append(np.fromiter(fact, dtype=np.int64, count=len(fact)))
+        es.append(np.fromiter(fact.values(), dtype=np.int64, count=len(fact)))
+    rows, ps, es = (np.concatenate(a) for a in (rows, ps, es))
+    # e <= 48 (k <= 2^48), so p * 64 + e keys a prime power
+    powers, which = np.unique(ps * 64 + es, return_inverse=True)
+    root_classes(f, np.unique(ps).tolist())
+    counts = np.array([len(lift_roots(f, q >> 6, q & 63))
+                       for q in powers.tolist()], dtype=np.int64)
+    omegas = np.ones(n, dtype=np.int64)
+    np.multiply.at(omegas, rows, counts[which])
+    for i in big.tolist():
+        omegas[i] = omega(f, ks[i])
+    return omegas.tolist()
 
 
 def omega_scan(f, k):

@@ -1,11 +1,17 @@
 import csv
 import hashlib
 import json
+import random
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from polysmooth import cli
+from polysmooth import __version__, cli
+from polysmooth.bounds import make_bound_report
+from polysmooth.modroots import omega
 from polysmooth.polyarith import build_factored
+from polysmooth.quadfield import c_alpha, make_context, windowed_cassels
 from polysmooth.smoothsieve import pplus_oracle
 
 
@@ -229,6 +235,12 @@ def test_rb_dump(capsys):
     ["calpha", "--m", "2", "--x", "60", "--dump", "--format", "csv"],
     ["calpha", "--m", "2", "--window", "0,0", "--dump", "--format", "csv"],
     ["dickman", "--u-max", "3", "--step", "0.125", "--format", "csv"],
+    # one record per row, and one JSON record holding a list
+    ["omega", "--poly", "t^2+1", "--k", ",".join(map(str, range(1, 24)))],
+    ["omega", "--poly", "t^2+1", "--k", "5,1,5,25,7", "--format", "csv"],
+    ["dickman", "--u-max", "3", "--step", "0.125"],
+    ["calpha", "--m", "2", "--x", "60", "--dump"],
+    ["calpha", "--m", "2", "--window", "0,0", "--dump"],
 ])
 def test_tables_written_in_blocks_match_one_block(monkeypatch, capsys, argv):
     rc, whole = run_cli(capsys, argv)
@@ -497,3 +509,120 @@ def test_json_of_the_wrong_type_is_a_domain_error(argv, tmp_path, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# ------------------------------------- the per-record writer, as the oracle
+
+def _per_record(records, fmt, keys=None):
+    """What the CLI wrote before row templates: every record through
+    _clean, then _JSON.encode, or _csv_cell per field under a header of
+    `keys` (all fields, sorted, by default)."""
+    rows = [cli._clean(r) for r in records]
+    if fmt == "json":
+        lines = [cli._JSON.encode(r) for r in rows]
+    else:
+        keys = keys or sorted({k for r in rows for k in r})
+        lines = [",".join(keys)]
+        lines += [",".join(cli._csv_cell(r.get(k, "")) for k in keys)
+                  for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _config(cmd, fmt, **options):
+    return {"subcommand": cmd, "options": options, "format": fmt,
+            "out": None, "version": __version__}
+
+
+_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324,
+           0.1 + 0.2, 1.0000000000005]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_float_cells_match_the_per_record_writer(fmt):
+    rng = random.Random(7)
+    values = _FLOATS + [rng.uniform(-1, 1) * 10.0 ** rng.randrange(-320, 300)
+                        for _ in range(2000)] + [float(i) for i in range(-3, 20)]
+    want = [cli._JSON.encode(cli._clean(v)) if fmt == "json"
+            else cli._csv_cell(cli._clean(v)) for v in values]
+    assert list(cli._float_cells(np.array(values), fmt)) == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_omega_rows_match_the_per_record_writer(capsys, fmt):
+    ks = [1, 10, 4, 65, 10, 1, 1000000, 8191, 1099511627777]
+    f = build_factored(["t^2+1"])
+    records = [{"k": k, "omega": omega(f, k),
+                "config": _config("omega", fmt, poly="t^2+1", factors=None,
+                                  k=k)} for k in ks]
+    argv = ["omega", "--poly", "t^2+1", "--k", ",".join(map(str, ks)),
+            "--format", fmt]
+    assert run_cli(capsys, argv) == (0, _per_record(records, fmt))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("eps, x, us", [
+    (-0.0, 1e16, [1.0, 1.0000000000005, 2.5]),
+    (1e16, 1.0000000000005, [0.1 + 0.2 + 1, 7.0]),
+    (0.0, None, [1.0, 3.0]),
+])
+def test_bound_records_match_the_per_record_writer(capsys, fmt, eps, x, us):
+    records = [{**asdict(make_bound_report(d, g, u, eps=eps, x=x)),
+                "config": _config("bound", fmt, d=d, g=g, u=u, eps=eps, x=x)}
+               for d in (2, 3) for g in (1, 2) for u in us]
+    argv = ["bound", "--d", "2,3", "--g", "1,2", "--u", ",".join(map(repr, us)),
+            "--eps", repr(eps), "--format", fmt]
+    if x is not None:
+        argv += ["--x", repr(x)]
+    assert run_cli(capsys, argv) == (0, _per_record(records, fmt))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_dickman_grid_matches_the_per_record_writer(monkeypatch, capsys, fmt):
+    # rho replaced by the awkward floats; u = k * 0.1 brings its own
+    monkeypatch.setattr(cli, "rho_grid", lambda us: np.resize(_FLOATS, us.size))
+    us = (np.arange(16) * 0.1).tolist()
+    grid = [{"u": u, "rho": r} for u, r in zip(us, np.resize(_FLOATS, 16))]
+    if fmt == "json":
+        want = _per_record([{"grid": grid, "config": _config(
+            "dickman", fmt, u_max=1.5, step=0.1)}], fmt)
+    else:
+        want = _per_record(grid, fmt, keys=["u", "rho"])
+    argv = ["dickman", "--u-max", "1.5", "--step", "0.1", "--format", fmt]
+    assert run_cli(capsys, argv) == (0, want)
+
+
+@pytest.mark.parametrize("argv", [["--x", "60"], ["--x", "60", "--prop54"],
+                                  ["--window", "0,0"]])
+def test_calpha_witnesses_match_the_per_record_writer(capsys, argv):
+    rc, out = run_cli(capsys, ["calpha", "--m", "2", *argv, "--dump"])
+    rec = json.loads(out)
+    ctx = make_context(2)
+    res = (c_alpha(ctx, 60) if "--x" in argv
+           else windowed_cassels(ctx, 0, 0, include_zero=True))
+    n, p = res.witnesses.T
+    want = {**{k: v for k, v in vars(res).items() if k != "witnesses"},
+            "witnesses": np.column_stack((n, p, n % p)).tolist(),
+            "config": rec["config"]}
+    if "--prop54" in argv:
+        want["prop54"] = rec["prop54"]
+    assert (rc, out) == (0, _per_record([want], "json"))
+
+
+def test_omega_error_prints_nothing(capsys):
+    # the check of k = 0 comes before the prime past 2^32 is met
+    assert cli.main(["omega", "--poly", "t^2+1", "--k", "0,4294967357"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: omega_f(0) is undefined\n")
+    assert cli.main(["omega", "--poly", "t^2+1", "--k",
+                     "2,4294967357,10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "2^32" in captured.err
+
+
+def test_omega_zero_before_a_prime_past_2_32(capsys):
+    # omega(3) = 0 for t^2+1, so 3 * 4294967357 never meets the big prime
+    rc, out = run_cli(capsys, ["omega", "--poly", "t^2+1", "--k",
+                               "3,12884902071"])
+    assert rc == 0
+    assert [json.loads(line)["omega"] for line in out.splitlines()] == [0, 0]

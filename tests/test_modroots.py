@@ -549,3 +549,56 @@ def test_omega_grid_matches_omega():
     # a prime factor past 2^32 is refused as omega refuses it
     with pytest.raises(ValueError, match="2\\^32"):
         omega_grid(T2P1, [5, (1 << 32) + 15])
+
+
+def _omega_by_scan(factors, n):
+    """omega_f(k) for k = 1..n from omega_scan at every prime power q <= n,
+    multiplied over a smallest-prime-factor table (CRT)."""
+    f = build_factored(factors)
+    spf = np.zeros(n + 1, dtype=np.int64)
+    for p in primes_up_to(n)[::-1]:
+        spf[p::p] = p
+    local, want = {}, [0, 1]
+    for k in range(2, n + 1):
+        p = q = int(spf[k])
+        while k // q % p == 0:
+            q *= p
+        if q not in local:
+            local[q] = omega_scan(f, q)
+        want.append(local[q] * want[k // q])
+    return want[1:]
+
+
+@pytest.mark.parametrize("factors", [["t^2+1"], ["t^3+2"], ["t", "t+1"]])
+def test_omega_grid_matches_scan_up_to_3e4(factors):
+    # B = min(isqrt(3e4), 3e4) = 173: most k leave the pass with a prime
+    # cofactor, and no k goes to factorize
+    n = 30_000
+    assert omega_grid(build_factored(factors), range(1, n + 1)) == \
+        _omega_by_scan(factors, n)
+
+
+def test_omega_grid_duplicates_and_cofactors_past_b():
+    # B = min(isqrt(max k), 8) = 8.  65521 * 65519 (times 2^10) is a
+    # cofactor below 2^32 that factorize splits; 65521 * (2^32 - 5) is
+    # just below 2^48 and takes omega itself; 1000003 is a prime cofactor
+    ks = [1, 1, 10, 10, 65521 * 65519 << 10, 65521 * ((1 << 32) - 5),
+          6 * 1000003, 1]
+    assert ks[5] < 1 << 48
+    for factors in (["t^2+1"], ["t^2-2"], ["t", "t+1"]):
+        want = [omega(build_factored(factors), k) for k in ks]
+        assert omega_grid(build_factored(factors), ks) == want
+    assert omega_grid(T2P1, [1]) == [1] and omega_grid(T2P1, []) == []
+
+
+@pytest.mark.parametrize("ks, error", [
+    # the checks of every k come first, in grid order
+    ([4294967357, 0], "omega_f\\(0\\) is undefined"),
+    ([4294967357 * 2, -3], "k must be >= 1"),
+    ([4294967357, (1 << 48) + 1], "factoring budget 2\\^48"),
+    # then the first k whose product meets a prime past 2^32 while nonzero
+    ([3 * 4294967357, 2 * 4294967357, 4294967357 + 4], "p=4294967357 "),
+])
+def test_omega_grid_errors_in_grid_order(ks, error):
+    with pytest.raises(ValueError, match=error):
+        omega_grid(T2P1, ks)

@@ -11,28 +11,37 @@ The quick level drives the same code paths at reduced scale and skips the
 """
 
 import contextlib
-import functools
 import io
 import os
 import random
 import tempfile
 import time
 from dataclasses import dataclass
-from itertools import product
-from math import ceil, floor, fsum, log, prod, sqrt
+from math import ceil, floor, fsum, log, sqrt
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bounds import cassels_coeff, gamma_f, make_bound_report
-from .dickman import delay_residual, rho, rho_rk4_oracle
+from .dickman import rho
 from .modroots import (
     lift_roots,
     omega,
     omega_factored,
     omega_grid,
-    omega_scan,
     root_classes,
+)
+from .oracles import (
+    _enumerate_smooth,
+    _oracle_split,
+    _oracle_v_w,
+    _primitive_definition_oracle,
+    _windowed_oracle,
+    delay_residual,
+    omega_scan,
+    pplus_oracle,
+    psi_oracle,
+    rho_rk4_oracle,
 )
 from .polyarith import build_factored
 from .primes import factorize, primes_up_to
@@ -44,15 +53,7 @@ from .quadfield import (
     verify_prop54,
     windowed_cassels,
 )
-from .smoothsieve import (
-    SEGMENT,
-    pplus_oracle,
-    pplus_table,
-    psi,
-    psi_oracle,
-    sieve_range,
-    smooth_bound,
-)
+from .smoothsieve import SEGMENT, pplus_table, psi, sieve_range, smooth_bound
 from .vwmachinery import VWInstance, lemma31_check, vw_depth_pair, vw_prop21, vw_prop32
 
 GAMMA_211 = (19 + sqrt(105)) / 32
@@ -169,22 +170,6 @@ def criterion_3(quick=False):
 EULER_GAMMA = 0.5772156649015329
 
 
-def _enumerate_smooth(x, y):
-    """Number of y-smooth n <= x (1 included), by depth-first enumeration of
-    the products of primes <= y taken in non-decreasing order."""
-    ps = primes_up_to(y)
-
-    def count(limit, i):
-        total = 1
-        for j in range(i, len(ps)):
-            if ps[j] > limit:
-                break
-            total += count(limit // ps[j], j)
-        return total
-
-    return count(x, 0)
-
-
 def _debruijn_lambda(x, y, order=10):
     """de Bruijn's Lambda(x, y) = x * integral rho(u - v) d([y^v]/y^v), the
     Dickman prediction at finite x (Psi = Lambda (1 + o(1)), Saias 1989),
@@ -273,97 +258,6 @@ def criterion_5(quick=False):
 
 
 # ------------------------------------------------- criterion 6 (V/W oracle)
-
-def _opp(limit, lo_excl, hi_incl):
-    out = []
-    for p in primes_up_to(int(hi_incl)):
-        if p <= lo_excl or p > hi_incl:
-            continue
-        k = p
-        while k <= limit:
-            out.append((k, p))
-            k *= p
-    return out
-
-
-def _osmooth(f, x, z, y):
-    return {n for n in range(z + 1, x + 1)
-            if f(n) != 0 and pplus_oracle(f(n)) <= y}
-
-
-@functools.cache
-def _oomega(f, k):
-    return omega_scan(f, k) if k <= 3 * 10**4 else omega(f, k)
-
-
-def _oracle_v_w(f, x, z, y):
-    fx, log_fz = f(x), log(f(z))
-    smooth = _osmooth(f, x, z, y)
-    V = fsum(
-        log(p) * sum(1 for n in smooth if f(n) % k == 0)
-        for k, p in _opp(fx, sqrt(y), y)
-    ) / log_fz
-    sq = _opp(fx, 1, sqrt(y))
-    W = fsum(
-        log(p1) * log(p2)
-        * sum(1 for n in smooth if f(n) % (max(k1, k2) if p1 == p2 else k1 * k2) == 0)
-        for k1, p1 in sq
-        for k2, p2 in sq
-    ) / log_fz**2
-    return V, W
-
-
-def _oracle_split(f, x, z, y, m):
-    """Literal depth-m split (V_m^+, W_m^+, [V_1^- .. V_m^-],
-    [W_1^- .. W_m^-]): every sum over all ordered tuples of the pools, the
-    logs multiplied left to right.  A V tuple's modulus is k1 k2 ...; a W
-    tuple's is lcm(k1, k2) k3 ...."""
-    fx, h = f(x), x - z
-    log_fz = log(f(z))
-    log_fzx = log_fz - log(x)
-    smooth = _osmooth(f, x, z, y)
-    big, sq = _opp(h, sqrt(y), y), _opp(h, 1, sqrt(y))
-    yh, yfx = _opp(h, 1, y), _opp(fx, 1, y)
-
-    def v_mod(tup):
-        return prod(k for k, _ in tup)
-
-    def w_mod(tup):
-        (k1, p1), (k2, p2), *rest = tup
-        return (max(k1, k2) if p1 == p2 else k1 * k2) * v_mod(rest)
-
-    def term(tup, value):
-        return prod([log(p) for _, p in tup] + [value])
-
-    def count(mod):
-        return sum(1 for n in smooth if f(n) % mod == 0)
-
-    def plus(pools, mod):
-        return fsum(term(t, count(mod(t))) for t in product(*pools)
-                    if mod(t) <= h)
-
-    def minus(pools, mod, inner):
-        return fsum(term(t, _oomega(f, mod(t))) for t in product(*pools)
-                    if inner(t) and mod(t) > h)
-
-    def inside(mod):
-        return lambda t: mod(t[:-1]) <= h
-
-    v_plus = plus([big] + [yh] * (m - 1), v_mod) / (log_fz * log_fzx ** (m - 1))
-    w_plus = plus([sq, sq] + [yh] * (m - 1), w_mod) / (
-        log_fz**2 * log_fzx ** (m - 1))
-    v_minus = [
-        minus([yh] * (i - 1) + [yfx], v_mod, inside(v_mod))
-        / (log_fz * log_fzx ** (i - 1))
-        for i in range(1, m + 1)
-    ]
-    w_minus = [minus([yfx, yfx], w_mod, lambda t: True) / log_fz**2] + [
-        minus([yh] * i + [yfx], w_mod, inside(w_mod))
-        / (log_fz**2 * log_fzx ** (i - 1))
-        for i in range(2, m + 1)
-    ]
-    return v_plus, w_plus, v_minus, w_minus
-
 
 def criterion_6(quick=False):
     details = {}
@@ -622,42 +516,7 @@ def criterion_8(quick=False):
     return ok, details
 
 
-def _windowed_oracle(m, N, M, include_zero):
-    from collections import defaultdict
-
-    lo = 0 if include_zero else 1
-    classes = defaultdict(list)
-    for k in range(lo, N + M + 1):
-        v = abs(k * k - m)
-        if v <= 1:
-            continue
-        for p in factorize(v):
-            classes[(p, k % p)].append(k)
-    count = 0
-    for n in range(N + 1, N + M + 1):
-        v = abs(n * n - m)
-        if v <= 1:
-            continue
-        if any(classes[(p, n % p)] == [n] for p in factorize(v)):
-            count += 1
-    return count
-
-
 # --------------------------------------------------------------- criterion 9
-
-def _primitive_definition_oracle(b, n):
-    from math import gcd
-
-    a_n = abs(n * n + b)
-    if a_n <= 1:
-        return False
-    for d in range(2, a_n + 1):
-        if a_n % d:
-            continue
-        if all(gcd(d, m * m + b) == 1 for m in range(1, n) if m * m + b != 0):
-            return True
-    return False
-
 
 def criterion_9(quick=False):
     details = {}

@@ -11,8 +11,8 @@ the series below it, so a process pays only for the intervals it reads.
 Series are evaluated by a pure-Python Clenshaw recurrence that repeats
 numpy's legval step for step, on a float or on a whole grid at once.
 
-A second, independent solver (fixed-step RK4 on u*rho'(u) = -rho(u-1),
-step 1e-5) exists solely as a cross-check oracle.
+The independent cross-check, a fixed-step RK4 solver of
+u*rho'(u) = -rho(u-1) (step 1e-5), is rho_rk4_oracle in `oracles`.
 """
 
 from math import log
@@ -20,8 +20,10 @@ from math import log
 import numpy as np
 from numpy.polynomial import legendre as L
 
-__all__ = ["rho", "rho_grid", "martin_prediction", "rho_rk4_oracle",
-           "delay_residual", "U_MAX"]
+# bench/oracles.py imports rho_rk4_oracle from this module
+from .oracles import rho_rk4_oracle
+
+__all__ = ["rho", "rho_grid", "martin_prediction", "U_MAX"]
 
 U_MAX = 20.0
 _N_COEF = 40    # Legendre series length per unit interval
@@ -174,55 +176,3 @@ def martin_prediction(degrees, u):
         out *= rho(d * u)
     return out
 
-
-def rho_rk4_oracle(u_max=10.0, step=1e-5):
-    """Independent cross-check solver: classical fixed-step RK4 applied to
-    rho'(u) = -rho(u-1)/u from u = 1 (for this right-hand side, independent
-    of rho(u), the RK4 stages collapse to Simpson increments; off-grid delay
-    lookups use 4-point interpolation, error ~ step^4).
-
-    Returns (grid, values) covering [1, u_max].
-    """
-    m = int(round(1.0 / step))
-    if abs(m * step - 1.0) > 1e-12:
-        raise ValueError("step must divide 1")
-    kmax = int(round(u_max)) - 1
-    grids = [np.linspace(1.0, 2.0, m + 1)]
-    prev = 1.0 - np.log(grids[0])  # delayed values on [0,1] are exactly 1
-    # [1,2] solved by the same march from rho(1) = 1 with rho(t-1) = 1:
-    g_full = -1.0 / grids[0]
-    g_half = -1.0 / (grids[0][:-1] + step / 2.0)
-    inc = (step / 6.0) * (g_full[:-1] + 4.0 * g_half + g_full[1:])
-    sol = np.empty(m + 1)
-    sol[0] = 1.0
-    sol[1:] = 1.0 + np.cumsum(inc)
-    solutions = [sol]
-    for k in range(1, kmax):
-        grid = np.linspace(k + 1.0, k + 2.0, m + 1)
-        prev_sol = solutions[-1]
-        # delayed values at grid points: exactly the previous grid
-        delayed_full = prev_sol
-        # delayed values at half-steps: 4-point midpoint interpolation
-        dmid = np.empty(m)
-        dmid[1:-1] = (-delayed_full[0:-3] + 9.0 * delayed_full[1:-2]
-                      + 9.0 * delayed_full[2:-1] - delayed_full[3:]) / 16.0
-        dmid[0] = (5.0 * delayed_full[0] + 15.0 * delayed_full[1]
-                   - 5.0 * delayed_full[2] + delayed_full[3]) / 16.0
-        dmid[-1] = (delayed_full[-4] - 5.0 * delayed_full[-3]
-                    + 15.0 * delayed_full[-2] + 5.0 * delayed_full[-1]) / 16.0
-        g_full = -delayed_full / grid
-        g_half = -dmid / (grid[:-1] + step / 2.0)
-        inc = (step / 6.0) * (g_full[:-1] + 4.0 * g_half + g_full[1:])
-        sol = np.empty(m + 1)
-        sol[0] = solutions[-1][-1]
-        sol[1:] = sol[0] + np.cumsum(inc)
-        grids.append(grid)
-        solutions.append(sol)
-    return np.concatenate([g[:-1] for g in grids] + [grids[-1][-1:]]), \
-        np.concatenate([s[:-1] for s in solutions] + [solutions[-1][-1:]])
-
-
-def delay_residual(u, delta=1e-4):
-    """u*rho'(u) + rho(u-1) with rho' by central differences."""
-    d = (rho(u + delta) - rho(u - delta)) / (2.0 * delta)
-    return u * d + rho(u - 1.0)

@@ -15,7 +15,6 @@ none, by one evaluation of f.
 """
 
 import random
-from dataclasses import dataclass
 from itertools import chain, islice
 from math import isqrt
 
@@ -23,9 +22,11 @@ import numpy as np
 
 from .primes import factorize, is_prime, primes_up_to
 from .polyarith import FactoredPoly
+# bench/oracles.py imports omega_scan from this module
+from .oracles import omega_scan
 
-__all__ = ["RootSet", "roots_mod_p", "root_classes", "lift_roots", "omega",
-           "omega_grid", "omega_factored", "omega_scan"]
+__all__ = ["root_classes", "lift_roots", "omega", "omega_grid",
+           "omega_factored"]
 
 MAX_PRIME = 1 << 32          # primality is checked deterministically below this
 MAX_PRIME_POWER = 1 << 64    # p^v magnitude budget for lifting
@@ -35,29 +36,11 @@ MAX_OMEGA_K = 1 << 48        # factoring budget for omega
 LANE_BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Sorted solutions of f(u) = 0 (mod p^v)."""
-
-    p: int
-    v: int
-    residues: tuple
-
-    def __len__(self):
-        return len(self.residues)
-
-
 def _eval_mod(poly, u, m):
     acc = 0
     for c in reversed(poly.coeffs):
         acc = (acc * u + c) % m
     return acc
-
-
-def roots_mod_p(f: FactoredPoly, p: int) -> RootSet:
-    """All u (mod p) with f(u) = 0 (mod p), exactly, as a RootSet over the
-    tuple lift_roots caches."""
-    return RootSet(p, 1, lift_roots(f, p, 1))
 
 
 # ------------------------------------------------------------------- lanes
@@ -457,10 +440,12 @@ def omega_grid(f: FactoredPoly, ks) -> list:
     Every k is checked first.  The grid is then factored in one numpy pass:
     the primes up to B = min(isqrt(max k), len(ks)) are divided out of
     every k, and a row leaves the pass once its cofactor c is below p^2,
-    so c is 1 or a prime.  A cofactor left at (B+1)^2 or more goes to
-    factorize.  A cofactor of 2^32 or more may hold a prime past MAX_PRIME:
-    that k takes omega itself, after the rest and in grid order, so it
-    fails, or gives 0 first, exactly as omega does.  The roots mod every
+    so c is 1 or a prime.  A cofactor left at (B+1)^2 or more is tested by
+    is_prime and, if composite, split by factorize with no trial division:
+    the pass has divided out every prime up to B.  A cofactor of 2^32 or
+    more may hold a prime past MAX_PRIME: that k takes omega itself, after
+    the rest and in grid order, so it fails, or gives 0 first, exactly as
+    omega does.  The roots mod every
     other prime come from one root_classes batch, and omega_f(k) is the
     product of len(lift_roots(f, p, e)) over its prime powers p^e, one
     lift_roots call per distinct (p, e).
@@ -493,7 +478,8 @@ def omega_grid(f: FactoredPoly, ks) -> list:
     es.append(np.ones(alone.size, dtype=np.int64))
     big = np.flatnonzero(cof >= MAX_PRIME)
     for i in np.flatnonzero((cof >= (B + 1) ** 2) & (cof < MAX_PRIME)).tolist():
-        fact = factorize(int(cof[i]))
+        c = int(cof[i])
+        fact = {c: 1} if is_prime(c) else factorize(c, composite=True)
         rows.append(np.full(len(fact), i))
         ps.append(np.fromiter(fact, dtype=np.int64, count=len(fact)))
         es.append(np.fromiter(fact.values(), dtype=np.int64, count=len(fact)))
@@ -509,18 +495,3 @@ def omega_grid(f: FactoredPoly, ks) -> list:
         omegas[i] = omega(f, ks[i])
     return omegas.tolist()
 
-
-def omega_scan(f, k):
-    """Independent oracle: count roots of f mod k by evaluating f at every
-    residue, one int64 Horner pass over 0..k-1 reduced mod k at each step
-    (k < 2^31 keeps every product below 2^62)."""
-    if not 1 <= k < 1 << 31:
-        raise ValueError("omega_scan needs 1 <= k < 2^31")
-    poly = f.product if isinstance(f, FactoredPoly) else f
-    r = np.arange(k, dtype=np.int64)
-    acc = np.zeros(k, dtype=np.int64)
-    for c in reversed(poly.coeffs):
-        acc *= r
-        acc += c % k
-        acc %= k
-    return int(np.count_nonzero(acc == 0))

@@ -9,7 +9,7 @@ discriminants and pairwise resultants.
 
 import json
 import re
-from math import gcd
+from math import gcd, prod
 from numbers import Integral
 
 __all__ = [
@@ -290,9 +290,11 @@ class FactoredPoly:
         "_t0",
         "_parts",
         "_fprime",
+        "_factor_discs",
     )
 
-    def __init__(self, factors, degrees, g, d, disc_abs, statuses, product):
+    def __init__(self, factors, degrees, g, d, disc_abs, statuses, product,
+                 factor_discs):
         self.factors = factors
         self.degrees = degrees
         self.g = g
@@ -300,6 +302,7 @@ class FactoredPoly:
         self.discriminant_abs = disc_abs
         self.statuses = statuses
         self.product = product
+        self._factor_discs = factor_discs
         self._root_cache = {}
         self._lift_cache = {}
         self._t0 = None
@@ -335,14 +338,16 @@ class FactoredPoly:
 
     def parts(self):
         """One single-factor FactoredPoly per factor, each with its own root
-        and lift caches; (self,) when there is one factor."""
+        and lift caches and the discriminant build_factored found for it;
+        (self,) when there is one factor."""
         if self.g == 1:
             return (self,)
         if self._parts is None:
             self._parts = tuple(
-                FactoredPoly((f,), (f.degree,), 1, f.degree,
-                             abs(discriminant(f)), (status,), f)
-                for f, status in zip(self.factors, self.statuses))
+                FactoredPoly((f,), (f.degree,), 1, f.degree, disc, (status,),
+                             f, (disc,))
+                for f, status, disc in zip(self.factors, self.statuses,
+                                           self._factor_discs))
         return self._parts
 
 
@@ -394,9 +399,8 @@ def build_factored(factors):
             statuses.append("proven")
         else:
             statuses.append("asserted")
-    disc_total = 1
-    for f in polys:
-        disc_total *= discriminant(f)
+    discs = tuple(abs(discriminant(f)) for f in polys)
+    disc_total = prod(discs)
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             disc_total *= resultant(polys[i], polys[j]) ** 2
@@ -410,9 +414,10 @@ def build_factored(factors):
         degrees=tuple(f.degree for f in polys),
         g=len(polys),
         d=d,
-        disc_abs=abs(disc_total),
+        disc_abs=disc_total,
         statuses=tuple(statuses),
         product=product,
+        factor_discs=discs,
     )
 
 

@@ -136,13 +136,3 @@ def factorize(n, composite=False):
         stack.extend((g, m // g))
     return out
 
-
-def largest_prime_factor(n, composite=False):
-    """P+(n) with conventions P+(+-1) = 1, P+(0) = +inf.  `composite` says
-    that |n| is composite (`factorize`)."""
-    n = abs(n)
-    if n == 0:
-        return float("inf")
-    if n == 1:
-        return 1
-    return max(factorize(n, composite))

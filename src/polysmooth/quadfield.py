@@ -15,7 +15,7 @@ from math import isqrt, log
 
 import numpy as np
 
-from .modroots import roots_mod_p
+from .modroots import lift_roots
 from .polyarith import FactoredPoly, build_factored
 from .primes import factorize
 from .smoothsieve import sieve_range
@@ -73,7 +73,7 @@ class QuadPrimeClass:
 
 
 def classify_prime(ctx: QuadContext, p: int) -> QuadPrimeClass:
-    roots = roots_mod_p(ctx.f, p).residues
+    roots = lift_roots(ctx.f, p, 1)
     if ctx.disc % p == 0:
         kind = "ramified"
     else:

@@ -17,9 +17,8 @@ by every prime p <= B = min(2 * count, b0) along the arithmetic progressions
 n = u (mod p), u a root of f mod p, and what is left is certified.
 Every prime factor of a cofactor c exceeds B, so c <= B^2 is 1 or a prime; a
 larger c is tested by Miller-Rabin (is_prime) and, if composite, split by
-Pollard-Brent (largest_prime_factor).  P+ is then exact and flags become
-P+ <= y.  The 2^32 domain check applies to b0, so every certified cofactor is
-below 2^64.
+Pollard-Brent (factorize).  P+ is then exact and flags become P+ <= y.  The
+2^32 domain check applies to b0, so every certified cofactor is below 2^64.
 """
 
 import sys
@@ -31,11 +30,12 @@ from math import exp, inf, isqrt, log
 import numpy as np
 
 from .polyarith import FactoredPoly
-from .primes import is_prime, largest_prime_factor, primes_up_to
+from .primes import factorize, is_prime, primes_up_to
 from .modroots import MAX_PRIME, lift_roots, root_classes
+# bench/oracles.py imports psi_oracle from this module
+from .oracles import psi_oracle
 
-__all__ = ["SmoothTable", "psi", "pplus_table", "psi_oracle", "smooth_bound",
-           "sieve_range"]
+__all__ = ["SmoothTable", "psi", "pplus_table", "smooth_bound", "sieve_range"]
 
 # n sieved per segment.  A count-only sieve holds one segment: a few float64
 # arrays of this length.  Smaller segments pay more often for the
@@ -220,7 +220,7 @@ def _aggregate(vals, best, y, bound):
     for i in np.flatnonzero(vals > square).tolist():
         c = int(vals[i])
         if not is_prime(c):
-            pv[i] = largest_prime_factor(c, composite=True)
+            pv[i] = max(factorize(c, composite=True))
     ok = vals != 0
     pv[~ok] = 0
     if y != float("inf"):
@@ -442,29 +442,3 @@ def pplus_table(f, x):
         raise ValueError("x must be >= 1")
     return sieve_range(f, 1, x, float("inf"), need_pplus=True)
 
-
-def psi_oracle(f, x, y):
-    """Independent brute-force Psi_f(x, y) by trial division of each |f(n)|."""
-    if x > 10**5:
-        raise ValueError("oracle scale is x <= 1e5")
-    if x < 1:
-        return 0
-    count = 0
-    for n in range(1, x + 1):
-        v = abs(f(n))
-        if v == 0:
-            continue
-        d = 2
-        while d <= y and d * d <= v:
-            while v % d == 0:
-                v //= d
-            d += 1 if d == 2 else 2
-        if v == 1 or v <= y:
-            count += 1
-    return count
-
-
-def pplus_oracle(value):
-    """Oracle-side P+ via generic factorization (trial + deterministic
-    Miller-Rabin + rho); independent of the sieve path."""
-    return largest_prime_factor(value)

@@ -17,7 +17,7 @@ pair k1 <= k2 with lcm inside their bound once, with the off-diagonal weight
 doubled (`_pairs`).  All terms accumulate via math.fsum, which rounds the
 exact sum, so neither doubling (exact) nor term order nor dropped zero terms
 change a bit against the ordered tuple-by-tuple sum.  The literal forms of
-the sums live with the oracles in `acceptance`.
+the sums are in `oracles`.
 """
 
 from bisect import bisect_right

@@ -10,9 +10,9 @@ import pytest
 from polysmooth import __version__, cli
 from polysmooth.bounds import make_bound_report
 from polysmooth.modroots import omega
+from polysmooth.oracles import pplus_oracle
 from polysmooth.polyarith import build_factored
 from polysmooth.quadfield import c_alpha, make_context, windowed_cassels
-from polysmooth.smoothsieve import pplus_oracle
 
 
 def run_cli(capsys, argv):

@@ -9,12 +9,11 @@ from polysmooth.dickman import (
     U_MAX,
     _antiderivative,
     _series_eval,
-    delay_residual,
     martin_prediction,
     rho,
     rho_grid,
-    rho_rk4_oracle,
 )
+from polysmooth.oracles import delay_residual, rho_rk4_oracle
 
 
 def test_rho_closed_forms():

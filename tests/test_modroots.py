@@ -1,6 +1,6 @@
 import random
 import time
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -8,15 +8,13 @@ import pytest
 from polysmooth import modroots
 from polysmooth.polyarith import IntPoly, build_factored
 from polysmooth.modroots import (
-    RootSet,
     _eval_mod,
     lift_roots,
     omega,
     omega_grid,
-    omega_scan,
     root_classes,
-    roots_mod_p,
 )
+from polysmooth.oracles import omega_scan
 from polysmooth.primes import factorize, is_prime, primes_up_to
 
 T2P1 = build_factored(["t^2+1"])
@@ -222,16 +220,16 @@ def _scalar_roots(f, p):
 
 
 def test_roots_mod_p_examples():
-    assert roots_mod_p(T2P1, 5).residues == (2, 3)
-    assert roots_mod_p(T2P1, 3).residues == ()
-    assert roots_mod_p(T2P1, 2).residues == (1,)
+    assert lift_roots(T2P1, 5, 1) == (2, 3)
+    assert lift_roots(T2P1, 3, 1) == ()
+    assert lift_roots(T2P1, 2, 1) == (1,)
 
 
 def test_roots_mod_p_rejects_composite():
     with pytest.raises(ValueError):
-        roots_mod_p(T2P1, 10)
+        lift_roots(T2P1, 10, 1)
     with pytest.raises(ValueError):
-        roots_mod_p(T2P1, 1 << 33)
+        lift_roots(T2P1, 1 << 33, 1)
 
 
 def _scan_roots(f, p):
@@ -241,7 +239,7 @@ def _scan_roots(f, p):
 @pytest.mark.parametrize("f", [T2P1, T2M2, T_T2P1, CUBIC, QUARTIC, MIXED])
 def test_roots_agree_with_scan_oracle(f):
     for p in primes_up_to(1000):
-        assert roots_mod_p(f, p).residues == _scan_roots(f, p), (f, p)
+        assert lift_roots(f, p, 1) == _scan_roots(f, p), (f, p)
 
 
 # leading coefficients 6, 10, 12, 30, 65537, 70, 9, 6, 10 and 30: mod a prime
@@ -259,7 +257,7 @@ def test_roots_when_p_divides_leading_coefficient(coeffs):
     # one batch for the rest; the primes of the lead go one lane at a time
     root_classes(f, [p for p in primes if coeffs[-1] % p])
     for p in primes:
-        assert roots_mod_p(f, p).residues == _scan_roots(f, p), (coeffs, p)
+        assert lift_roots(f, p, 1) == _scan_roots(f, p), (coeffs, p)
 
 
 def test_roots_deterministic_across_fresh_objects():
@@ -267,7 +265,7 @@ def test_roots_deterministic_across_fresh_objects():
     a = build_factored(["t^5+t^2+1"])  # no rational root
     b = build_factored(["t^5+t^2+1"])
     for p in primes_up_to(200):
-        assert roots_mod_p(a, p) == roots_mod_p(b, p)
+        assert lift_roots(a, p, 1) == lift_roots(b, p, 1)
 
 
 def test_lift_roots_examples():
@@ -335,7 +333,6 @@ def test_root_store_holds_one_tuple_per_level():
     assert all(type(r) is tuple for r in stored)
     for p in (2, 3, 5, 7, 11, 101, 103):
         assert lift_roots(f, p, 1) is f._root_cache[p]
-        assert roots_mod_p(f, p) == RootSet(p, 1, lift_roots(f, p, 1))
 
 
 def test_omega_examples():
@@ -394,7 +391,7 @@ def test_hensel_stability():
         for p in primes_up_to(100):
             if f.discriminant_abs % p == 0:
                 continue
-            w1 = len(roots_mod_p(f, p))
+            w1 = len(lift_roots(f, p, 1))
             for v in range(2, 5):
                 assert len(lift_roots(f, p, v)) == w1
 
@@ -447,7 +444,7 @@ def _assert_batch_matches_scalar(factors, primes):
     for p in primes:
         want = _scalar_roots(f, p)
         assert tuple(got.get(p, ())) == want, (factors, p)
-        assert roots_mod_p(f, p).residues == want, (factors, p)  # cached
+        assert lift_roots(f, p, 1) == want, (factors, p)  # cached
 
 
 def _random_factors(rng):
@@ -518,7 +515,7 @@ def test_batch_roots_near_2_32(text):
 
 def test_root_classes_mixes_cached_and_new_primes():
     f = build_factored(["t^3+2", "t^2+7"])
-    roots_mod_p(f, 101)
+    lift_roots(f, 101, 1)
     root_classes(f, primes_up_to(300)[10:20])
     P, R = root_classes(f, primes_up_to(1000))
     want = [(p, r) for p in primes_up_to(1000)
@@ -589,6 +586,30 @@ def test_omega_grid_duplicates_and_cofactors_past_b():
         want = [omega(build_factored(factors), k) for k in ks]
         assert omega_grid(build_factored(factors), ks) == want
     assert omega_grid(T2P1, [1]) == [1] and omega_grid(T2P1, []) == []
+
+
+def test_omega_grid_cofactors_past_b_skip_trial_division(monkeypatch):
+    # t^2+1 over 300 products of two numbers in [10^5, 10^6): B = 300, and
+    # a cofactor of (B+1)^2 or more is a prime, told by is_prime, or a
+    # composite split by factorize with no trial division
+    rng = random.Random(20261019)
+    ks = [rng.randrange(10**5, 10**6) * rng.randrange(10**5, 10**6)
+          for _ in range(300)]
+    want = [omega(T2P1, k) for k in ks]
+    cofactors = [prod(p**e for p, e in factorize(k).items() if p > 300)
+                 for k in ks]
+    past = [c for c in cofactors if 301**2 <= c < 1 << 32]
+    composite = [c for c in past if not is_prime(c)]
+    assert 0 < len(composite) < len(past)
+    seen = []
+    split = modroots.factorize
+    monkeypatch.setattr(modroots, "factorize",
+                        lambda n, composite=False:
+                        seen.append(composite) or split(n, composite))
+    assert omega_grid(build_factored(["t^2+1"]), ks) == want
+    # omega itself factors the k whose cofactor reaches 2^32
+    assert seen.count(True) == len(composite)
+    assert seen.count(False) == sum(c >= 1 << 32 for c in cofactors)
 
 
 @pytest.mark.parametrize("ks, error", [

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from polysmooth import polyarith
 from polysmooth.polyarith import (
     MAX_DEGREE,
     IntPoly,
@@ -105,6 +106,19 @@ def test_build_factored_examples():
 
     with pytest.raises(ValueError):
         build_factored(["t^2-1"])  # rational roots +-1
+
+
+def test_parts_reuse_the_discriminants_of_the_build(monkeypatch):
+    calls = []
+    counted = polyarith.discriminant
+    monkeypatch.setattr(polyarith, "discriminant",
+                        lambda f: calls.append(f) or counted(f))
+    fp = build_factored(["t^3+2", "t^2+1", "t+5"])
+    parts = fp.parts()
+    assert len(calls) == 3  # one per factor, all in the build
+    assert [part.discriminant_abs for part in parts] == [108, 4, 1]
+    # resultants 5, 123 and 26 of the pairs, squared
+    assert fp.discriminant_abs == 108 * 4 * 5**2 * 123**2 * 26**2
 
 
 def test_build_factored_validation():

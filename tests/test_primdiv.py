@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polysmooth.acceptance import _primitive_definition_oracle
+from polysmooth.oracles import _primitive_definition_oracle
 from polysmooth.primdiv import (
     n_arctan,
     r_b,

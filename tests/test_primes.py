@@ -4,8 +4,7 @@ from math import prod
 
 import pytest
 
-from polysmooth.primes import (factorize, is_prime, largest_prime_factor,
-                               primes_up_to)
+from polysmooth.primes import factorize, is_prime, primes_up_to
 
 N_MAX = 2 * 10**5
 ABOVE = (1, 46, 47, 48, 49, 53, 2000, 9998, 9999, 10000, 10001)
@@ -51,7 +50,6 @@ def test_factorize_above(above):
     for ps in cases:
         n = prod(ps)
         assert factorize(n, composite=True) == dict(Counter(ps)), ps
-        assert largest_prime_factor(n, composite=True) == max(ps), ps
 
 
 # Strong pseudoprimes: psi_12 and psi_13 (Sorenson and Webster, Math. Comp.

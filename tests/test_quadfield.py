@@ -2,8 +2,8 @@ from collections import defaultdict
 
 import pytest
 
-from polysmooth.acceptance import _windowed_oracle
 from polysmooth.modroots import lift_roots, root_classes
+from polysmooth.oracles import _windowed_oracle, pplus_oracle
 from polysmooth.primes import factorize, primes_up_to
 from polysmooth.quadfield import (
     MAX_WINDOW_END,
@@ -13,7 +13,6 @@ from polysmooth.quadfield import (
     verify_prop54,
     windowed_cassels,
 )
-from polysmooth.smoothsieve import pplus_oracle
 
 CTX2 = make_context(2)
 CTX3 = make_context(3)

@@ -6,6 +6,7 @@ import pytest
 
 from polysmooth import smoothsieve
 from polysmooth.cli import main
+from polysmooth.oracles import pplus_oracle, psi_oracle
 from polysmooth.polyarith import build_factored
 from polysmooth.primes import factorize, primes_up_to
 from polysmooth.smoothsieve import (
@@ -14,10 +15,8 @@ from polysmooth.smoothsieve import (
     coeff_bound,
     eval_range,
     iroot,
-    pplus_oracle,
     pplus_table,
     psi,
-    psi_oracle,
     sieve_range,
     smooth_bound,
 )
@@ -182,6 +181,22 @@ def test_sieve_range_window():
 QUARTIC = build_factored(["t^4+t+1"])
 
 
+def _smooth_flags(f, lo, hi, y):
+    """Whether f(n) is nonzero and y-smooth for each n in [lo, hi], by the
+    definition: dividing out every prime up to y leaves 1.  These windows'
+    values pass pplus_oracle's domain, and factoring them whole (sympy)
+    costs seconds where y-smoothness needs only the primes up to y."""
+    primes = primes_up_to(int(y))
+    flags = []
+    for n in range(lo, hi + 1):
+        v = abs(f(n))
+        for p in primes:
+            while v and v % p == 0:
+                v //= p
+        flags.append(v == 1)
+    return flags
+
+
 @pytest.mark.parametrize("lo, hi, dtype", [(54700, 55000, np.int64),
                                            (55200, 55500, object)])
 def test_kernel_either_side_of_int64_limit(lo, hi, dtype):
@@ -189,9 +204,8 @@ def test_kernel_either_side_of_int64_limit(lo, hi, dtype):
     assert eval_range(QUARTIC.product, lo, hi - lo + 1).dtype == dtype
     assert sieve_range(QUARTIC, lo, hi, 1000, need_pplus=True).pplus.dtype \
         == dtype
-    pplus = [pplus_oracle(QUARTIC(n)) for n in range(lo, hi + 1)]
     for y in [13, 1000]:
-        want = [p <= y for p in pplus]
+        want = _smooth_flags(QUARTIC, lo, hi, y)
         # one segment strides every p < 301; segments of 7 gather p >= 7
         for seg in [SEGMENT, 7]:
             tab = sieve_range(QUARTIC, lo, hi, y, segment_size=seg)
@@ -202,12 +216,11 @@ def test_kernel_either_side_of_int64_limit(lo, hi, dtype):
 def test_object_window_with_a_zero_of_f():
     f = build_factored(["t-55300", "t^3+2"])
     assert eval_range(f.product, 55290, 21).dtype == object
-    pplus = [pplus_oracle(f(n)) for n in range(55290, 55311)]
     for y in [13, 1000]:
         for seg in [SEGMENT, 7]:
             tab = sieve_range(f, 55290, 55310, y, segment_size=seg)
             assert not tab.flag(55300)
-            assert tab.psi == sum(p <= y for p in pplus)
+            assert tab.psi == sum(_smooth_flags(f, 55290, 55310, y))
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
@@ -246,13 +259,13 @@ def _certified_composite(f, lo, hi, bound):
     (["t^3+2"], 4901, 5000),
     (["t^4+t+1"], 401, 500),
 ])
-def test_prime_mode_window_certifies_cofactors(poly, lo, hi):
+def test_prime_mode_window_certifies_cofactors(poly, lo, hi, pplus_ref):
     f = build_factored(poly)
     b0 = isqrt(coeff_bound(f, hi)) + 1
     bound = 2 * (hi - lo + 1)  # = min(2 * count, b0)
     assert bound < b0
     assert _certified_composite(f, lo, hi, bound) is not None
-    pplus = [pplus_oracle(f(n)) for n in range(lo, hi + 1)]
+    pplus = [pplus_ref(f(n)) for n in range(lo, hi + 1)]
     for y in [float("inf"), 10 * bound]:  # 10 * bound lies in (B, b0)
         tab = sieve_range(f, lo, hi, y, need_pplus=True)
         assert [tab.pplus_of(n) for n in range(lo, hi + 1)] == pplus, y
@@ -286,14 +299,14 @@ def test_prime_mode_sieves_to_twice_the_window(monkeypatch):
                                   for n in range(1, 1001)]
 
 
-def test_prime_mode_past_int64_certifies_cofactors():
+def test_prime_mode_past_int64_certifies_cofactors(pplus_ref):
     # values past 2^63 (object arrays): b0 is about 3e9, below the 2^32
     # limit; sieving every prime up to b0 would build a 3 GB prime table
     lo, hi = 55200, 55300
     b0 = isqrt(coeff_bound(QUARTIC, hi)) + 1
     assert 2 * (hi - lo + 1) < b0  # B = min(2 * count, b0) = 2 * count
     tab = sieve_range(QUARTIC, lo, hi, 1e18, need_pplus=True)
-    pplus = [pplus_oracle(QUARTIC(n)) for n in range(lo, hi + 1)]
+    pplus = [pplus_ref(QUARTIC(n)) for n in range(lo, hi + 1)]
     assert tab.pplus.dtype == object
     assert [tab.pplus_of(n) for n in range(lo, hi + 1)] == pplus
     assert [tab.flag(n) for n in range(lo, hi + 1)] == [p <= 10**18

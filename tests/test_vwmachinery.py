@@ -1,10 +1,10 @@
 """The V/W implementation checked term by term against the literal
 nested-loop transcriptions of the displayed formulas in
-`polysmooth.acceptance`.
+`polysmooth.oracles`.
 
 The oracles enumerate prime powers independently, test divisibility by
-evaluating f(n) mod k directly, decide smoothness through the generic
-factorization P+ (not the sieve), and count roots by residue scan for small
+evaluating f(n) mod k directly, decide smoothness through P+ by trial
+division (not the sieve), and count roots by residue scan for small
 moduli.
 """
 
@@ -13,14 +13,14 @@ from math import fsum, lcm as _lcm, log, prod, sqrt
 
 import pytest
 
-from polysmooth.acceptance import (
+from polysmooth.modroots import omega
+from polysmooth.oracles import (
     _oomega,
     _opp,
     _oracle_split,
     _oracle_v_w,
     _osmooth,
 )
-from polysmooth.modroots import omega
 from polysmooth.polyarith import build_factored
 from polysmooth.primes import factorize, primes_up_to
 from polysmooth.vwmachinery import (

@@ -11,14 +11,15 @@ from its definition, for the acceptance suite and the tests.
 - rho_rk4_oracle and delay_residual: rho by fixed-step RK4 on the delay
   equation, and the residual of the library's rho in that equation.
 - _enumerate_smooth: the y-smooth integers up to x, one by one.
-- _oracle_v_w and _oracle_split: the V/W sums transcribed tuple by tuple.
+- _oracle_v_w and _oracle_split: the V/W sums transcribed tuple by tuple,
+  with omega_f of the tails' moduli counted by _oomega.
 - _windowed_oracle and _primitive_definition_oracle: the Cassels window
   count and primitive divisors of n^2 + b, from their definitions.
 
 At module level this imports only numpy, the standard library,
 primes_up_to and polyarith, since library modules re-export some oracles
-by name.  delay_residual and _oomega evaluate library code (rho, omega) and
-import it when called.
+by name.  delay_residual evaluates the library's rho and imports it when
+called.
 """
 
 import functools
@@ -124,7 +125,6 @@ def rho_rk4_oracle(u_max=10.0, step=1e-5):
         raise ValueError("step must divide 1")
     kmax = int(round(u_max)) - 1
     grids = [np.linspace(1.0, 2.0, m + 1)]
-    prev = 1.0 - np.log(grids[0])  # delayed values on [0,1] are exactly 1
     # [1,2] solved by the same march from rho(1) = 1 with rho(t-1) = 1:
     g_full = -1.0 / grids[0]
     g_half = -1.0 / (grids[0][:-1] + step / 2.0)
@@ -203,11 +203,26 @@ def _osmooth(f, x, z, y):
 
 @functools.cache
 def _oomega(f, k):
+    """omega_f(k) from its definition.  Up to 3 * 10^4 by omega_scan; above
+    it k is split by trial_factorize, the roots mod each prime p | k are
+    found by scanning all p residues, the roots mod p^(j+1) by testing the
+    p candidates r + t p^j above each root r mod p^j with exact f(n), and
+    the counts are multiplied.  The moduli of the V/W tails have every
+    prime factor at most y, so a prime factor above 3 * 10^4 is a
+    ValueError."""
     if k <= 3 * 10**4:
         return omega_scan(f, k)
-    from .modroots import omega  # modroots imports this module
-
-    return omega(f, k)
+    count = 1
+    for p, e in trial_factorize(k).items():
+        if p > 3 * 10**4:
+            raise ValueError(f"k = {k} has a prime factor p = {p} above 3e4")
+        roots = [u for u in range(p) if f(u) % p == 0]
+        for j in range(1, e):
+            q = p**j
+            roots = [u for r in roots for u in range(r, q * p, q)
+                     if f(u) % (q * p) == 0]
+        count *= len(roots)
+    return count
 
 
 def _oracle_v_w(f, x, z, y):

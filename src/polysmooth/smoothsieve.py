@@ -1,9 +1,11 @@
 """Exact Psi_f(x, y) and per-n largest prime factors of f(n) by a segmented
-sieve over root classes, with one kernel per quantity.
+sieve: one plan (_plan) of the root classes of each factor g of f mod every
+p^k, lifted in uint64 lanes below 2^32 (lift_roots serves only omega, V/W
+and the tests), one kernel per quantity, and one step (_settle_deep) for
+the exact v_p where a higher power of p may still divide g(n).
 
 Flags (count mode, y < b0 = isqrt(max |f|) + 1 and no P+ asked for) come
-from a log sieve.  For every irreducible factor g of f, every p <= y and
-every level k, log p is added at each n in a root class of g mod p^k, so the
+from a log sieve: log p is added at each hit of a class of p <= y, so the
 sum at n is log of the y-smooth part of |f(n)|.  n is smooth iff the sum
 reaches log |f(n)| - (log 2)/2: a non-smooth n leaves a cofactor R >= 2
 unsieved, so it falls short by log R >= log 2.  |f(n)| is evaluated in
@@ -11,10 +13,9 @@ float64 and stated error bounds (_log_values) keep the test exact; n near a
 real root, where the float value is not trusted, is evaluated exactly.
 f(n) = 0 is never smooth; f(n) = +-1 always is.
 
-P+ (prime mode, y >= b0 or P+ asked for) comes from division: the cofactor
-r[n] = |f(n)| of a window of count values is divided to full multiplicity
-by every prime p <= B = min(2 * count, b0) along the arithmetic progressions
-n = u (mod p), u a root of f mod p, and what is left is certified.
+P+ (prime mode, y >= b0 or P+ asked for) comes from division: each hit of a
+class of p <= B = min(2 * count, b0) divides |f(n)| by p, for a window of
+count values, and what is left is certified.
 Every prime factor of a cofactor c exceeds B, so c <= B^2 is 1 or a prime; a
 larger c is tested by Miller-Rabin (is_prime) and, if composite, split by
 Pollard-Brent (factorize).  P+ is then exact and flags become P+ <= y.  The
@@ -24,14 +25,13 @@ Pollard-Brent (factorize).  P+ is then exact and flags become P+ <= y.  The
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from math import exp, inf, isqrt, log
 
 import numpy as np
 
 from .polyarith import FactoredPoly
 from .primes import factorize, is_prime, primes_up_to
-from .modroots import MAX_PRIME, lift_roots, root_classes
+from .modroots import MAX_PRIME, MAX_PRIME_POWER, _lanes_mod, root_classes
 # bench/oracles.py imports psi_oracle from this module
 from .oracles import psi_oracle
 
@@ -57,11 +57,7 @@ _FLOAT_LIMIT = 1 << 1000
 # Values of 2^_LOG_BITS or more are a domain error: past them the float sum
 # of logs could drift by 0.001 (_log_flags).
 _LOG_BITS = 1 << 20
-# Lifting caps (_log_classes): levels q = p^k with q * p <= 2^62 keep int64
-# offsets exact; a level holds at most _MAX_CLASSES classes; and a prime
-# dividing lead * disc is lifted only up to _MAX_CLASSES, since a singular
-# root that lifts becomes p classes at once.
-_MAX_LEVEL = 1 << 62
+# Bound on q for lifting a singular root mod q: it lifts to p classes at once
 _MAX_CLASSES = 256
 
 
@@ -169,37 +165,29 @@ def eval_range(poly, n0, count):
     return vals
 
 
-def _sieve_segment(f, seg_lo, seg_len, P, R):
-    """|f(n)| over the segment with every p in P divided out to full
-    multiplicity along its root class R, and the largest such p per n (1
-    where none divides)."""
+def _sieve_segment(f, seg_lo, seg_len, P, Q, R, deep):
+    """|f(n)| over the segment with every p of the plan divided out to full
+    multiplicity (once at each hit of a class, then by _settle_deep), and
+    the largest such p per n (1 where none divides)."""
     vals = eval_range(f.product, seg_lo, seg_len)
     np.abs(vals, out=vals)
     best = np.ones(seg_len, dtype=np.int64)
-    # P ascends; a class of p < seg_len hits the segment along a strided
-    # view, a class of larger p at most once
-    small = int(np.searchsorted(P, seg_len))
-    for p, u in zip(P[:small].tolist(), R[:small].tolist()):
-        first = (u - seg_lo) % p
-        sub = vals[first::p]
-        sub //= p  # p | f(n) on the whole class
-        again = np.flatnonzero(sub % p == 0)
-        again = again[sub[again] != 0]  # f(n) = 0 stays 0
-        while again.size:
-            sub[again] //= p
-            again = again[sub[again] % p == 0]
-        best[first::p] = p
-    if small < len(P):
-        first = (R[small:] - seg_lo) % P[small:]
+    # a class of q < seg_len hits the segment along a strided view, a class
+    # of larger q at most once
+    small = int(np.searchsorted(Q, seg_len))
+    for p, q, r in zip(P[:small].tolist(), Q[:small].tolist(),
+                       R[:small].tolist()):
+        first = (r - seg_lo) % q
+        sub = vals[first::q]
+        sub //= p
+        np.maximum(best[first::q], p, out=best[first::q])
+    if small < len(Q):
+        first = (R[small:] - seg_lo) % Q[small:]
         hit = first < seg_len
         idx, ph = first[hit], P[small:][hit]
         np.maximum.at(best, idx, ph)
-        ph = ph.astype(vals.dtype)  # ufunc.at without a cast
-        while idx.size:
-            np.floor_divide.at(vals, idx, ph)
-            left = vals[idx]
-            again = (left % ph == 0) & (left != 0)
-            idx, ph = idx[again], ph[again]
+        np.floor_divide.at(vals, idx, ph.astype(vals.dtype))
+    _settle_deep(deep, seg_lo, seg_len, vals)
     return vals, best
 
 
@@ -231,71 +219,96 @@ def _aggregate(vals, best, y, bound):
     return ok, pv
 
 
-def _log_classes(f, primes, lo, hi):
-    """The plan of the log sieve over [lo, hi], 0 <= lo.
-
-    Int64 arrays Q, R and float64 L, sorted by Q, hold one class per root r
-    of an irreducible factor g of f mod a level q = p^k: g(n) = 0 (mod q)
-    for n = r (mod q), and L = log p.  `deep` holds the classes of the last
-    level sieved of each (g, p) where a higher power of p may still divide
-    g(n): the factors gs, and int64 arrays DG, DP, DQ, DR of the factor's
-    index, p, q and r.
-
-    Levels run while p^k <= max |g(n)|, as p^k | g(n) != 0 needs.  Lifting
-    stops at a level whose classes hit [lo, hi] at most once (q >= hi - lo +
-    1), where exact valuations cost less than lifting further; at q * p >
-    2^62, where int64 offsets would overflow; at more than _MAX_CLASSES
-    classes; and at level 1 for a prime p > _MAX_CLASSES that may give a
-    factor a singular root (p | lead * disc), since a singular root that
-    lifts becomes p classes at once, which would only fill the lift cache
-    with tuples past _MAX_CLASSES.  Each factor is sieved on its own, which
-    keeps the classes few where factors share roots mod p^k.
-    """
-    count = hi - lo + 1
+def _plan(f, primes, lo, hi):
+    """The classes both kernels sieve over [lo, hi], 0 <= lo: int64 arrays
+    P, Q, R sorted by Q, one per root r of a factor g of f mod q = p^k, and
+    deep = (gs, DG, DP, DQ, DR), the factors and the factor's index, p, q, r
+    of each class past which p^(k+1) may divide g(n).  A class lifts while
+    q < hi - lo + 1 (past it, it hits [lo, hi] once at most), q p < 2^32
+    and q p <= max |g(n)|, a singular one while q <= _MAX_CLASSES, in lanes
+    holding g mod M, the largest power of p below 2^32, and g'(r)^-1 mod p,
+    which is the same at every level above r."""
+    count = min(hi - lo + 1, MAX_PRIME)
     gs = [part.product for part in f.parts()]
-    P1s, R1s = [], []  # level 1, per factor
-    P, Q, R = [], [], []  # levels >= 2
-    DG, DP, DQ, DR = [], [], [], []  # deep: factor index, p, q, r
-    deep = []  # deep classes of lifted primes, as (factor index, p, q, r)
+    levels, deep = [], []
     for i, part in enumerate(f.parts()):
-        g = gs[i]
-        top = coeff_bound(g, hi)  # >= |g(n)|
-        suspect = part.discriminant_abs * abs(g.lead)
-        P1, R1 = root_classes(part, primes)  # fills the root cache first
-        P1s.append(P1)
-        R1s.append(R1)
-        # p^2 <= top: a higher power may divide; p >= count: level 1 hits
-        # [lo, hi] at most once, so it is the last level sieved
-        deeper = int(np.searchsorted(P1, isqrt(top), side="right"))
-        lifted = int(np.searchsorted(P1[:deeper], count))
-        DG.append(np.full(deeper - lifted, i, dtype=np.int64))
-        DP.append(P1[lifted:deeper])
-        DQ.append(P1[lifted:deeper])
-        DR.append(R1[lifted:deeper])
-        for p, grp in groupby(zip(P1[:lifted].tolist(), R1[:lifted].tolist()),
-                              key=lambda pr: pr[0]):
-            roots = [r for _, r in grp]
-            k, q = 1, p
-            while roots and q * p <= top:
-                nxt = None
-                if (q < count and q * p <= _MAX_LEVEL
-                        and (suspect % p or p <= _MAX_CLASSES)):
-                    nxt = lift_roots(part, p, k + 1)
-                if nxt is None or len(nxt) > _MAX_CLASSES:
-                    deep += [(i, p, q, r) for r in roots]
-                    break
-                k, q, roots = k + 1, q * p, nxt
-                P += [p] * len(roots)
-                Q += [q] * len(roots)
-                R += roots
-    P = np.concatenate(P1s + [np.array(P, dtype=np.int64)])
-    Q = np.concatenate(P1s + [np.array(Q, dtype=np.int64)])
-    R = np.concatenate(R1s + [np.array(R, dtype=np.int64)])
+        top = min(coeff_bound(gs[i], hi), MAX_PRIME_POWER - 1)  # >= |g(n)|
+        P, R = (a.view(np.uint64) for a in root_classes(part, primes))
+        Q = P
+        # lanes: the classes that may lift (p < count, p^2 < 2^32), a prefix
+        lanes = slice(int(P.searchsorted(min(count, 1 << 16))))
+        M = P[lanes] ** (32 / np.log2(P[lanes])).astype(np.uint64)  # 2^32 at 2
+        M = np.where(M >= MAX_PRIME, M // P[lanes], M)
+        C = np.array([_lanes_mod(c, M) for c in gs[i].coeffs])
+        D = np.zeros_like(M)  # g'(r) mod p
+        for k in range(len(C) - 1, 0, -1):
+            D = (D * R[lanes] + k * (C[k] % P[lanes]) % P[lanes]) % P[lanes]
+        INV = np.zeros_like(P)
+        INV[lanes] = [pow(d, -1, p) if d else 0
+                      for d, p in zip(D.tolist(), P[lanes].tolist())]
+        while True:
+            levels.append((P, Q, R))
+            m = Q * P
+            go = ((Q < count) & (m < MAX_PRIME) & (m <= top)
+                  & ((INV > 0) | (Q <= _MAX_CLASSES)))
+            stop = ~go & (m <= top)
+            deep.append((np.full_like(P[stop], i), P[stop], Q[stop], R[stop]))
+            if not (go := go.nonzero()[0]).size:
+                break
+            C, INV, P, Q, R, m = C[:, go], INV[go], P[go], Q[go], R[go], m[go]
+            v = C[-1] % m
+            for c in C[-2::-1]:
+                v = (v * R + c) % m  # g(r) mod m; each partial is below 2^64
+            # g(r + t q) = g(r) + t q g'(r) (mod q p): a simple root takes
+            # Newton's t, a singular one (INV = 0) all t, as ranks, or none
+            n = np.where(INV > 0, 1, (v == 0) * P).astype(np.intp)
+            src = np.repeat(np.arange(n.size), n)
+            T = ((P - v // Q) * INV % P)[src] + (
+                np.arange(src.size) - src.searchsorted(src)).astype(np.uint64)
+            R = R[src] + T * Q[src]
+            C, INV, P, Q = C[:, src], INV[src], P[src], m[src]
+    # every entry is below 2^32: the uint64 bits read as int64; each list,
+    # up to a class per prime, is dropped as soon as it is joined
+    DG, DP, DQ, DR = (np.concatenate(a).view(np.int64) for a in zip(*deep))
+    del deep
+    P, Q, R = (np.concatenate(a).view(np.int64) for a in zip(*levels))
+    del levels
     order = np.argsort(Q, kind="stable")
-    L = np.log(P[order].astype(np.float64))
-    rest = np.array(deep, dtype=np.int64).reshape(-1, 4).T
-    deep = [np.concatenate(d + [e]) for d, e in zip((DG, DP, DQ, DR), rest)]
-    return Q[order], R[order], L, (gs, *deep)
+    return P[order], Q[order], R[order], (gs, DG, DP, DQ, DR)
+
+
+def _settle_deep(deep, seg_lo, seg_len, vals=None):
+    """The exact v_p at every hit n = seg_lo + i of a deep class, as arrays
+    (i, p, v): of g(n) / q per class and hit in count mode; in prime mode, of
+    the cofactor the classes left in `vals`, which is divided out in place,
+    one entry per (n, p) as deep classes of two factors may hit one n."""
+    gs, DG, DP, DQ, DR = deep
+    first = (DR - seg_lo) % DQ
+    cls = (first < seg_len).nonzero()[0]
+    if not cls.size:
+        return cls, cls, cls
+    cls = np.repeat(cls, (seg_len - 1 - first[cls]) // DQ[cls] + 1)
+    pos = first[cls] + (np.arange(cls.size) - cls.searchsorted(cls)) * DQ[cls]
+    p = DP[cls]
+    if vals is None:  # Horner in int64 is exact by eval_range's rule
+        big = max(coeff_bound(g, seg_lo + seg_len - 1) for g in gs)
+        n = (pos + seg_lo).astype(np.int64 if big < _INT64_LIMIT else object)
+        w = np.zeros_like(n)
+        for i, g in enumerate(gs):
+            at = DG[cls] == i
+            w[at] = np.polyval(g.coeffs[::-1], n[at]) // DQ[cls[at]]
+    else:
+        p, pos = np.divmod(np.unique(p * seg_len + pos), seg_len)
+        w = vals[pos]
+    ph = p.astype(w.dtype)
+    v = np.zeros(w.size, dtype=np.int64)
+    live = (w != 0).nonzero()[0]
+    while (live := live[w[live] % ph[live] == 0]).size:
+        w[live] //= ph[live]
+        v[live] += 1
+    if vals is not None:
+        np.floor_divide.at(vals, pos, ph ** v.astype(w.dtype))
+    return pos, p, v
 
 
 def _log_values(poly, seg_lo, seg_len):
@@ -335,12 +348,12 @@ def _log_values(poly, seg_lo, seg_len):
     return logs
 
 
-def _log_flags(f, seg_lo, seg_len, Q, R, L, deep):
-    """Smooth flags of a segment by the log sieve planned by _log_classes.
+def _log_flags(f, seg_lo, seg_len, P, Q, R, deep):
+    """Smooth flags of a segment by the log sieve over the plan (_plan).
 
     The sum at n is log of the y-smooth part of |f(n)|: min(v_p(g(n)), k)
     terms log p from the levels of (g, p), plus the rest of v_p(g(n)),
-    counted exactly, at the hits of a `deep` class.  It has m <= 2 log2 |f(n)|
+    counted exactly, at the hits of a deep class.  It has m <= 2 log2 |f(n)|
     terms, each log p within an ulp, so its float error is below
     2 m u log |f(n)| < 0.001 for |f(n)| < 2^_LOG_BITS.  With _log_values'
     0.001 both stay far inside the (log 2)/2 margin: the test is exact.
@@ -348,25 +361,15 @@ def _log_flags(f, seg_lo, seg_len, Q, R, L, deep):
     acc = np.zeros(seg_len)
     small = int(np.searchsorted(Q, seg_len))
     for q, r, lp in zip(Q[:small].tolist(), R[:small].tolist(),
-                        L[:small].tolist()):
+                        np.log(P[:small]).tolist()):
         acc[(r - seg_lo) % q::q] += lp
     if small < len(Q):
         first = (R[small:] - seg_lo) % Q[small:]
         hit = first < seg_len
-        acc += np.bincount(first[hit], weights=L[small:][hit],
+        acc += np.bincount(first[hit], weights=np.log(P[small:][hit]),
                            minlength=seg_len)
-    gs, DG, DP, DQ, DR = deep
-    first = (DR - seg_lo) % DQ
-    for j in np.flatnonzero(first < seg_len).tolist():
-        g, p, q = gs[DG[j]], int(DP[j]), int(DQ[j])
-        for i in range(int(first[j]), seg_len, q):
-            w = g(seg_lo + i) // q
-            if w:  # f(n) = 0 is decided by its log, +inf
-                v = 0
-                while w % p == 0:
-                    w //= p
-                    v += 1
-                acc[i] += v * log(p)
+    pos, p, v = _settle_deep(deep, seg_lo, seg_len)
+    np.add.at(acc, pos, v * np.log(p))
     return acc >= _log_values(f.product, seg_lo, seg_len) - _LOG_MARGIN
 
 
@@ -399,14 +402,11 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
     if effective >= MAX_PRIME:
         raise ValueError(f"prime bound {effective} reaches the desk-scale "
                          "limit 2^32")
-    if prime_mode:
-        bound = min(2 * count, b0)
-        P, R = root_classes(f, primes_up_to(bound))
-    else:
-        if mbound.bit_length() > _LOG_BITS:
-            raise ValueError("values reach 2^(2^20), past the exact range of "
-                             "the log sieve")
-        plan = _log_classes(f, primes_up_to(effective), lo, hi)
+    if not prime_mode and mbound.bit_length() > _LOG_BITS:
+        raise ValueError("values reach 2^(2^20), past the exact range of "
+                         "the log sieve")
+    bound = min(2 * count, b0) if prime_mode else effective
+    plan = _plan(f, primes_up_to(bound), lo, hi)
 
     flags = np.zeros(count, dtype=bool)
     pplus = None
@@ -417,7 +417,7 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
         seg_len = min(segment_size, hi - seg_lo + 1)
         seg = slice(seg_lo - lo, seg_lo - lo + seg_len)
         if prime_mode:
-            vals, best = _sieve_segment(f, seg_lo, seg_len, P, R)
+            vals, best = _sieve_segment(f, seg_lo, seg_len, *plan)
             flags[seg], pv = _aggregate(vals, best, y, bound)
             if need_pplus:
                 pplus[seg] = pv

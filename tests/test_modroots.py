@@ -1,5 +1,6 @@
 import random
 import time
+from collections import defaultdict
 from math import gcd, prod
 
 import numpy as np
@@ -16,6 +17,7 @@ from polysmooth.modroots import (
 )
 from polysmooth.oracles import omega_scan
 from polysmooth.primes import factorize, is_prime, primes_up_to
+from polysmooth.smoothsieve import _plan
 
 T2P1 = build_factored(["t^2+1"])
 T2M2 = build_factored(["t^2-2"])
@@ -511,6 +513,35 @@ def test_batch_roots_special_lanes_gcd_path(factors):
 def test_batch_roots_near_2_32(text):
     assert len(TOP_PRIMES) == 10 and TOP_PRIMES[-1] < 1 << 32
     _assert_batch_matches_scalar([text], TOP_PRIMES)
+
+
+# primes with many levels below 2^32, and the largest below 2^16, whose
+# level 2 comes near 2^32
+LIFT_PRIMES = primes_up_to(200) + [65497, 65519, 65521]
+
+
+@pytest.mark.parametrize("factors", [
+    *(_random_factors(random.Random(seed)) for seed in range(7)),
+    *SPECIAL_FACTORS])
+def test_batch_lift_matches_lift_roots(factors):
+    # over a window longer than 2^32 the sieve's plan lifts every class
+    # while q p < 2^32, a singular one while q <= 256: each level a prime's
+    # classes reach together must be lift_roots(part, p, k), simple roots
+    # and singular ones (all p classes above a root, or none)
+    for part in build_factored(factors).parts():
+        P, Q, R, (_, _, DP, DQ, _) = _plan(part, LIFT_PRIMES, 0, 2**40)
+        levels = defaultdict(list)
+        for p, q, r in zip(P.tolist(), Q.tolist(), R.tolist()):
+            levels[p, q].append(r)
+        stopped = set(zip(DP.tolist(), DQ.tolist()))
+        for p in LIFT_PRIMES:
+            q, k = p, 1
+            while True:
+                assert tuple(sorted(levels[p, q])) == lift_roots(part, p, k), (
+                    factors, p, k)
+                if (p, q) in stopped or not levels[p, q] or q * p >= 2**32:
+                    break
+                q, k = q * p, k + 1
 
 
 def test_root_classes_mixes_cached_and_new_primes():

@@ -22,6 +22,7 @@ from polysmooth.modroots import omega
 from polysmooth.oracles import (
     PPLUS_ORACLE_LIMIT,
     _enumerate_smooth,
+    _oomega,
     _oracle_split,
     _oracle_v_w,
     _primitive_definition_oracle,
@@ -195,6 +196,21 @@ def test_oracle_split_rejects_a_wrong_root_count(monkeypatch):
     monkeypatch.setattr(vwmachinery, "omega_factored",
                         lambda f, fact: 2 * omega_f(f, fact))
     assert not _close(got(), want)
+
+
+def test_oomega_counts_roots_without_the_library(monkeypatch):
+    # above 3 * 10^4 the tails' root counts are lifted by their definition:
+    # a broken modroots.omega is never reached
+    def broken(f, k):
+        raise AssertionError("the oracle called modroots.omega")
+
+    monkeypatch.setattr(modroots, "omega", broken)
+    for factors in (["t^2+1"], ["t^2+7"], ["t^3-2"], ["t", "t^2+1"]):
+        f = build_factored(factors)
+        for k in (32768, 59049, 64800, 390625, 823543, 1048576, 1081080):
+            assert _oomega.__wrapped__(f, k) == omega_scan(f, k), (factors, k)
+    with pytest.raises(ValueError, match="above 3e4"):
+        _oomega.__wrapped__(f, 2 * 30011)
 
 
 def test_windowed_oracle_rejects_a_lost_witness(monkeypatch):

@@ -325,7 +325,9 @@ def _smooth(v, y):
 
 
 # Count mode decides flags by the log sieve.  Each window stresses one of its
-# exact steps; every y is below b0, so none of them runs in prime mode.
+# exact steps; every y is below b0, so none of them runs in prime mode.  The
+# windows whose b0 is below 2^32 also run in prime mode, whose division
+# kernel settles the same kind of deep classes, and P+ is checked per n.
 M = 2**27 + 1
 
 
@@ -348,8 +350,12 @@ M = 2**27 + 1
     ([[2**1400 - 7, 1]], 1, 50, [2]),
     # values past 2^63
     (["t^4+t+1"], 55200, 55500, [13, 1000]),
+    # deep classes of p = 2 of both factors hit n = 2^21 and n = 2^25,
+    # where f(n) = 3 * 2^41 and 3 * 11 * 2^45
+    ([[0, 1], [2**20, 1]], 2**21 - 50, 2**21 + 50, [2, 3]),
+    ([[0, 1], [2**20, 1]], 2**25 - 500, 2**25 + 500, [2, 11]),
 ])
-def test_log_sieve_exact_steps(factors, lo, hi, ys):
+def test_log_sieve_exact_steps(factors, lo, hi, ys, pplus_ref):
     f = build_factored(factors)
     b0 = isqrt(coeff_bound(f, hi)) + 1
     for y in ys:
@@ -358,6 +364,10 @@ def test_log_sieve_exact_steps(factors, lo, hi, ys):
         tab = sieve_range(f, lo, hi, y)
         assert [tab.flag(n) for n in range(lo, hi + 1)] == want, y
         assert tab.psi == sum(want)
+    if b0 < 2**32:
+        tab = sieve_range(f, lo, hi, y, need_pplus=True)
+        assert [tab.pplus_of(n) for n in range(lo, hi + 1)] == [
+            pplus_ref(f(n)) for n in range(lo, hi + 1)]
 
 
 def test_log_sieve_range_is_a_domain_limit():

@@ -1,17 +1,24 @@
 """Shared prime/factorization plumbing: sieve, deterministic Miller-Rabin,
 Pollard-Brent rho."""
 
+from bisect import bisect_right
 from math import gcd, isqrt
 
 import numpy as np
 
-# The first thirteen primes as witnesses: Miller-Rabin is deterministic below
-# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all of
-# them (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-# Math. Comp. 2017).  psi_13 passes them, so past it a witness still proves n
-# composite, but passing every base proves nothing.
+# The first thirteen primes as witnesses.  psi_k, the least strong
+# pseudoprime to the first k of them (Jaeschke, "On strong pseudoprimes to
+# several bases", Math. Comp. 1993; Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017; OEIS A014233), so
+# the first k bases prove every n < psi_k prime.  psi_13 passes all thirteen:
+# past it a witness still proves n composite, but passing every base proves
+# nothing.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+           3474749660383, 341550071728321, 341550071728321,
+           3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461, 3317044064679887385961981)
+_MR_LIMIT = _MR_PSI[-1]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -30,9 +37,9 @@ def primes_up_to(n):
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, proven for n < psi_13 =
-    3317044064679887385961981 (about 3.3e24).  A larger n that no base
-    proves composite is a ValueError."""
+    """Deterministic Miller-Rabin on the first k bases for the least k with
+    n < psi_k, proven for n < psi_13 = 3317044064679887385961981 (about
+    3.3e24).  A larger n that no base proves composite is a ValueError."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -43,7 +50,7 @@ def is_prime(n):
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

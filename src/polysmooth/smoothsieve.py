@@ -20,6 +20,13 @@ Every prime factor of a cofactor c exceeds B, so c <= B^2 is 1 or a prime; a
 larger c is tested by Miller-Rabin (is_prime) and, if composite, split by
 Pollard-Brent (factorize).  P+ is then exact and flags become P+ <= y.  The
 2^32 domain check applies to b0, so every certified cofactor is below 2^64.
+
+Both kernels split the plan by how often a class hits a segment (_dense): a
+class of q below 1/64 of the segment length is sieved along a strided view,
+and every other class through one gathered pass over all their hits
+(_hits): np.bincount adds the logs, unbuffered np.floor_divide.at and
+np.maximum.at divide and keep the largest p, so two primes that hit one n
+both count.
 """
 
 import sys
@@ -31,7 +38,8 @@ import numpy as np
 
 from .polyarith import FactoredPoly
 from .primes import factorize, is_prime, primes_up_to
-from .modroots import MAX_PRIME, MAX_PRIME_POWER, _lanes_mod, root_classes
+from .modroots import (MAX_PRIME, MAX_PRIME_POWER, _inverse, _lanes_mod,
+                       root_classes)
 # bench/oracles.py imports psi_oracle from this module
 from .oracles import psi_oracle
 
@@ -59,6 +67,10 @@ _FLOAT_LIMIT = 1 << 1000
 _LOG_BITS = 1 << 20
 # Bound on q for lifting a singular root mod q: it lifts to p classes at once
 _MAX_CLASSES = 256
+# A class that hits a segment this many times or more is sieved along a
+# strided view; two numpy calls per class and segment cost less than its
+# hits in the gathered pass.  Below it the gathered pass costs less.
+_DENSE_HITS = 64
 
 
 @dataclass
@@ -165,6 +177,25 @@ def eval_range(poly, n0, count):
     return vals
 
 
+def _dense(Q, seg_len):
+    """The classes, a prefix of the plan sorted by q, that the kernels sieve
+    along a strided view: those of q < seg_len / _DENSE_HITS, which hit the
+    segment at least _DENSE_HITS times.  Every other class goes through one
+    gathered pass (_hits)."""
+    return int(np.searchsorted(Q, -(-seg_len // _DENSE_HITS)))
+
+
+def _hits(Q, R, seg_lo, seg_len, start):
+    """Every hit n = seg_lo + i of the classes Q[start:], R[start:] in the
+    segment, as arrays (c, i) of the class's index into Q and the offset."""
+    Q, R = Q[start:], R[start:]
+    first = (R - seg_lo) % Q
+    cls = (first < seg_len).nonzero()[0]
+    cls = np.repeat(cls, (seg_len - 1 - first[cls]) // Q[cls] + 1)
+    pos = first[cls] + (np.arange(cls.size) - cls.searchsorted(cls)) * Q[cls]
+    return cls + start, pos
+
+
 def _sieve_segment(f, seg_lo, seg_len, P, Q, R, deep):
     """|f(n)| over the segment with every p of the plan divided out to full
     multiplicity (once at each hit of a class, then by _settle_deep), and
@@ -172,22 +203,19 @@ def _sieve_segment(f, seg_lo, seg_len, P, Q, R, deep):
     vals = eval_range(f.product, seg_lo, seg_len)
     np.abs(vals, out=vals)
     best = np.ones(seg_len, dtype=np.int64)
-    # a class of q < seg_len hits the segment along a strided view, a class
-    # of larger q at most once
-    small = int(np.searchsorted(Q, seg_len))
-    for p, q, r in zip(P[:small].tolist(), Q[:small].tolist(),
-                       R[:small].tolist()):
+    dense = _dense(Q, seg_len)
+    for p, q, r in zip(P[:dense].tolist(), Q[:dense].tolist(),
+                       R[:dense].tolist()):
         first = (r - seg_lo) % q
         sub = vals[first::q]
         sub //= p
         np.maximum(best[first::q], p, out=best[first::q])
-    if small < len(Q):
-        first = (R[small:] - seg_lo) % Q[small:]
-        hit = first < seg_len
-        idx, ph = first[hit], P[small:][hit]
-        np.maximum.at(best, idx, ph)
-        np.floor_divide.at(vals, idx, ph.astype(vals.dtype))
-    _settle_deep(deep, seg_lo, seg_len, vals)
+    # unbuffered: classes of two primes that hit one n both divide it
+    cls, pos = _hits(Q, R, seg_lo, seg_len, dense)
+    ph = P[cls]
+    np.maximum.at(best, pos, ph)
+    np.floor_divide.at(vals, pos, ph.astype(vals.dtype))
+    _settle_deep(P, Q, R, deep, seg_lo, seg_len, vals)
     return vals, best
 
 
@@ -222,15 +250,15 @@ def _aggregate(vals, best, y, bound):
 def _plan(f, primes, lo, hi):
     """The classes both kernels sieve over [lo, hi], 0 <= lo: int64 arrays
     P, Q, R sorted by Q, one per root r of a factor g of f mod q = p^k, and
-    deep = (gs, DG, DP, DQ, DR), the factors and the factor's index, p, q, r
-    of each class past which p^(k+1) may divide g(n).  A class lifts while
-    q < hi - lo + 1 (past it, it hits [lo, hi] once at most), q p < 2^32
-    and q p <= max |g(n)|, a singular one while q <= _MAX_CLASSES, in lanes
-    holding g mod M, the largest power of p below 2^32, and g'(r)^-1 mod p,
-    which is the same at every level above r."""
+    deep = (gs, DG, DI), the factors and, per class past which p^(k+1) may
+    divide g(n), the factor's index and the class's index into P, Q, R.  A
+    class lifts while q < hi - lo + 1 (past it, it hits [lo, hi] once at
+    most), q p < 2^32 and q p <= max |g(n)|, a singular one while q <=
+    _MAX_CLASSES, in lanes holding g mod M, the largest power of p below
+    2^32, and g'(r)^-1 mod p, which is the same at every level above r."""
     count = min(hi - lo + 1, MAX_PRIME)
     gs = [part.product for part in f.parts()]
-    levels, deep = [], []
+    levels, deep, size = [], [], 0
     for i, part in enumerate(f.parts()):
         top = min(coeff_bound(gs[i], hi), MAX_PRIME_POWER - 1)  # >= |g(n)|
         P, R = (a.view(np.uint64) for a in root_classes(part, primes))
@@ -243,16 +271,16 @@ def _plan(f, primes, lo, hi):
         D = np.zeros_like(M)  # g'(r) mod p
         for k in range(len(C) - 1, 0, -1):
             D = (D * R[lanes] + k * (C[k] % P[lanes]) % P[lanes]) % P[lanes]
-        INV = np.zeros_like(P)
-        INV[lanes] = [pow(d, -1, p) if d else 0
-                      for d, p in zip(D.tolist(), P[lanes].tolist())]
+        INV = np.zeros_like(P)  # 0 marks a singular root
+        INV[lanes] = np.where(D > 0, _inverse(D, P[lanes]), 0)
         while True:
             levels.append((P, Q, R))
             m = Q * P
             go = ((Q < count) & (m < MAX_PRIME) & (m <= top)
                   & ((INV > 0) | (Q <= _MAX_CLASSES)))
-            stop = ~go & (m <= top)
-            deep.append((np.full_like(P[stop], i), P[stop], Q[stop], R[stop]))
+            stop = (~go & (m <= top)).nonzero()[0]
+            deep.append((np.full_like(stop, i), stop + size))
+            size += P.size
             if not (go := go.nonzero()[0]).size:
                 break
             C, INV, P, Q, R, m = C[:, go], INV[go], P[go], Q[go], R[go], m[go]
@@ -269,34 +297,35 @@ def _plan(f, primes, lo, hi):
             C, INV, P, Q = C[:, src], INV[src], P[src], m[src]
     # every entry is below 2^32: the uint64 bits read as int64; each list,
     # up to a class per prime, is dropped as soon as it is joined
-    DG, DP, DQ, DR = (np.concatenate(a).view(np.int64) for a in zip(*deep))
-    del deep
     P, Q, R = (np.concatenate(a).view(np.int64) for a in zip(*levels))
     del levels
     order = np.argsort(Q, kind="stable")
-    return P[order], Q[order], R[order], (gs, DG, DP, DQ, DR)
+    rank = np.empty_like(order)  # a class's index into the sorted plan
+    rank[order] = np.arange(order.size)
+    DG, DI = (np.concatenate(a) for a in zip(*deep))
+    deep = (gs, DG, rank[DI])
+    del rank, DI
+    return P[order], Q[order], R[order], deep
 
 
-def _settle_deep(deep, seg_lo, seg_len, vals=None):
+def _settle_deep(P, Q, R, deep, seg_lo, seg_len, vals=None):
     """The exact v_p at every hit n = seg_lo + i of a deep class, as arrays
     (i, p, v): of g(n) / q per class and hit in count mode; in prime mode, of
     the cofactor the classes left in `vals`, which is divided out in place,
     one entry per (n, p) as deep classes of two factors may hit one n."""
-    gs, DG, DP, DQ, DR = deep
-    first = (DR - seg_lo) % DQ
-    cls = (first < seg_len).nonzero()[0]
+    gs, DG, DI = deep
+    cls, pos = _hits(Q[DI], R[DI], seg_lo, seg_len, 0)
     if not cls.size:
-        return cls, cls, cls
-    cls = np.repeat(cls, (seg_len - 1 - first[cls]) // DQ[cls] + 1)
-    pos = first[cls] + (np.arange(cls.size) - cls.searchsorted(cls)) * DQ[cls]
-    p = DP[cls]
+        return pos, pos, pos
+    fac, cls = DG[cls], DI[cls]
+    p = P[cls]
     if vals is None:  # Horner in int64 is exact by eval_range's rule
         big = max(coeff_bound(g, seg_lo + seg_len - 1) for g in gs)
         n = (pos + seg_lo).astype(np.int64 if big < _INT64_LIMIT else object)
         w = np.zeros_like(n)
         for i, g in enumerate(gs):
-            at = DG[cls] == i
-            w[at] = np.polyval(g.coeffs[::-1], n[at]) // DQ[cls[at]]
+            at = fac == i
+            w[at] = np.polyval(g.coeffs[::-1], n[at]) // Q[cls[at]]
     else:
         p, pos = np.divmod(np.unique(p * seg_len + pos), seg_len)
         w = vals[pos]
@@ -354,21 +383,19 @@ def _log_flags(f, seg_lo, seg_len, P, Q, R, deep):
     The sum at n is log of the y-smooth part of |f(n)|: min(v_p(g(n)), k)
     terms log p from the levels of (g, p), plus the rest of v_p(g(n)),
     counted exactly, at the hits of a deep class.  It has m <= 2 log2 |f(n)|
-    terms, each log p within an ulp, so its float error is below
-    2 m u log |f(n)| < 0.001 for |f(n)| < 2^_LOG_BITS.  With _log_values'
-    0.001 both stay far inside the (log 2)/2 margin: the test is exact.
+    terms, each log p within an ulp, so in any order of summation its float
+    error is below 2 m u log |f(n)| < 0.001 for |f(n)| < 2^_LOG_BITS.  With
+    _log_values' 0.001 both stay far inside the (log 2)/2 margin: the test
+    is exact.
     """
     acc = np.zeros(seg_len)
-    small = int(np.searchsorted(Q, seg_len))
-    for q, r, lp in zip(Q[:small].tolist(), R[:small].tolist(),
-                        np.log(P[:small]).tolist()):
+    dense = _dense(Q, seg_len)
+    for q, r, lp in zip(Q[:dense].tolist(), R[:dense].tolist(),
+                        np.log(P[:dense]).tolist()):
         acc[(r - seg_lo) % q::q] += lp
-    if small < len(Q):
-        first = (R[small:] - seg_lo) % Q[small:]
-        hit = first < seg_len
-        acc += np.bincount(first[hit], weights=np.log(P[small:][hit]),
-                           minlength=seg_len)
-    pos, p, v = _settle_deep(deep, seg_lo, seg_len)
+    cls, pos = _hits(Q, R, seg_lo, seg_len, dense)
+    acc += np.bincount(pos, weights=np.log(P[cls]), minlength=seg_len)
+    pos, p, v = _settle_deep(P, Q, R, deep, seg_lo, seg_len)
     np.add.at(acc, pos, v * np.log(p))
     return acc >= _log_values(f.product, seg_lo, seg_len) - _LOG_MARGIN
 

@@ -529,7 +529,8 @@ def test_batch_lift_matches_lift_roots(factors):
     # classes reach together must be lift_roots(part, p, k), simple roots
     # and singular ones (all p classes above a root, or none)
     for part in build_factored(factors).parts():
-        P, Q, R, (_, _, DP, DQ, _) = _plan(part, LIFT_PRIMES, 0, 2**40)
+        P, Q, R, (_, _, DI) = _plan(part, LIFT_PRIMES, 0, 2**40)
+        DP, DQ = P[DI], Q[DI]
         levels = defaultdict(list)
         for p, q, r in zip(P.tolist(), Q.tolist(), R.tolist()):
             levels[p, q].append(r)

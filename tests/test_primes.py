@@ -1,10 +1,12 @@
+import random
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import prod
 
 import pytest
 
-from polysmooth.primes import factorize, is_prime, primes_up_to
+from polysmooth.primes import (_MR_BASES, _MR_PSI, factorize, is_prime,
+                               primes_up_to)
 
 N_MAX = 2 * 10**5
 ABOVE = (1, 46, 47, 48, 49, 53, 2000, 9998, 9999, 10000, 10001)
@@ -64,6 +66,15 @@ PSI_13 = 3317044064679887385961981
     (3825123056546413051, False),
     (561, False),
     (3215031751, False),
+    # with 3215031751 = psi_4, 3825123056546413051 = psi_9 = psi_10 = psi_11
+    # and psi_12, every psi_k for k <= 12 (OEIS A014233): psi_k passes the
+    # first k bases, so is_prime must run at least k + 1
+    (2047, False),
+    (1373653, False),
+    (25326001, False),
+    (2152302898747, False),
+    (3474749660383, False),
+    (341550071728321, False),  # psi_7 = psi_8
     (2**61 - 1, True),
     (2**64 - 59, True),
     (PSI_13 - 168, True),  # the largest prime below psi_13
@@ -78,3 +89,43 @@ def test_is_prime_refuses_past_its_proven_range():
     for n in [PSI_13, 2**89 - 1]:
         with pytest.raises(ValueError, match="proven only below"):
             is_prime(n)
+
+
+def _is_prime_13(n):
+    """Miller-Rabin on all thirteen bases whatever n, for odd n > 47 below
+    psi_13: the path is_prime took before it chose its bases by n."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_fewest_bases_agree_with_thirteen():
+    # a seeded sample of every band [psi_(k-1), psi_k) in which is_prime runs
+    # k bases, with the next prime above a few of the samples and the band's
+    # ends
+    rng = random.Random(20260)
+    edges = (49,) + _MR_PSI
+    for lo, hi in zip(edges, edges[1:]):
+        if lo == hi:
+            continue
+        sample = [lo, lo + 2, hi - 2, hi - 1]
+        sample += [rng.randrange(lo, hi) | 1 for _ in range(200)]
+        for n in sample[-10:]:
+            while not _is_prime_13(n) and n < hi - 2:
+                n += 2
+            sample.append(n)
+        for n in sample:
+            if n % 2 and all(n % p for p in primes_up_to(47)):
+                assert is_prime(n) is _is_prime_13(n), n

@@ -1,5 +1,5 @@
 import signal
-from math import isqrt, prod
+from math import inf, isqrt, prod
 
 import numpy as np
 import pytest
@@ -136,17 +136,35 @@ def test_unit_values_always_smooth():
     assert not tab.flag(2)  # f(2) = 2 not 1-smooth
 
 
-def test_segment_independence():
-    base = psi(T2P1, 500, 20)
-    base_pp = sieve_range(T_T2P1, 1, 400, 10**4, need_pplus=True)
-    for seg in [8, 64, SEGMENT, 1 << 20]:
-        tab = sieve_range(T2P1, 1, 500, 20, segment_size=seg)
-        assert tab.psi == base.psi
-        assert np.array_equal(tab.flags, base.flags)
-        tab = sieve_range(T_T2P1, 1, 400, 10**4, need_pplus=True,
+# Windows with thousands of root classes on both sides of the kernels'
+# density split (q < segment length / 64 goes along strided views, the rest
+# through one gathered pass), and many hits of distinct primes on one n.
+# b0 = 200001 on [1, 2e5] for t^2+1, so y = 200000 runs the log sieve; at
+# y = 1000 the last strided class at SEGMENT is p = 997, so a class sieved
+# twice would pass values with a cofactor prime in (1000, 997 * sqrt(2)).
+@pytest.mark.parametrize("factors, hi, y, need_pplus, segs", [
+    (["t^2+1"], 500, 20, False, [8, 64, SEGMENT, 1 << 20]),
+    (["t", "t^2+1"], 400, 10**4, True, [8, 64, SEGMENT, 1 << 20]),
+    (["t^2+1"], 2 * 10**5, inf, True, [97, 4096, SEGMENT, 1 << 20]),
+    (["t", "t^2+1"], 2 * 10**5, inf, True, [97, 4096, SEGMENT, 1 << 20]),
+    (["t^2+1"], 2 * 10**5, 1000, False, [97, 4096, SEGMENT, 1 << 20]),
+    (["t^2+1"], 2 * 10**5, 2 * 10**5, False, [97, 4096, SEGMENT, 1 << 20]),
+], ids=["count-500", "pplus-400", "pplus-t2p1-2e5", "pplus-t-t2p1-2e5",
+        "count-t2p1-y1000", "count-t2p1-below-b0"])
+def test_segment_independence(factors, hi, y, need_pplus, segs, pplus_ref):
+    # every segment size gives the flags of one prime-mode table, whose P+
+    # column is checked against the oracle at both ends of the window
+    f = build_factored(factors)
+    base = sieve_range(f, 1, hi, y, need_pplus=True)
+    ends = [*range(1, 151), *range(hi - 149, hi + 1)]
+    assert [base.pplus_of(n) for n in ends] == [pplus_ref(f(n)) for n in ends]
+    for seg in segs:
+        tab = sieve_range(f, 1, hi, y, need_pplus=need_pplus,
                           segment_size=seg)
-        assert np.array_equal(tab.flags, base_pp.flags)
-        assert np.array_equal(tab.pplus, base_pp.pplus)
+        assert tab.psi == base.psi, seg
+        assert np.array_equal(tab.flags, base.flags), seg
+        if need_pplus:
+            assert np.array_equal(tab.pplus, base.pplus), seg
 
 
 def test_segment_size_not_dividing_range():

@@ -17,20 +17,14 @@ import random
 import tempfile
 import time
 from dataclasses import dataclass
-from math import ceil, floor, fsum, log, sqrt
+from math import ceil, floor, fsum, log, prod, sqrt
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bounds import cassels_coeff, gamma_f, make_bound_report
 from .dickman import rho
-from .modroots import (
-    lift_roots,
-    omega,
-    omega_factored,
-    omega_grid,
-    root_classes,
-)
+from .modroots import lift_table, omega_grid, root_classes
 from .oracles import (
     _enumerate_smooth,
     _oracle_split,
@@ -368,13 +362,13 @@ def criterion_7(quick=False):
             for b in range(1, prod_cap // a + 1):
                 if gcd(a, b) == 1 and table[a * b] != table[a] * table[b]:
                     mult_fail += 1
-        root_classes(f, primes_up_to(10**4))  # every prime of the sample
         rng = random.Random(f"mult|{label}")
-        for _ in range(sample_n):
-            a = rng.randrange(1, 10**4 + 1)
-            b = rng.randrange(1, 10**4 + 1)
-            if gcd(a, b) == 1 and omega(f, a * b) != omega(f, a) * omega(f, b):
-                mult_fail += 1
+        pairs = [(rng.randrange(1, 10**4 + 1), rng.randrange(1, 10**4 + 1))
+                 for _ in range(sample_n)]
+        oms = omega_grid(f, [k for a, b in pairs if gcd(a, b) == 1
+                             for k in (a, b, a * b)])
+        mult_fail += sum(oms[i + 2] != oms[i] * oms[i + 1]
+                         for i in range(0, len(oms), 3))
     details["multiplicativity_failures"] = mult_fail
     ok &= mult_fail == 0
 
@@ -385,12 +379,12 @@ def criterion_7(quick=False):
         delta = f.discriminant_abs
         theta = factorize(delta)
         primes = primes_up_to(p_top)
-        root_classes(f, primes)
+        roots = lift_table(f, [(p, 4) for p in primes])
         for p in primes:
-            w1 = len(lift_roots(f, p, 1))
+            w1 = len(roots[p, 1])
             tp = theta.get(p, 0)
             for v in range(1, 5):
-                w = len(lift_roots(f, p, v))
+                w = len(roots[p, v])
                 if w * w > f.d * f.d * p**tp or w * w > f.d * f.d * delta:
                     huxley_fail += 1
                 if delta % p != 0 and w != w1:
@@ -410,7 +404,8 @@ def criterion_7(quick=False):
     scan_fail = 0
     for label in polys:
         f = _poly(label)
-        root_classes(f, pp_primes)
+        # a tuple's exponent of p is at most 3 m_top
+        roots = lift_table(f, [(p, 3 * m_top) for p in pp_primes])
         delta = f.discriminant_abs
         scan_candidates = []
         for m in range(1, m_top + 1):
@@ -419,12 +414,12 @@ def criterion_7(quick=False):
                 fact = {}
                 for p, v in tup:
                     fact[p] = fact.get(p, 0) + v
-                lhs = omega_factored(f, fact)
+                lhs = prod(len(roots[pe]) for pe in fact.items())
                 s_idx = [j for j, (p, _) in enumerate(tup) if delta % p != 0]
                 rhs_prod = 1
                 for j in s_idx:
                     p, v = tup[j]
-                    rhs_prod *= len(lift_roots(f, p, v))
+                    rhs_prod *= len(roots[p, v])
                 k = m - len(s_idx)
                 if lhs * lhs > (f.d * f.d * delta) ** k * rhs_prod * rhs_prod:
                     l42_fail += 1

@@ -6,17 +6,17 @@ list of primes at once, one uint64 numpy lane per prime.  Each factor is
 reduced mod p, and the lanes run grouped by the reduced degree, which
 drops where p divides the leading coefficient: closed forms for degree
 <= 2, and gcd(f, X^p - X) with randomized equal-degree splitting for degree
->= 3.  p = 2 is scanned.  lift_roots reads every level from f's caches,
-as a sorted tuple: level 1 asks root_classes for a prime not yet in the
-root cache (a caller that visits many primes one at a time fills it with
-one root_classes call first), and level v >= 2 comes from Hensel lifting
-level v - 1, where a singular root lifts to all p classes above it or to
-none, by one evaluation of f.
+>= 3.  p = 2 is scanned.  Every level p^k, k >= 2, comes from one lifter,
+lift_classes, which Hensel lifts whole levels of classes at once: the
+sieve's plan lifts each factor, and lift_table lifts f for every (p, v) a
+caller of omega, the V/W sums or the acceptance suite asks for in one call.
+lift_roots is its one-lane wrapper; only level 1 is cached.
 """
 
 import random
-from itertools import chain, islice
-from math import isqrt
+from itertools import chain, groupby, islice
+from math import isqrt, prod
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,13 +34,6 @@ MAX_OMEGA_K = 1 << 48        # factoring budget for omega
 # primes per _batch_roots call: bounds the lanes' memory (the degree >= 3
 # kernel holds about 460 bytes per lane at its peak)
 LANE_BLOCK = 1 << 15
-
-
-def _eval_mod(poly, u, m):
-    acc = 0
-    for c in reversed(poly.coeffs):
-        acc = (acc * u + c) % m
-    return acc
 
 
 # ------------------------------------------------------------------- lanes
@@ -328,7 +321,7 @@ def _batch_roots(f, primes):
         lanes.append(odd[pl])
         roots.append(pr.astype(np.int64))
     for i in np.flatnonzero(P == 2).tolist():
-        rs = [u for u in (0, 1) if _eval_mod(f.product, u, 2) == 0]
+        rs = [u for u in (0, 1) if f.product(u) % 2 == 0]
         lanes.append(np.full(len(rs), i, dtype=np.int64))
         roots.append(np.array(rs, dtype=np.int64))
     # a root shared by two factors, or a double root, appears once
@@ -367,53 +360,102 @@ def root_classes(f: FactoredPoly, primes):
     return np.repeat(np.array(primes, dtype=np.int64), counts), R
 
 
-def lift_roots(f: FactoredPoly, p: int, v: int) -> tuple:
-    """All u (mod p^v) with f(u) = 0 (mod p^v), as a sorted tuple; every
-    level is built once and cached.  Level 1 is f's root cache, where a p
-    not cached yet is checked prime and sent through root_classes; level
-    v >= 2 Hensel lifts the roots mod p^(v-1).
+def lift_classes(g, P, R, limit, singular=None):
+    """The root classes of the polynomial g mod every p^k above its level-1
+    classes P, R (root_classes' answer for g, viewed as uint64): one (lane, Q,
+    R, capped) per level k >= 1, with each class's index into P, q = p^k,
+    the roots, and whether the class stopped at its limit.  A class lifts
+    to q p while q <= limit[lane], a singular one while q <= singular too.
 
-    For a root u mod p^k, f(u + t p^k) = f(u) + t p^k f'(u) (mod p^(k+1)).
-    So a simple root (f'(u) != 0 mod p) lifts to the one t that solves it,
-    and a singular root lifts to all p classes u + t p^k when p^(k+1)
-    divides f(u), and to none otherwise.
-    """
+    By g(r + t q) = g(r) + t q g'(r) (mod q p), a simple root takes Newton's
+    t, with g'(r)^-1 mod p found once per lane, and a singular root all p
+    classes where q p divides g(r), else none.  Lanes are uint64 while
+    q p < 2^32, on g reduced once mod the largest power of p below 2^32, so
+    Horner's partials stay below 2^64; past that they hold Python ints."""
+    levels = [(np.arange(P.size), P, R, np.ones(P.size, dtype=bool))]
+    lane = np.flatnonzero(P <= limit)  # the lanes that may lift
+    if not lane.size:
+        return levels
+    P, R, limit = P[lane], R[lane], limit[lane]
+    M = P ** (32 / np.log2(P)).astype(np.uint64)  # 2^32 at p = 2
+    M = np.where(M >= MAX_PRIME, M // P, M)
+    C = np.array([_lanes_mod(c, M) for c in g.coeffs])
+    D = np.zeros_like(P)  # g'(r) mod p
+    for k in range(len(C) - 1, 0, -1):
+        D = (D * R + k * (C[k] % P) % P) % P
+    INV = np.where(D > 0, _inverse(D, P), 0)  # 0 marks a singular root
+    if singular is not None:
+        limit = np.where(INV > 0, limit, np.minimum(limit, singular))
+    levels[0][3][lane] = P > limit
+    Q = P
+    while (go := (Q <= limit).nonzero()[0]).size:
+        C, INV, P, Q, R, lane, limit = (C[:, go], INV[go], P[go], Q[go],
+                                        R[go], lane[go], limit[go])
+        m = Q * P
+        if m.dtype != object and m.max() >= MAX_PRIME:
+            INV, P, Q, R, m = (a.astype(object) for a in (INV, P, Q, R, m))
+            C = np.array(g.coeffs, dtype=object)[:, None].repeat(m.size, 1)
+        v = C[-1] % m
+        for c in C[-2::-1]:
+            v = (v * R + c) % m
+        # a simple root takes Newton's t, a singular one all t, as ranks,
+        # or none
+        n = np.where(INV > 0, 1, (v == 0) * P).astype(np.intp)
+        src = np.repeat(np.arange(n.size), n)
+        T = ((P - v // Q) * INV % P)[src] + (
+            np.arange(src.size) - src.searchsorted(src)).astype(Q.dtype)
+        R = R[src] + T * Q[src]
+        C, INV, P, Q, lane, limit = (C[:, src], INV[src], P[src], m[src],
+                                     lane[src], limit[src])
+        levels.append((lane, Q, R, Q > limit))
+    return levels
+
+
+def lift_table(f: FactoredPoly, powers) -> dict:
+    """{(p, v): the sorted roots of f mod p^v, as a tuple} for every prime p
+    of the (p, v) pairs of `powers` and every v up to the largest asked for
+    it, from one root_classes call and one lift_classes pass.  p is not
+    checked prime."""
+    top = {}
+    for p, v in powers:
+        top[p] = max(top.get(p, 0), v)
+    P, R = root_classes(f, sorted(top))
+    limit = np.array([p ** (top[p] - 1) for p in P.tolist()], dtype=np.uint64)
+    table = dict.fromkeys(((p, v) for p in top for v in range(1, top[p] + 1)),
+                          ())
+    for v, (lane, _, roots, _) in enumerate(lift_classes(
+            f.product, P.view(np.uint64), R.view(np.uint64), limit), 1):
+        # a level lists its classes by lane, so by prime
+        for p, group in groupby(zip(P[lane].tolist(), roots.tolist()),
+                                key=itemgetter(0)):
+            table[p, v] = tuple(sorted(r for _, r in group))
+    return table
+
+
+def lift_roots(f: FactoredPoly, p: int, v: int) -> tuple:
+    """All u (mod p^v) with f(u) = 0 (mod p^v), as a sorted tuple: level 1
+    is f's root cache, where a p not cached yet is checked prime and sent
+    through root_classes, and level v >= 2 one lane of lift_table."""
     if v < 1:
         raise ValueError("v must be >= 1")
     if p**v > MAX_PRIME_POWER:
         raise ValueError(f"p^v = {p}^{v} exceeds the magnitude budget 2^64")
-    if v == 1:
-        roots = f._root_cache.get(p)
-        if roots is None:
-            if p < 2 or not is_prime(p):
-                raise ValueError(f"p={p} is not prime")
-            root_classes(f, [p])  # checks p < MAX_PRIME
-            roots = f._root_cache[p]
-        return roots
-    roots = f._lift_cache.get((p, v))
-    if roots is None:
-        fpoly, fprime = f.product, f.derivative()
-        mod_k = p ** (v - 1)
-        mod_next = mod_k * p
-        nxt = []
-        for u in lift_roots(f, p, v - 1):
-            fu = _eval_mod(fpoly, u, mod_next)
-            fp_u = _eval_mod(fprime, u, p)
-            if fp_u:
-                nxt.append(u + (-(fu // mod_k)) * pow(fp_u, -1, p) % p * mod_k)
-            elif fu == 0:
-                nxt.extend(range(u, mod_next, mod_k))
-        roots = f._lift_cache[(p, v)] = tuple(sorted(nxt))
-    return roots
+    if p not in f._root_cache:
+        if p < 2 or not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
+        root_classes(f, [p])  # checks p < MAX_PRIME
+    return f._root_cache[p] if v == 1 else lift_table(f, [(p, v)])[p, v]
 
 
 def omega_factored(f: FactoredPoly, fact: dict) -> int:
-    """omega_f of the integer with prime factorization `fact`."""
-    result = 1
-    for p, e in fact.items():
-        result *= len(lift_roots(f, p, e))
-        if result == 0:
-            return 0
+    """omega_f of the integer with prime factorization `fact`.  A prime past
+    MAX_PRIME (omega's k <= 2^48 has one at most, its largest) is refused
+    only where the rest gives a nonzero count."""
+    small = [(p, e) for p, e in fact.items() if p < MAX_PRIME]
+    table = lift_table(f, small)
+    result = prod(len(table[pe]) for pe in small)
+    if result and len(small) < len(fact):
+        root_classes(f, [max(fact)])  # refuses it
     return result
 
 
@@ -446,9 +488,8 @@ def omega_grid(f: FactoredPoly, ks) -> list:
     more may hold a prime past MAX_PRIME: that k takes omega itself, after
     the rest and in grid order, so it fails, or gives 0 first, exactly as
     omega does.  The roots mod every
-    other prime come from one root_classes batch, and omega_f(k) is the
-    product of len(lift_roots(f, p, e)) over its prime powers p^e, one
-    lift_roots call per distinct (p, e).
+    other prime power p^e of the grid come from one lift_table call, and
+    omega_f(k) is the product of their counts.
     """
     ks = list(ks)
     for k in ks:
@@ -486,9 +527,9 @@ def omega_grid(f: FactoredPoly, ks) -> list:
     rows, ps, es = (np.concatenate(a) for a in (rows, ps, es))
     # e <= 48 (k <= 2^48), so p * 64 + e keys a prime power
     powers, which = np.unique(ps * 64 + es, return_inverse=True)
-    root_classes(f, np.unique(ps).tolist())
-    counts = np.array([len(lift_roots(f, q >> 6, q & 63))
-                       for q in powers.tolist()], dtype=np.int64)
+    powers = [(q >> 6, q & 63) for q in powers.tolist()]
+    table = lift_table(f, powers)
+    counts = np.array([len(table[pe]) for pe in powers], dtype=np.int64)
     omegas = np.ones(n, dtype=np.int64)
     np.multiply.at(omegas, rows, counts[which])
     for i in big.tolist():

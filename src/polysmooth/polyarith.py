@@ -286,10 +286,8 @@ class FactoredPoly:
         "statuses",
         "product",
         "_root_cache",
-        "_lift_cache",
         "_t0",
         "_parts",
-        "_fprime",
         "_factor_discs",
     )
 
@@ -304,10 +302,8 @@ class FactoredPoly:
         self.product = product
         self._factor_discs = factor_discs
         self._root_cache = {}
-        self._lift_cache = {}
         self._t0 = None
         self._parts = None
-        self._fprime = None
 
     def __call__(self, n):
         return self.product(n)
@@ -327,19 +323,14 @@ class FactoredPoly:
         return "".join(f"({f.pretty()})" for f in self.factors)
 
     def key(self):
-        """Stable string key (used for caches and reproducible seeding)."""
+        """Stable string key: it seeds root_classes' splitting, so fresh
+        instances of one f find the same roots."""
         return "|".join(",".join(map(str, f.coeffs)) for f in self.factors)
-
-    def derivative(self):
-        """f' of the product, built once: lift_roots needs it per prime."""
-        if self._fprime is None:
-            self._fprime = self.product.derivative()
-        return self._fprime
 
     def parts(self):
         """One single-factor FactoredPoly per factor, each with its own root
-        and lift caches and the discriminant build_factored found for it;
-        (self,) when there is one factor."""
+        cache and the discriminant build_factored found for it; (self,)
+        when there is one factor."""
         if self.g == 1:
             return (self,)
         if self._parts is None:

@@ -1,8 +1,8 @@
 """Exact Psi_f(x, y) and per-n largest prime factors of f(n) by a segmented
 sieve: one plan (_plan) of the root classes of each factor g of f mod every
-p^k, lifted in uint64 lanes below 2^32 (lift_roots serves only omega, V/W
-and the tests), one kernel per quantity, and one step (_settle_deep) for
-the exact v_p where a higher power of p may still divide g(n).
+p^k, lifted by modroots.lift_classes in uint64 lanes below 2^32, one kernel
+per quantity, and one step (_settle_deep) for the exact v_p where a higher
+power of p may still divide g(n).
 
 Flags (count mode, y < b0 = isqrt(max |f|) + 1 and no P+ asked for) come
 from a log sieve: log p is added at each hit of a class of p <= y, so the
@@ -38,8 +38,7 @@ import numpy as np
 
 from .polyarith import FactoredPoly
 from .primes import factorize, is_prime, primes_up_to
-from .modroots import (MAX_PRIME, MAX_PRIME_POWER, _inverse, _lanes_mod,
-                       root_classes)
+from .modroots import MAX_PRIME, MAX_PRIME_POWER, lift_classes, root_classes
 # bench/oracles.py imports psi_oracle from this module
 from .oracles import psi_oracle
 
@@ -251,50 +250,24 @@ def _plan(f, primes, lo, hi):
     """The classes both kernels sieve over [lo, hi], 0 <= lo: int64 arrays
     P, Q, R sorted by Q, one per root r of a factor g of f mod q = p^k, and
     deep = (gs, DG, DI), the factors and, per class past which p^(k+1) may
-    divide g(n), the factor's index and the class's index into P, Q, R.  A
-    class lifts while q < hi - lo + 1 (past it, it hits [lo, hi] once at
-    most), q p < 2^32 and q p <= max |g(n)|, a singular one while q <=
-    _MAX_CLASSES, in lanes holding g mod M, the largest power of p below
-    2^32, and g'(r)^-1 mod p, which is the same at every level above r."""
+    divide g(n), the factor's index and the class's index into P, Q, R.
+    lift_classes lifts a class while q < hi - lo + 1 (past it, it hits
+    [lo, hi] once at most), q p < 2^32 and q p <= max |g(n)|, a singular
+    one while q <= _MAX_CLASSES."""
     count = min(hi - lo + 1, MAX_PRIME)
     gs = [part.product for part in f.parts()]
     levels, deep, size = [], [], 0
     for i, part in enumerate(f.parts()):
         top = min(coeff_bound(gs[i], hi), MAX_PRIME_POWER - 1)  # >= |g(n)|
         P, R = (a.view(np.uint64) for a in root_classes(part, primes))
-        Q = P
-        # lanes: the classes that may lift (p < count, p^2 < 2^32), a prefix
-        lanes = slice(int(P.searchsorted(min(count, 1 << 16))))
-        M = P[lanes] ** (32 / np.log2(P[lanes])).astype(np.uint64)  # 2^32 at 2
-        M = np.where(M >= MAX_PRIME, M // P[lanes], M)
-        C = np.array([_lanes_mod(c, M) for c in gs[i].coeffs])
-        D = np.zeros_like(M)  # g'(r) mod p
-        for k in range(len(C) - 1, 0, -1):
-            D = (D * R[lanes] + k * (C[k] % P[lanes]) % P[lanes]) % P[lanes]
-        INV = np.zeros_like(P)  # 0 marks a singular root
-        INV[lanes] = np.where(D > 0, _inverse(D, P[lanes]), 0)
-        while True:
-            levels.append((P, Q, R))
-            m = Q * P
-            go = ((Q < count) & (m < MAX_PRIME) & (m <= top)
-                  & ((INV > 0) | (Q <= _MAX_CLASSES)))
-            stop = (~go & (m <= top)).nonzero()[0]
+        limit = np.minimum(np.minimum((MAX_PRIME - 1) // P, top // P),
+                           count - 1)
+        for lane, Q, roots, capped in lift_classes(gs[i], P, R, limit,
+                                                   _MAX_CLASSES):
+            levels.append((P[lane], Q, roots))
+            stop = (capped & (Q * P[lane] <= top)).nonzero()[0]
             deep.append((np.full_like(stop, i), stop + size))
-            size += P.size
-            if not (go := go.nonzero()[0]).size:
-                break
-            C, INV, P, Q, R, m = C[:, go], INV[go], P[go], Q[go], R[go], m[go]
-            v = C[-1] % m
-            for c in C[-2::-1]:
-                v = (v * R + c) % m  # g(r) mod m; each partial is below 2^64
-            # g(r + t q) = g(r) + t q g'(r) (mod q p): a simple root takes
-            # Newton's t, a singular one (INV = 0) all t, as ranks, or none
-            n = np.where(INV > 0, 1, (v == 0) * P).astype(np.intp)
-            src = np.repeat(np.arange(n.size), n)
-            T = ((P - v // Q) * INV % P)[src] + (
-                np.arange(src.size) - src.searchsorted(src)).astype(np.uint64)
-            R = R[src] + T * Q[src]
-            C, INV, P, Q = C[:, src], INV[src], P[src], m[src]
+            size += roots.size
     # every entry is below 2^32: the uint64 bits read as int64; each list,
     # up to a class per prime, is dropped as soon as it is joined
     P, Q, R = (np.concatenate(a).view(np.int64) for a in zip(*levels))

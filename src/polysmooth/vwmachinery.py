@@ -23,11 +23,11 @@ the sums are in `oracles`.
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from math import fsum, inf, log, sqrt
+from math import fsum, inf, log, prod, sqrt
 
 import numpy as np
 
-from .modroots import lift_roots, omega_factored, root_classes
+from .modroots import lift_table
 from .polyarith import FactoredPoly, t0 as compute_t0
 from .primes import factorize, primes_up_to
 from .smoothsieve import sieve_range
@@ -133,9 +133,9 @@ class Lemma41Sums:
 
 
 def _window(inst):
-    """(f(x), the sieved window (z, x], the primes up to min(y, f(x))) after
-    the desk-scale checks, with the roots of f mod those primes found in one
-    batch (the sieve fills only the caches of f's parts)."""
+    """(f(x), the sieved window (z, x], the primes up to min(y, f(x)), the
+    roots of f mod their powers up to h f(x)) after the desk-scale checks:
+    _crt_roots reads them up to f(x), _tail_sum counts them up to h f(x)."""
     f, x, z, y = inst.f, inst.x, inst.z, inst.y
     if x > MAX_X:
         raise ValueError(f"x={x} exceeds the desk-scale bound {MAX_X}")
@@ -144,8 +144,8 @@ def _window(inst):
         raise ValueError(f"f(x)={fx} exceeds the desk-scale bound {MAX_FX}")
     table = sieve_range(f, z + 1, x, y)
     primes = primes_up_to(int(min(y, fx)))
-    root_classes(f, primes)
-    return fx, table, primes
+    pool = _prime_powers(inst.h * fx, primes, lambda p: True)
+    return fx, table, primes, lift_table(f, ((p, v) for _, p, v, _ in pool))
 
 
 def _prime_powers(limit, primes, pred):
@@ -168,12 +168,12 @@ def _prime_powers(limit, primes, pred):
     return out
 
 
-def _crt_roots(f, fact):
+def _crt_roots(roots_of, fact):
     """(modulus, residues mod modulus) of f = 0 for a factored modulus."""
     mod = 1
     roots = [0]
     for p, e in fact.items():
-        rs = lift_roots(f, p, e)
+        rs = roots_of[p, e]
         pe = p**e
         if not rs:
             return mod * pe, []
@@ -190,9 +190,9 @@ def _crt_roots(f, fact):
     return mod, roots
 
 
-def _count_smooth(f, fact, table):
+def _count_smooth(roots, fact, table):
     """#{lo <= n <= hi : K | f(n), f(n) y-smooth} for K = prod p^e."""
-    mod, roots = _crt_roots(f, fact)
+    mod, roots = _crt_roots(roots, fact)
     lo, flags = table.lo, table.flags
     return sum(int(np.count_nonzero(flags[(r - lo) % mod::mod])) for r in roots)
 
@@ -246,18 +246,18 @@ def _walk(heads, pool, h, steps):
     return heads
 
 
-def _smooth_sum(f, table, tuples):
+def _smooth_sum(roots, table, tuples):
     """fsum of weight * #{n in the table : f(n) smooth, mod | f(n)}."""
-    return fsum(weight * _count_smooth(f, fact, table)
+    return fsum(weight * _count_smooth(roots, fact, table)
                 for fact, _, weight in tuples)
 
 
-def _rooted(f, pool):
+def _rooted(roots, pool):
     """The entries p^v of `pool` with omega_f(p^v) > 0."""
-    return [e for e in pool if len(lift_roots(f, e[1], e[2]))]
+    return [e for e in pool if roots[e[1], e[2]]]
 
 
-def _tail_sum(f, heads, pool, h, lcm=False):
+def _tail_sum(roots, heads, pool, h, lcm=False):
     """fsum of weight * log p * omega_f(mod * k) over the (fact, mod, weight)
     heads and the prime powers k = p^v of the k-sorted `pool` with
     mod * k > h.  With `lcm`, every head is one prime power q^e and the
@@ -270,24 +270,23 @@ def _tail_sum(f, heads, pool, h, lcm=False):
     with omega_f(p^v) = 0 and heads with omega_f(head) = 0 reach only zero
     terms, which add nothing to the exact sum that fsum rounds; both are
     skipped."""
-    pool = _rooted(f, pool)
+    pool = _rooted(roots, pool)
     ks = [k for k, _, _, _ in pool]
     lps = np.array([lp for _, _, _, lp in pool])
-    oms = np.array([len(lift_roots(f, p, v)) for _, p, v, _ in pool],
-                   dtype=np.int64)
+    oms = np.array([len(roots[p, v]) for _, p, v, _ in pool], dtype=np.int64)
     at = {}  # p -> [(index in pool, v)]
     for i, (_, p, v, _) in enumerate(pool):
         at.setdefault(p, []).append((i, v))
 
     def terms():
         for fact, mod, weight in heads:
-            om_head = omega_factored(f, fact)
+            om_head = prod(len(roots[pe]) for pe in fact.items())
             if not om_head:
                 continue
             s = bisect_right(ks, h // mod)  # the k with mod * k > h
             om = om_head * oms[s:]
             for q, e in fact.items():  # k = q^v: omega(head / q^e) omega(q^(e+v))
-                rest = om_head // len(lift_roots(f, q, e))
+                rest = om_head // len(roots[q, e])
                 for i, v in at.get(q, ()):
                     if i < s:
                         continue
@@ -295,7 +294,7 @@ def _tail_sum(f, heads, pool, h, lcm=False):
                         om[i - s] = 0
                     else:
                         ev = max(e, v) if lcm else e + v
-                        om[i - s] = rest * len(lift_roots(f, q, ev))
+                        om[i - s] = rest * len(roots[q, ev])
             yield ((weight * lps[s:]) * om).tolist()
 
     return fsum(chain.from_iterable(terms()))
@@ -311,15 +310,15 @@ def vw_prop21(inst: VWInstance) -> VWReport:
     k <= f(x) with sqrt(y) < P+(k) <= y; W is the analogous double sum over
     P+(k_i) <= sqrt(y) with modulus lcm(k1, k2).
     """
-    fx, table, primes = _window(inst)
+    fx, table, primes, roots = _window(inst)
     f, y = inst.f, inst.y
     log_fz = log(f(inst.z))
     big = _prime_powers(fx, primes, lambda p: p * p > y)
     small = _prime_powers(fx, primes, lambda p: p * p <= y)
-    V = _smooth_sum(f, table, _walk(_ROOT, big, fx, 1)) / log_fz
+    V = _smooth_sum(roots, table, _walk(_ROOT, big, fx, 1)) / log_fz
     # f is increasing past T_0, so no f(n) in the window exceeds f(x): a
     # pair with lcm > f(x) counts nothing
-    W = _smooth_sum(f, table, _pairs(small, fx)) / (log_fz * log_fz)
+    W = _smooth_sum(roots, table, _pairs(small, fx)) / (log_fz * log_fz)
     return _finish_report(table.psi, V, W, V, W, [], [], 1, "prop21", inst)
 
 
@@ -355,7 +354,7 @@ def vw_prop32(inst: VWInstance) -> VWReport:
     P+ <= sqrt(y), and every tail sum relaxes to P+ <= y with the inner count
     bounded by omega_f of the full product.
     """
-    fx, table, primes = _window(inst)
+    fx, table, primes, roots = _window(inst)
     f, x, z, y, m = inst.f, inst.x, inst.z, inst.y, inst.depth
     fz = f(z)
     if fz <= x:
@@ -370,10 +369,10 @@ def vw_prop32(inst: VWInstance) -> VWReport:
     pool_y_fx = _prime_powers(fx, primes, lambda p: True)
 
     v_plus = _smooth_sum(
-        f, table, _walk(_walk(_ROOT, pool_v1, h, 1), pool_y_h, h, m - 1)
+        roots, table, _walk(_walk(_ROOT, pool_v1, h, 1), pool_y_h, h, m - 1)
     ) / (log_fz * log_fzx ** (m - 1))
     w_plus = _smooth_sum(
-        f, table, _walk(_pairs(pool_sq_h, h), pool_y_h, h, m - 1)
+        roots, table, _walk(_pairs(pool_sq_h, h), pool_y_h, h, m - 1)
     ) / (log_fz * log_fz * log_fzx ** (m - 1))
 
     # V_i^-: i - 1 prime powers inside h, the i-th escaping it.  W_i^-: the
@@ -385,14 +384,15 @@ def vw_prop32(inst: VWInstance) -> VWReport:
     w_minus = []
     for i in range(1, m + 1):
         heads = _walk(_ROOT, pool_y_h, h, i - 1)
-        v_minus.append(_tail_sum(f, heads, pool_y_fx, h)
+        v_minus.append(_tail_sum(roots, heads, pool_y_fx, h)
                        / (log_fz * log_fzx ** (i - 1)))
         if i == 1:
-            heads = [({p: v}, k, lp) for k, p, v, lp in _rooted(f, pool_y_fx)]
-            tail = _tail_sum(f, heads, pool_y_fx, h, lcm=True)
+            heads = [({p: v}, k, lp)
+                     for k, p, v, lp in _rooted(roots, pool_y_fx)]
+            tail = _tail_sum(roots, heads, pool_y_fx, h, lcm=True)
         else:
             heads = _walk(_pairs(pool_y_h, h), pool_y_h, h, i - 2)
-            tail = _tail_sum(f, heads, pool_y_fx, h)
+            tail = _tail_sum(roots, heads, pool_y_fx, h)
         w_minus.append(tail / (log_fz * log_fz * log_fzx ** (i - 1)))
 
     V = v_plus + fsum(v_minus)
@@ -421,7 +421,7 @@ def vw_depth_pair(inst: VWInstance):
 def lemma31_check(inst: VWInstance, kappa: int) -> Lemma31Result:
     """One application of the recursion inequality: the smooth-restricted
     count of n with kappa | f(n) against the two-term lambda sum."""
-    fx, table, primes = _window(inst)
+    fx, table, primes, roots = _window(inst)
     f, x, z, h = inst.f, inst.x, inst.z, inst.h
     if not 1 <= kappa <= h:
         raise ValueError(f"kappa must lie in [1, h] = [1, {h}]")
@@ -429,12 +429,13 @@ def lemma31_check(inst: VWInstance, kappa: int) -> Lemma31Result:
     if fz <= x:
         raise ValueError("lemma requires f(z) > x")
     kfact = factorize(kappa)
-    lhs = _count_smooth(f, kfact, table)
+    roots.update(lift_table(f, kfact.items()))  # a prime of kappa past y
+    lhs = _count_smooth(roots, kfact, table)
     log_fzx = log(fz) - log(x)
     pool = _prime_powers(fx, primes, lambda p: True)
     head = ((kfact, kappa, 1.0),)
-    head_sum = _smooth_sum(f, table, _walk(head, pool, h, 1)) / log_fzx
-    tail_sum = _tail_sum(f, head, pool, h) / log_fzx
+    head_sum = _smooth_sum(roots, table, _walk(head, pool, h, 1)) / log_fzx
+    tail_sum = _tail_sum(roots, head, pool, h) / log_fzx
     rhs = head_sum + tail_sum
     vacuous = lhs == 0
     return Lemma31Result(
@@ -459,22 +460,16 @@ def lemma41_sums(f: FactoredPoly, x: int, y) -> Lemma41Sums:
     if not 1 <= y < inf:  # nan fails too
         raise ValueError("y must be finite and >= 1")
     t1, t2, t3, t4 = [], [], [], []
-    primes = primes_up_to(min(int(y), x))
-    root_classes(f, primes)
-    for p in primes:
-        lp = log(p)
-        k = p
-        v = 1
-        while k <= x:
-            w = len(lift_roots(f, p, v))
-            if w:
-                t1.append(lp * w / k)
-                if p * p > y:
-                    t2.append(lp * w / k)
-                t3.append((2 * v - 1) * lp * lp * w / k)
-                t4.append(lp * w)
-            k *= p
-            v += 1
+    pool = _prime_powers(x, primes_up_to(min(int(y), x)), lambda p: True)
+    roots = lift_table(f, ((p, v) for _, p, v, _ in pool))
+    for k, p, v, lp in pool:
+        w = len(roots[p, v])
+        if w:
+            t1.append(lp * w / k)
+            if p * p > y:
+                t2.append(lp * w / k)
+            t3.append((2 * v - 1) * lp * lp * w / k)
+            t4.append(lp * w)
     s1, s2, s3, s4 = fsum(t1), fsum(t2), fsum(t3), fsum(t4)
     g = f.g
     logy = log(y) if y >= 2 else 0.0

@@ -626,3 +626,37 @@ def test_omega_zero_before_a_prime_past_2_32(capsys):
                                "3,12884902071"])
     assert rc == 0
     assert [json.loads(line)["omega"] for line in out.splitlines()] == [0, 0]
+
+
+def _square_roots_mod(a, p, v):
+    """#{t mod p^v : t^2 = a (mod p^v)} by the closed forms, for p^v not
+    dividing a.  With a = p^e u and p not dividing u there is none for odd
+    e, and for even e there are p^(e/2) times the square roots of u mod
+    p^w, w = v - e: 1 + (u|p) for odd p; at p = 2, 1, 2 or 4 as w is 1, 2
+    or more, where u = 1 mod 2, 4 or 8, else none."""
+    e = 0
+    while a % p == 0:
+        a, e = a // p, e + 1
+    if e % 2:
+        return 0
+    if p == 2:
+        w = min(v - e, 3)
+        n = 2 ** (w - 1) if a % 2**w == 1 else 0
+    else:
+        n = 2 if pow(a, (p - 1) // 2, p) == 1 else 0
+    return p ** (e // 2) * n
+
+
+@pytest.mark.parametrize("poly, a, p, vs", [
+    # every root mod 2 is singular; -7 = 1 (mod 8)
+    ("t^2+7", -7, 2, [10, 33, 40, 47]),
+    # t = 3s with s^2 = 7 (mod 3^28); (7|3) = 1
+    ("t^2-63", 63, 3, [3, 20, 21, 30]),
+])
+def test_omega_past_2_32_at_singular_roots(capsys, poly, a, p, vs):
+    ks = [p**v for v in vs]
+    rc, out = run_cli(capsys, ["omega", "--poly", poly, "--k",
+                               ",".join(map(str, ks))])
+    assert rc == 0
+    assert [json.loads(line)["omega"] for line in out.splitlines()] == [
+        _square_roots_mod(a, p, v) for v in vs]

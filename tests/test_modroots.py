@@ -1,6 +1,7 @@
 import random
 import time
 from collections import defaultdict
+from itertools import islice
 from math import gcd, prod
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from polysmooth import modroots
 from polysmooth.polyarith import IntPoly, build_factored
 from polysmooth.modroots import (
-    _eval_mod,
     lift_roots,
+    lift_table,
     omega,
     omega_grid,
     root_classes,
@@ -33,6 +34,13 @@ MIXED = build_factored(["t+1", "t^2+2"])
 # (Tonelli-Shanks square roots), gcd(f, X^p - X) and equal-degree splitting
 # seeded from (f, p) for degree >= 3, on f reduced mod p; p = 2 is scanned.
 # The batch in root_classes must agree with it on every prime.
+
+def _eval_mod(poly, u, m):
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = (acc * u + c) % m
+    return acc
+
 
 def legendre(a, p):
     """Legendre symbol (a/p) for odd prime p, in {-1, 0, 1}."""
@@ -221,6 +229,33 @@ def _scalar_roots(f, p):
     return tuple(sorted(roots))
 
 
+# --------------------------------------- the scalar reference for lifting
+#
+# One root at a time in Python ints, the lifter lift_classes replaced.  For
+# a root u mod p^k, f(u + t p^k) = f(u) + t p^k f'(u) (mod p^(k+1)).  So a
+# simple root (f'(u) != 0 mod p) lifts to the one t that solves it, and a
+# singular root lifts to all p classes u + t p^k when p^(k+1) divides f(u),
+# and to none otherwise.
+
+def _scalar_lift(f, p):
+    """The roots of f mod p, p^2, ..., each level a sorted tuple, without
+    end: level 1 from _scalar_roots, level v + 1 from level v."""
+    fpoly, fprime = f.product, f.product.derivative()
+    roots, mod_k = _scalar_roots(f, p), p
+    while True:
+        yield roots
+        mod_next = mod_k * p
+        nxt = []
+        for u in roots:
+            fu = _eval_mod(fpoly, u, mod_next)
+            fp_u = _eval_mod(fprime, u, p)
+            if fp_u:
+                nxt.append(u + (-(fu // mod_k)) * pow(fp_u, -1, p) % p * mod_k)
+            elif fu == 0:
+                nxt.extend(range(u, mod_next, mod_k))
+        roots, mod_k = tuple(sorted(nxt)), mod_next
+
+
 def test_roots_mod_p_examples():
     assert lift_roots(T2P1, 5, 1) == (2, 3)
     assert lift_roots(T2P1, 3, 1) == ()
@@ -321,20 +356,24 @@ def test_root_store_domain_errors():
         root_classes(f, [2, 3, p32])
     with pytest.raises(ValueError, match="k must be >= 1"):
         omega(f, -3)
-    assert not f._root_cache and not f._lift_cache
+    assert not f._root_cache
 
 
 def test_root_store_holds_one_tuple_per_level():
+    # level 1 is the root cache, one tuple per prime; every higher level is
+    # lifted afresh and stored nowhere
     f = build_factored(["t^3+2", "t^2+7"])
     root_classes(f, primes_up_to(100))
-    levels = [(p, v) for p in (2, 3, 5, 7, 11, 101, 103) for v in (1, 2, 3)]
-    first = {pv: lift_roots(f, *pv) for pv in levels}  # 101, 103: cache misses
-    assert all(lift_roots(f, *pv) is first[pv] for pv in levels)
-    stored = [*f._root_cache.values(), *f._lift_cache.values()]
-    assert len(stored) == 27 + 2 * 7  # 25 primes below 100, 101, 103
-    assert all(type(r) is tuple for r in stored)
-    for p in (2, 3, 5, 7, 11, 101, 103):
-        assert lift_roots(f, p, 1) is f._root_cache[p]
+    primes = (2, 3, 5, 7, 11, 101, 103)
+    first = {p: lift_roots(f, p, 1) for p in primes}  # 101, 103: cache misses
+    assert all(lift_roots(f, p, 1) is first[p] is f._root_cache[p]
+               for p in primes)
+    for p in primes:
+        assert [lift_roots(f, p, v) for v in (1, 2, 3)] == list(
+            islice(_scalar_lift(f, p), 3)), p
+    assert len(f._root_cache) == 27  # 25 primes below 100, 101, 103
+    assert all(type(r) is tuple for r in f._root_cache.values())
+    assert not hasattr(f, "_lift_cache")
 
 
 def test_omega_examples():
@@ -526,8 +565,8 @@ LIFT_PRIMES = primes_up_to(200) + [65497, 65519, 65521]
 def test_batch_lift_matches_lift_roots(factors):
     # over a window longer than 2^32 the sieve's plan lifts every class
     # while q p < 2^32, a singular one while q <= 256: each level a prime's
-    # classes reach together must be lift_roots(part, p, k), simple roots
-    # and singular ones (all p classes above a root, or none)
+    # classes reach together must be the scalar lifter's, simple roots and
+    # singular ones (all p classes above a root, or none)
     for part in build_factored(factors).parts():
         P, Q, R, (_, _, DI) = _plan(part, LIFT_PRIMES, 0, 2**40)
         DP, DQ = P[DI], Q[DI]
@@ -537,12 +576,30 @@ def test_batch_lift_matches_lift_roots(factors):
         stopped = set(zip(DP.tolist(), DQ.tolist()))
         for p in LIFT_PRIMES:
             q, k = p, 1
-            while True:
-                assert tuple(sorted(levels[p, q])) == lift_roots(part, p, k), (
-                    factors, p, k)
+            for want in _scalar_lift(part, p):
+                assert tuple(sorted(levels[p, q])) == want, (factors, p, k)
                 if (p, q) in stopped or not levels[p, q] or q * p >= 2**32:
                     break
                 q, k = q * p, k + 1
+
+
+@pytest.mark.parametrize("factors", SPECIAL_FACTORS)
+def test_lift_table_matches_the_scalar_lifter(factors):
+    # every level p^v <= 2^48 of every prime of LIFT_PRIMES, up to one
+    # holding more than 4096 roots: past 2^32 (7^12, 2^40, 3^30 and the
+    # like) the lanes hold Python ints; the counts are omega's
+    f = build_factored(factors)
+    want, tops = {}, []
+    for p in LIFT_PRIMES:
+        for v, roots in enumerate(_scalar_lift(f, p), 1):
+            want[p, v] = roots
+            if p ** (v + 1) > 2**48 or len(roots) > 4096:
+                break
+        tops.append((p, v))
+    assert lift_table(f, tops) == want
+    ks = [p**v for p, v in want]
+    assert omega_grid(f, ks) == [len(roots) for roots in want.values()]
+    assert [lift_roots(f, p, v) for p, v in tops] == [want[pv] for pv in tops]
 
 
 def test_root_classes_mixes_cached_and_new_primes():

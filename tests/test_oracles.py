@@ -136,10 +136,12 @@ def test_omega_scan_rejects_a_lost_lifted_root(monkeypatch):
     ks = range(1, 201)
     want = [omega_scan(f, k) for k in ks]
     assert [omega(f, k) for k in ks] == want
-    lift = modroots.lift_roots
-    monkeypatch.setattr(modroots, "lift_roots",
-                        lambda f, p, v: lift(f, p, v)[:-1] if v > 1
-                        else lift(f, p, v))
+    lift = modroots.lift_classes
+    # the last class of every level above the first is lost
+    monkeypatch.setattr(modroots, "lift_classes",
+                        lambda *args: [level if k == 0 else
+                                       tuple(a[:-1] for a in level)
+                                       for k, level in enumerate(lift(*args))])
     assert [omega(f, k) for k in ks] != want
 
 
@@ -192,9 +194,11 @@ def test_oracle_split_rejects_a_wrong_root_count(monkeypatch):
         return rep.v_minus + rep.w_minus
 
     assert _close(got(), want)
-    omega_f = vwmachinery.omega_factored
-    monkeypatch.setattr(vwmachinery, "omega_factored",
-                        lambda f, fact: 2 * omega_f(f, fact))
+    table = vwmachinery.lift_table
+    # every root listed twice: every omega_f doubles
+    monkeypatch.setattr(vwmachinery, "lift_table",
+                        lambda f, powers: {pv: 2 * roots for pv, roots
+                                           in table(f, powers).items()})
     assert not _close(got(), want)
 
 

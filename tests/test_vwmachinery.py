@@ -13,7 +13,7 @@ from math import fsum, lcm as _lcm, log, prod, sqrt
 
 import pytest
 
-from polysmooth.modroots import omega
+from polysmooth.modroots import lift_table, omega, omega_grid
 from polysmooth.oracles import (
     _oomega,
     _opp,
@@ -299,14 +299,28 @@ def test_lemma41_comparators_and_residuals():
     assert res.comp1 == res.comp4 == res.res4 == 0.0
 
 
+def _omega_sum(f, terms):
+    """fsum of weight * omega_f(k) over the (weight, k) terms, each omega_f
+    from a fresh factorization of its k (one omega_grid call)."""
+    return fsum(w * om for (w, _), om
+                in zip(terms, omega_grid(f, [k for _, k in terms])))
+
+
 def _literal_tail(f, heads, pool, h):
     """The "-" tail tuple by tuple: every head times every pool entry that
-    escapes h, zero terms included, omega_f from a fresh factorization of
-    the modulus."""
-    return fsum((weight * lp) * omega(f, mod * k)
-                for _, mod, weight in heads
-                for k, _, _, lp in pool
-                if mod * k > h)
+    escapes h, zero terms included."""
+    return _omega_sum(f, [(weight * lp, mod * k)
+                          for _, mod, weight in heads
+                          for k, _, _, lp in pool
+                          if mod * k > h])
+
+
+def _roots(f, pool, h):
+    """The root table _tail_sum reads, as _window builds it: f mod every
+    power p^v <= h * max k of the pool's primes."""
+    primes = sorted({p for _, p, _, _ in pool})
+    top = _prime_powers(h * pool[-1][0], primes, lambda p: True)
+    return lift_table(f, ((p, v) for _, p, v, _ in top))
 
 
 def _pools(f, x, z, y):
@@ -323,22 +337,23 @@ def test_prop32_tails_equal_literal_tails_exactly(f, depth):
     h = x - z
     rep = vw_prop32(VWInstance(f, x, z, y, depth=depth))
     pool_y_h, pool_y_fx = _pools(f, x, z, y)
+    roots = _roots(f, pool_y_fx, h)
     log_fz = log(f(z))
     log_fzx = log_fz - log(x)
     for i in range(1, depth + 1):
         heads = list(_walk(_ROOT, pool_y_h, h, i - 1))
         tail = _literal_tail(f, heads, pool_y_fx, h)
-        assert _tail_sum(f, heads, pool_y_fx, h) == tail
+        assert _tail_sum(roots, heads, pool_y_fx, h) == tail
         assert rep.v_minus[i - 1] == tail / (log_fz * log_fzx ** (i - 1))
         if i == 1:
-            tail = fsum((lp1 * lp2) * omega(f, _lcm(k1, k2))
-                        for k1, _, _, lp1 in pool_y_fx
-                        for k2, _, _, lp2 in pool_y_fx
-                        if _lcm(k1, k2) > h)
+            tail = _omega_sum(f, [(lp1 * lp2, _lcm(k1, k2))
+                                  for k1, _, _, lp1 in pool_y_fx
+                                  for k2, _, _, lp2 in pool_y_fx
+                                  if _lcm(k1, k2) > h])
         else:
             heads = list(_walk(_pairs(pool_y_h, h), pool_y_h, h, i - 2))
             tail = _literal_tail(f, heads, pool_y_fx, h)
-            assert _tail_sum(f, heads, pool_y_fx, h) == tail
+            assert _tail_sum(roots, heads, pool_y_fx, h) == tail
         assert rep.w_minus[i - 1] == tail / (log_fz * log_fz * log_fzx ** (i - 1))
     assert all(v > 0 for v in rep.v_minus + rep.w_minus)
 
@@ -359,6 +374,7 @@ def test_tail_sum_edge_heads_exactly():
     # t^2+1: omega(2) = 1, omega(4) = omega(3) = 0, omega(5^e) = 2
     f, h = T2P1, 50
     pool = _prime_powers(10**4, primes_up_to(30), lambda p: True)
+    roots = _roots(f, pool, h)
     heads = [
         ({2: 1}, 2, 0.5),  # h // mod = 25 = 5^2: 2 * 25 = h stays inside
         ({3: 1}, 3, 1.25),  # omega 0
@@ -369,7 +385,7 @@ def test_tail_sum_edge_heads_exactly():
     ]
     for head in heads:
         want = _literal_tail(f, [head], pool, h)
-        assert _tail_sum(f, [head], pool, h) == want, head
+        assert _tail_sum(roots, [head], pool, h) == want, head
         assert (want == 0) == (omega(f, head[1]) == 0), head
-    assert _tail_sum(f, heads, pool, h) == _literal_tail(f, heads, pool, h)
-    assert _tail_sum(f, [], pool, h) == 0.0
+    assert _tail_sum(roots, heads, pool, h) == _literal_tail(f, heads, pool, h)
+    assert _tail_sum(roots, [], pool, h) == 0.0

@@ -24,7 +24,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .bounds import cassels_coeff, gamma_f, make_bound_report
 from .dickman import rho
-from .modroots import lift_table, omega_grid, root_classes
+from .modroots import lift_table, omega_grid
 from .oracles import (
     _enumerate_smooth,
     _oracle_split,
@@ -42,7 +42,7 @@ from .primes import factorize, primes_up_to
 from .primdiv import n_arctan, r_b, verify_prop63
 from .quadfield import (
     c_alpha,
-    classify_prime,
+    classify_primes,
     make_context,
     verify_prop54,
     windowed_cassels,
@@ -460,14 +460,14 @@ def criterion_8(quick=False):
         table = pplus_table(ctx.f, n_top)
         facts = {n: factorize(abs(n * n - m)) for n in range(1, n_top + 1)
                  if abs(n * n - m) > 1}
-        root_classes(ctx.f, sorted({p for fact in facts.values()
-                                    for p in fact if p > xthr}))
+        big = sorted({p for fact in facts.values() for p in fact if p > xthr})
+        classes = dict(zip(big, classify_primes(ctx, big)))
         for n, fact in facts.items():
             path_a = table.pplus_of(n) > xthr
             path_b = False
             for p in fact:
                 if p > xthr:
-                    cls = classify_prime(ctx, p)
+                    cls = classes[p]
                     if cls.kind != "split" or n % p not in {
                         (-u) % p for u in cls.roots
                     } | set(cls.roots):

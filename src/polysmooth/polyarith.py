@@ -285,9 +285,7 @@ class FactoredPoly:
         "discriminant_abs",
         "statuses",
         "product",
-        "_root_cache",
         "_t0",
-        "_parts",
         "_factor_discs",
     )
 
@@ -301,9 +299,7 @@ class FactoredPoly:
         self.statuses = statuses
         self.product = product
         self._factor_discs = factor_discs
-        self._root_cache = {}
         self._t0 = None
-        self._parts = None
 
     def __call__(self, n):
         return self.product(n)
@@ -323,23 +319,21 @@ class FactoredPoly:
         return "".join(f"({f.pretty()})" for f in self.factors)
 
     def key(self):
-        """Stable string key: it seeds root_classes' splitting, so fresh
-        instances of one f find the same roots."""
+        """Stable string key: it seeds root_classes' splitting, so every
+        call on f or on a fresh instance of it makes the same draws."""
         return "|".join(",".join(map(str, f.coeffs)) for f in self.factors)
 
     def parts(self):
-        """One single-factor FactoredPoly per factor, each with its own root
-        cache and the discriminant build_factored found for it; (self,)
-        when there is one factor."""
+        """One single-factor FactoredPoly per factor, each with the
+        discriminant build_factored found for it; (self,) when there is one
+        factor."""
         if self.g == 1:
             return (self,)
-        if self._parts is None:
-            self._parts = tuple(
-                FactoredPoly((f,), (f.degree,), 1, f.degree, disc, (status,),
-                             f, (disc,))
-                for f, status, disc in zip(self.factors, self.statuses,
-                                           self._factor_discs))
-        return self._parts
+        return tuple(
+            FactoredPoly((f,), (f.degree,), 1, f.degree, disc, (status,), f,
+                         (disc,))
+            for f, status, disc in zip(self.factors, self.statuses,
+                                       self._factor_discs))
 
 
 def build_factored(factors):

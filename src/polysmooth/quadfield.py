@@ -15,9 +15,9 @@ from math import isqrt, log
 
 import numpy as np
 
-from .modroots import lift_roots
+from .modroots import lift_table
 from .polyarith import FactoredPoly, build_factored
-from .primes import factorize
+from .primes import factorize, is_prime
 from .smoothsieve import sieve_range
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "QuadPrimeClass",
     "make_context",
     "classify_prime",
+    "classify_primes",
     "c_alpha",
     "windowed_cassels",
     "verify_prop54",
@@ -72,13 +73,21 @@ class QuadPrimeClass:
     in_P_K: bool
 
 
+def classify_primes(ctx: QuadContext, primes) -> list:
+    """The QuadPrimeClass of every prime of `primes`, in order, from one
+    lift_table call; the primes are not checked prime."""
+    table = lift_table(ctx.f, [(p, 1) for p in primes])
+    kinds = ["ramified" if ctx.disc % p == 0 else
+             "split" if table[p, 1] else "inert" for p in primes]
+    return [QuadPrimeClass(p, kind, table[p, 1], kind == "split")
+            for p, kind in zip(primes, kinds)]
+
+
 def classify_prime(ctx: QuadContext, p: int) -> QuadPrimeClass:
-    roots = lift_roots(ctx.f, p, 1)
-    if ctx.disc % p == 0:
-        kind = "ramified"
-    else:
-        kind = "split" if roots else "inert"
-    return QuadPrimeClass(p, kind, roots, kind == "split")
+    """classify_primes for one p, once p is checked prime."""
+    if p < 2 or not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    return classify_primes(ctx, [p])[0]
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import defaultdict
 from itertools import islice
 from math import gcd, prod
@@ -18,7 +19,7 @@ from polysmooth.modroots import (
 )
 from polysmooth.oracles import omega_scan
 from polysmooth.primes import factorize, is_prime, primes_up_to
-from polysmooth.smoothsieve import _plan
+from polysmooth.smoothsieve import _plan, psi
 
 T2P1 = build_factored(["t^2+1"])
 T2M2 = build_factored(["t^2-2"])
@@ -273,9 +274,22 @@ def _scan_roots(f, p):
     return tuple(u for u in range(p) if f(u) % p == 0)
 
 
+def _by_prime(P, R):
+    """root_classes' arrays as {p: tuple of its roots}."""
+    got = defaultdict(list)
+    for p, r in zip(P.tolist(), R.tolist()):
+        got[p].append(r)
+    return {p: tuple(rs) for p, rs in got.items()}
+
+
 @pytest.mark.parametrize("f", [T2P1, T2M2, T_T2P1, CUBIC, QUARTIC, MIXED])
 def test_roots_agree_with_scan_oracle(f):
-    for p in primes_up_to(1000):
+    primes = primes_up_to(1000)
+    got = _by_prime(*root_classes(f, primes))
+    for p in primes:
+        assert got.get(p, ()) == _scan_roots(f, p), (f, p)
+    # the one-lane wrapper on both sides of SCAN
+    for p in (2, 251, 257):
         assert lift_roots(f, p, 1) == _scan_roots(f, p), (f, p)
 
 
@@ -291,18 +305,24 @@ LEAD_POLYS = [[1, 3, 6], [3, 0, 10], [1, 1, 1, 12], [7, 0, 0, 30],
 def test_roots_when_p_divides_leading_coefficient(coeffs):
     f = build_factored([coeffs])
     primes = primes_up_to(3000) + [65537]
-    # one batch for the rest; the primes of the lead go one lane at a time
-    root_classes(f, [p for p in primes if coeffs[-1] % p])
+    # one batch for every prime; the primes of the lead once more, one lane
+    # at a time
+    got = _by_prime(*root_classes(f, primes))
     for p in primes:
+        assert got.get(p, ()) == _scan_roots(f, p), (coeffs, p)
+    for p in [2, *factorize(coeffs[-1])]:
         assert lift_roots(f, p, 1) == _scan_roots(f, p), (coeffs, p)
 
 
 def test_roots_deterministic_across_fresh_objects():
     # equal-degree splitting is seeded from f: fresh instances agree
+    # (the primes below SCAN are scanned, so most of these run in lanes)
     a = build_factored(["t^5+t^2+1"])  # no rational root
     b = build_factored(["t^5+t^2+1"])
-    for p in primes_up_to(200):
-        assert lift_roots(a, p, 1) == lift_roots(b, p, 1)
+    primes = primes_up_to(2000)
+    Pa, Ra = root_classes(a, primes)
+    Pb, Rb = root_classes(b, primes)
+    assert Pa.tolist() == Pb.tolist() and Ra.tolist() == Rb.tolist()
 
 
 def test_lift_roots_examples():
@@ -343,7 +363,7 @@ def test_lift_budget():
 
 
 def test_root_store_domain_errors():
-    f = build_factored(["t^2+1"])  # nothing cached yet
+    f = build_factored(["t^2+1"])
     p32 = (1 << 32) + 15  # the least prime above 2^32
     for p, v, msg in [(5, 0, "v must be >= 1"), (5, -1, "v must be >= 1"),
                       (2, 65, "budget 2\\^64"), (3, 41, "budget 2\\^64"),
@@ -352,28 +372,40 @@ def test_root_store_domain_errors():
                       ((1 << 32) - 1, 1, "not prime")]:
         with pytest.raises(ValueError, match=msg):
             lift_roots(f, p, v)
-    with pytest.raises(ValueError, match="bound 2\\^32"):
-        root_classes(f, [2, 3, p32])
+    # the largest prime is checked, wherever it stands: a lane of p >= 2^32
+    # would overflow its uint64 products
+    for primes in ([2, 3, p32], [p32, 5]):
+        with pytest.raises(ValueError,
+                           match="exceeds the desk-scale prime bound 2\\^32"):
+            root_classes(f, primes)
     with pytest.raises(ValueError, match="k must be >= 1"):
         omega(f, -3)
-    assert not f._root_cache
 
 
-def test_root_store_holds_one_tuple_per_level():
-    # level 1 is the root cache, one tuple per prime; every higher level is
-    # lifted afresh and stored nowhere
+def test_lift_roots_levels_match_the_scalar_lifter():
+    # every level, the first too, is found afresh on each call: repeated
+    # calls agree, and each level is the scalar lifter's
     f = build_factored(["t^3+2", "t^2+7"])
-    root_classes(f, primes_up_to(100))
-    primes = (2, 3, 5, 7, 11, 101, 103)
-    first = {p: lift_roots(f, p, 1) for p in primes}  # 101, 103: cache misses
-    assert all(lift_roots(f, p, 1) is first[p] is f._root_cache[p]
-               for p in primes)
-    for p in primes:
-        assert [lift_roots(f, p, v) for v in (1, 2, 3)] == list(
-            islice(_scalar_lift(f, p), 3)), p
-    assert len(f._root_cache) == 27  # 25 primes below 100, 101, 103
-    assert all(type(r) is tuple for r in f._root_cache.values())
-    assert not hasattr(f, "_lift_cache")
+    for p in (2, 3, 5, 7, 11, 101, 103, 251, 257):
+        want = list(islice(_scalar_lift(f, p), 3))
+        assert [lift_roots(f, p, v) for v in (1, 2, 3)] == want, p
+        assert lift_roots(f, p, 1) == want[0], p
+
+
+@pytest.mark.parametrize("factors", [["t^2+1"], ["t", "t^2+1"]])
+def test_f_holds_nothing_per_prime_after_a_sieve(factors):
+    # the roots mod the 9592 primes below 10^5 live only in the sieve's own
+    # arrays: once its table is dropped, f holds a few KB
+    psi(build_factored(factors), 10, 10)  # numpy's lazy imports, loaded once
+    f = build_factored(factors)
+    tracemalloc.start()
+    try:
+        table = psi(f, 10**5, 10**5)
+        del table
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000, held
 
 
 def test_omega_examples():
@@ -479,13 +511,17 @@ def _assert_batch_matches_scalar(factors, primes):
     P, R = root_classes(f, primes)
     assert P.dtype == R.dtype == np.int64
     assert (np.diff(P) >= 0).all()  # in the order of `primes`
-    got = {}
-    for p, r in zip(P.tolist(), R.tolist()):
-        got.setdefault(p, []).append(r)
+    got = _by_prime(P, R)
+    table = lift_table(f, [(p, 1) for p in primes])
     for p in primes:
         want = _scalar_roots(f, p)
-        assert tuple(got.get(p, ())) == want, (factors, p)
-        assert lift_roots(f, p, 1) == want, (factors, p)  # cached
+        assert got.get(p, ()) == want, (factors, p)
+        assert table[p, 1] == want, (factors, p)
+    # the one-lane wrapper: p = 2, the primes of the lead, both sides of
+    # SCAN and the largest prime below 2^32
+    lead = prod(g.coeffs[-1] for g in f.factors)
+    for p in {2, 251, 257, TOP_PRIMES[-1], *factorize(abs(lead))}:
+        assert lift_roots(f, p, 1) == _scalar_roots(f, p), (factors, p)
 
 
 def _random_factors(rng):
@@ -602,27 +638,32 @@ def test_lift_table_matches_the_scalar_lifter(factors):
     assert [lift_roots(f, p, v) for p, v in tops] == [want[pv] for pv in tops]
 
 
-def test_root_classes_mixes_cached_and_new_primes():
+def test_root_classes_overlapping_calls_agree():
     f = build_factored(["t^3+2", "t^2+7"])
-    lift_roots(f, 101, 1)
-    root_classes(f, primes_up_to(300)[10:20])
     P, R = root_classes(f, primes_up_to(1000))
     want = [(p, r) for p in primes_up_to(1000)
             for r in _scalar_roots(f, p)]
     assert list(zip(P.tolist(), R.tolist())) == want
+    # a call on part of the same primes, across SCAN, finds the same classes
+    part = primes_up_to(300)[40:70]
+    Pp, Rp = root_classes(f, part)
+    assert list(zip(Pp.tolist(), Rp.tolist())) == [
+        (p, r) for p, r in want if p in part]
     assert root_classes(f, [])[0].size == 0
 
 
 def test_root_classes_runs_in_lane_blocks(monkeypatch):
     # 3245 primes up to 3e4 at 1000 lanes a block: four blocks, the last
-    # short, and each block's roots cached in order
+    # short, joined in order, once for root_classes and once for lift_table
+    # (then one lane per lift_roots call)
     monkeypatch.setattr(modroots, "LANE_BLOCK", 1000)
     sizes = []
     batch = modroots._batch_roots
     monkeypatch.setattr(modroots, "_batch_roots",
                         lambda f, ps: sizes.append(len(ps)) or batch(f, ps))
     _assert_batch_matches_scalar(["t^3+2", "t^2+7"], primes_up_to(30_000))
-    assert sizes == [1000, 1000, 1000, 245]
+    assert sizes[:8] == [1000, 1000, 1000, 245] * 2
+    assert set(sizes[8:]) == {1}
 
 
 def test_omega_grid_matches_omega():

@@ -2,13 +2,14 @@ from collections import defaultdict
 
 import pytest
 
-from polysmooth.modroots import lift_roots, root_classes
+from polysmooth.modroots import lift_roots
 from polysmooth.oracles import _windowed_oracle, pplus_oracle
 from polysmooth.primes import factorize, primes_up_to
 from polysmooth.quadfield import (
     MAX_WINDOW_END,
     c_alpha,
     classify_prime,
+    classify_primes,
     make_context,
     verify_prop54,
     windowed_cassels,
@@ -46,8 +47,9 @@ def test_classify_prime_examples():
 
 def test_classify_prime_root_property():
     for ctx in [CTX2, CTX3, CTX6]:
-        for p in primes_up_to(500):
-            cls = classify_prime(ctx, p)
+        batch = classify_primes(ctx, primes_up_to(500))
+        for p, cls in zip(primes_up_to(500), batch):
+            assert cls == classify_prime(ctx, p)
             for u in cls.roots:
                 assert (u * u - ctx.m) % p == 0
             if cls.kind == "split":
@@ -134,15 +136,15 @@ def test_lemma52_dual_path_small():
         assert x > 2 * ctx.m
         facts = {n: factorize(abs(n * n - ctx.m)) for n in range(1, 1001)
                  if abs(n * n - ctx.m) > 1}
-        root_classes(ctx.f, sorted({p for fact in facts.values()
-                                    for p in fact if p > x}))
+        big = sorted({p for fact in facts.values() for p in fact if p > x})
+        classes = dict(zip(big, classify_primes(ctx, big)))
         for n, fact in facts.items():
             path_a = pplus_oracle(abs(n * n - ctx.m)) > x
             path_b = False
             for p in fact:
                 if p <= x:
                     continue
-                cls = classify_prime(ctx, p)
+                cls = classes[p]
                 assert cls.kind == "split"  # p > 2m cannot ramify, never inert
                 assert n % p in cls.roots or (-n) % p in cls.roots
                 path_b = True

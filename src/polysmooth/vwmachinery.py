@@ -7,17 +7,27 @@ into a "+" part (multiple sums over prime-power tuples with product <= h,
 inner counts smooth-restricted) and tail "-" parts (products escaping h,
 bounded through the root-count omega_f).
 
-Every "+" sum is a walk over ordered prime-power tuples (`_walk`, `_extend`)
-closed by the smooth count of the tuple's modulus.  Every "-" tail is closed by
-`_tail_sum`: per head, one numpy product over the slice of the k-sorted pool
-that escapes h, with omega_f(head * k) = omega_f(head) omega_f(k) except for
-the few k whose prime divides the head; W_1^-'s heads are the single prime
-powers, joined to k by lcm.  The symmetric pair sums of W enumerate each
-pair k1 <= k2 with lcm inside their bound once, with the off-diagonal weight
-doubled (`_pairs`).  All terms accumulate via math.fsum, which rounds the
-exact sum, so neither doubling (exact) nor term order nor dropped zero terms
-change a bit against the ordered tuple-by-tuple sum.  The literal forms of
-the sums are in `oracles`.
+Every "+" sum is a walk over ordered prime-power tuples (`_smooth_walk`)
+closed by the smooth count of the tuple's modulus.  The walk stops at its
+first zero: if no smooth f(n) in the window is divisible by `mod`, none is
+divisible by a multiple of it, so a pool entry, head or child whose count is
+0 is dropped with everything that would extend it, and a window without a
+smooth value walks no tuple at all.  The counts come from one memoised
+counter per window (`_counter`), keyed by the modulus, which fixes its
+factorisation, so each modulus is counted once however many tuples or sums
+reach it.  Every "-" tail is closed by `_tail_sum`: per head, one numpy
+product over the slice of the k-sorted pool that escapes h, with
+omega_f(head * k) = omega_f(head) omega_f(k) except for the few k whose
+prime divides the head; W_1^-'s heads are the single prime powers, joined to
+k by lcm.  The heads themselves are walked over the pool entries with
+omega_f(p^v) > 0 only: a root mod p^(e+v) is a root mod p^v, so any other
+head has omega_f(head) = 0 and only zero terms.  The symmetric pair sums of
+W enumerate each pair k1 <= k2 with lcm inside their bound once, with the
+off-diagonal weight doubled (`_pairs`).  All terms accumulate via
+math.fsum, which rounds the exact sum, so neither doubling (exact) nor term
+order nor the zero terms dropped by either pruning change a bit against the
+ordered tuple-by-tuple sum.  The literal forms of the sums are in
+`oracles`.
 """
 
 from bisect import bisect_right
@@ -246,10 +256,41 @@ def _walk(heads, pool, h, steps):
     return heads
 
 
-def _smooth_sum(roots, table, tuples):
-    """fsum of weight * #{n in the table : f(n) smooth, mod | f(n)}."""
-    return fsum(weight * _count_smooth(roots, fact, table)
-                for fact, _, weight in tuples)
+def _counter(roots, table):
+    """count(fact, mod) = #{n in the table : f(n) smooth, mod | f(n)} for
+    mod = prod p^e over fact, by one `_count_smooth` call per modulus."""
+    memo = {}
+
+    def count(fact, mod):
+        c = memo.get(mod)
+        if c is None:
+            c = memo[mod] = _count_smooth(roots, fact, table)
+        return c
+
+    return count
+
+
+def _counted(count, pool):
+    """The entries p^v of `pool` that divide some smooth f(n) of the
+    window."""
+    return [e for e in pool if count({e[1]: e[2]}, e[0])]
+
+
+def _smooth_walk(count, heads, pool, h, steps):
+    """`_walk` stopped at its first zero: the heads, the entries of the
+    k-sorted `pool` and the children whose count is 0 are dropped, as no
+    smooth f(n) is divisible by a multiple of a modulus dividing none."""
+    pool = _counted(count, pool)
+    heads = (t for t in heads if count(t[0], t[1]))
+    for _ in range(steps):
+        heads = (t for t in _extend(heads, pool, h) if count(t[0], t[1]))
+    return heads
+
+
+def _smooth_sum(count, tuples):
+    """fsum of weight * count(fact, mod) over the (fact, mod, weight)
+    tuples."""
+    return fsum(weight * count(fact, mod) for fact, mod, weight in tuples)
 
 
 def _rooted(roots, pool):
@@ -312,13 +353,15 @@ def vw_prop21(inst: VWInstance) -> VWReport:
     """
     fx, table, primes, roots = _window(inst)
     f, y = inst.f, inst.y
+    count = _counter(roots, table)
     log_fz = log(f(inst.z))
     big = _prime_powers(fx, primes, lambda p: p * p > y)
     small = _prime_powers(fx, primes, lambda p: p * p <= y)
-    V = _smooth_sum(roots, table, _walk(_ROOT, big, fx, 1)) / log_fz
+    V = _smooth_sum(count, _smooth_walk(count, _ROOT, big, fx, 1)) / log_fz
     # f is increasing past T_0, so no f(n) in the window exceeds f(x): a
     # pair with lcm > f(x) counts nothing
-    W = _smooth_sum(roots, table, _pairs(small, fx)) / (log_fz * log_fz)
+    pairs = _pairs(_counted(count, small), fx)
+    W = _smooth_sum(count, pairs) / (log_fz * log_fz)
     return _finish_report(table.psi, V, W, V, W, [], [], 1, "prop21", inst)
 
 
@@ -368,22 +411,26 @@ def vw_prop32(inst: VWInstance) -> VWReport:
     pool_sq_h = _prime_powers(h, primes, lambda p: p * p <= y)
     pool_y_fx = _prime_powers(fx, primes, lambda p: True)
 
+    count = _counter(roots, table)
+    v_heads = _smooth_walk(count, _ROOT, pool_v1, h, 1)
     v_plus = _smooth_sum(
-        roots, table, _walk(_walk(_ROOT, pool_v1, h, 1), pool_y_h, h, m - 1)
+        count, _smooth_walk(count, v_heads, pool_y_h, h, m - 1)
     ) / (log_fz * log_fzx ** (m - 1))
+    w_heads = _pairs(_counted(count, pool_sq_h), h)
     w_plus = _smooth_sum(
-        roots, table, _walk(_pairs(pool_sq_h, h), pool_y_h, h, m - 1)
+        count, _smooth_walk(count, w_heads, pool_y_h, h, m - 1)
     ) / (log_fz * log_fz * log_fzx ** (m - 1))
 
     # V_i^-: i - 1 prime powers inside h, the i-th escaping it.  W_i^-: the
     # pair and k_3 .. k_i inside h, k_{i+1} escaping; W_1^-'s pair escapes,
-    # a tail over the single prime powers as heads, joined by lcm.  A pair
-    # with omega_f(p^v) = 0 at either end has omega_f(lcm) = 0, so only the
-    # pool entries with roots head W_1^-.
+    # a tail over the single prime powers as heads, joined by lcm.  A head
+    # with omega_f(p^v) = 0 at any entry has omega_f(head) = 0 (for a pair,
+    # omega_f(lcm) = 0), so only the pool entries with roots make heads.
+    rooted_h = _rooted(roots, pool_y_h)
     v_minus = []
     w_minus = []
     for i in range(1, m + 1):
-        heads = _walk(_ROOT, pool_y_h, h, i - 1)
+        heads = _walk(_ROOT, rooted_h, h, i - 1)
         v_minus.append(_tail_sum(roots, heads, pool_y_fx, h)
                        / (log_fz * log_fzx ** (i - 1)))
         if i == 1:
@@ -391,7 +438,7 @@ def vw_prop32(inst: VWInstance) -> VWReport:
                      for k, p, v, lp in _rooted(roots, pool_y_fx)]
             tail = _tail_sum(roots, heads, pool_y_fx, h, lcm=True)
         else:
-            heads = _walk(_pairs(pool_y_h, h), pool_y_h, h, i - 2)
+            heads = _walk(_pairs(rooted_h, h), rooted_h, h, i - 2)
             tail = _tail_sum(roots, heads, pool_y_fx, h)
         w_minus.append(tail / (log_fz * log_fz * log_fzx ** (i - 1)))
 
@@ -430,11 +477,13 @@ def lemma31_check(inst: VWInstance, kappa: int) -> Lemma31Result:
         raise ValueError("lemma requires f(z) > x")
     kfact = factorize(kappa)
     roots.update(lift_table(f, kfact.items()))  # a prime of kappa past y
-    lhs = _count_smooth(roots, kfact, table)
+    count = _counter(roots, table)
+    lhs = count(kfact, kappa)
     log_fzx = log(fz) - log(x)
     pool = _prime_powers(fx, primes, lambda p: True)
     head = ((kfact, kappa, 1.0),)
-    head_sum = _smooth_sum(roots, table, _walk(head, pool, h, 1)) / log_fzx
+    tuples = _smooth_walk(count, head, pool, h, 1)
+    head_sum = _smooth_sum(count, tuples) / log_fzx
     tail_sum = _tail_sum(roots, head, pool, h) / log_fzx
     rhs = head_sum + tail_sum
     vacuous = lhs == 0

@@ -540,8 +540,79 @@ def _random_factors(rng):
         return factors
 
 
+# ------------------------------------ root counts without finding the roots
+#
+# deg gcd(f mod p, t^p - t) is the number of distinct roots of f mod p.
+# t^p mod (f mod p) is found by square-and-multiply in int64 lanes, one lane
+# per prime, and each gcd by the scalar reference's Euclid.  A lane holds
+# residues below p, so for p below 2e5 and degree <= 12 every sum of
+# products stays below 2^63.
+
+def _lanes_mulmod(a, b, m, P):
+    """a b mod (m, p) per lane, for a and b of degree below d = deg m and m
+    monic."""
+    d = m.shape[1] - 1
+    out = np.zeros((len(P), 2 * d - 1), dtype=np.int64)
+    for i in range(d):
+        out[:, i:i + d] += a[:, i:i + 1] * b
+    out %= P[:, None]
+    for i in range(2 * d - 2, d - 1, -1):
+        out[:, i - d:i] -= out[:, i:i + 1] % P[:, None] * m[:, :d]
+    return out[:, :d] % P[:, None]
+
+
+def _lanes_times_t(a, m, P):
+    """a t mod (m, p) per lane."""
+    top = a[:, -1:]
+    shifted = np.concatenate([np.zeros_like(top), a[:, :-1]], axis=1)
+    return (shifted - top * m[:, :-1]) % P[:, None]
+
+
+def _frobenius_root_counts(f, primes):
+    """deg gcd(f mod p, t^p - t) for each prime; the lanes of each degree of
+    f mod p run together (a prime of the lead lowers it)."""
+    P = np.array(primes, dtype=np.int64)
+    C = np.array(f.product.coeffs, dtype=np.int64)[None, :] % P[:, None]
+    assert C.any(axis=1).all()  # f is primitive
+    deg = C.shape[1] - 1 - np.argmax(C[:, ::-1] != 0, axis=1)
+    counts = np.zeros(len(P), dtype=np.int64)
+    for d in np.unique(deg[deg > 0]):
+        at = np.flatnonzero(deg == d)
+        Pd = P[at]
+        inv = np.array([pow(c, -1, p) for c, p in zip(C[at, d].tolist(),
+                                                       Pd.tolist())])
+        m = C[at, :d + 1] * inv[:, None] % Pd[:, None]
+        one = np.zeros((len(at), d), dtype=np.int64)
+        one[:, 0] = 1
+        t = _lanes_times_t(one, m, Pd)
+        r = one
+        for bit in range(int(Pd.max()).bit_length() - 1, -1, -1):
+            r = _lanes_mulmod(r, r, m, Pd)
+            odd = (Pd >> bit & 1 == 1)[:, None]
+            r = np.where(odd, _lanes_times_t(r, m, Pd), r)
+        frob = ((r - t) % Pd[:, None]).tolist()  # t^p - t mod (m, p)
+        for j, mj, hj, p in zip(at, m.tolist(), frob, Pd.tolist()):
+            counts[j] = len(_pm_gcd(mj, _trim(hj), p)) - 1
+    return counts
+
+
 def test_batch_roots_random_factors():
-    _assert_batch_matches_scalar(_random_factors(random.Random(0)), PRIMES_2E5)
+    # every prime below 2e5: each batch root is a root, the roots of a prime
+    # are sorted and distinct (one numpy pass), and there are as many as
+    # f has mod p
+    f = build_factored(_random_factors(random.Random(0)))
+    P, R = root_classes(f, PRIMES_2E5)
+    assert P.dtype == R.dtype == np.int64
+    assert ((0 <= R) & (R < P)).all()
+    value = np.zeros_like(R)
+    for c in reversed(f.product.coeffs):
+        value = (value * R + c) % P
+    assert not value.any()
+    same = P[1:] == P[:-1]
+    assert (P[1:] >= P[:-1]).all() and (R[1:][same] > R[:-1][same]).all()
+    counts = np.bincount(np.searchsorted(PRIMES_2E5, P),
+                         minlength=len(PRIMES_2E5))
+    assert (counts == _frobenius_root_counts(f, PRIMES_2E5)).all()
 
 
 @pytest.mark.parametrize("seed", range(1, 7))

@@ -9,10 +9,12 @@ moduli.
 """
 
 from collections import Counter
+from itertools import product
 from math import fsum, lcm as _lcm, log, prod, sqrt
 
 import pytest
 
+from polysmooth import vwmachinery
 from polysmooth.modroots import lift_table, omega, omega_grid
 from polysmooth.oracles import (
     _oomega,
@@ -23,13 +25,18 @@ from polysmooth.oracles import (
 )
 from polysmooth.polyarith import build_factored
 from polysmooth.primes import factorize, primes_up_to
+from polysmooth.smoothsieve import sieve_range
 from polysmooth.vwmachinery import (
     _ROOT,
     VWInstance,
+    _counted,
+    _counter,
     _pairs,
     _prime_powers,
+    _smooth_walk,
     _tail_sum,
     _walk,
+    _window,
     lemma31_check,
     lemma41_sums,
     vw_depth_pair,
@@ -389,3 +396,151 @@ def test_tail_sum_edge_heads_exactly():
         assert (want == 0) == (omega(f, head[1]) == 0), head
     assert _tail_sum(roots, heads, pool, h) == _literal_tail(f, heads, pool, h)
     assert _tail_sum(roots, [], pool, h) == 0.0
+
+
+# ------------------------------------------------ the "+" sums, unpruned
+#
+# Every ordered tuple, zero counts included, each count by f(n) % mod over
+# the flagged n.  fsum rounds the exact sum, so the walks that stop at their
+# first zero and count each modulus once must give the same bits.
+
+POLYS = [T2P1, T2M2, T3P2, T_T2P1, T2M128]
+POLY_IDS = ["t^2+1", "t^2-2", "t^3+2", "t(t^2+1)", "t^2-128"]
+# psi > 0 for each f in the first two; no smooth value in the third
+PLUS_WINDOWS = [(120, 60, 100), (100, 25, 50), (150, 100, 11)]
+
+
+def _flagged(f, x, z, y):
+    table = sieve_range(f, z + 1, x, y)
+    return [n for n, smooth in zip(range(z + 1, x + 1), table.flags) if smooth]
+
+
+def _literal_plus(f, smooth, firsts, pool, bound, steps):
+    """fsum of weight * #{n in smooth : mod | f(n)} over every first
+    (mod, weight) times every ordered `steps`-tuple of the pool, with the
+    product <= bound; weights multiply left to right, as the walks do."""
+    terms = []
+    for mod0, w0 in firsts:
+        for rest in product(pool, repeat=steps):
+            mod, weight = mod0, w0
+            for k, _, _, lp in rest:
+                mod, weight = mod * k, weight * lp
+            if mod <= bound:
+                terms.append(weight * sum(f(n) % mod == 0 for n in smooth))
+    return fsum(terms)
+
+
+def _ordered_pairs(pool, bound):
+    """Every ordered pair (k1, k2) of the pool, as (lcm, lp1 lp2) with the
+    lcm <= bound."""
+    return [(_lcm(k1, k2), lp1 * lp2)
+            for k1, _, _, lp1 in pool for k2, _, _, lp2 in pool
+            if _lcm(k1, k2) <= bound]
+
+
+@pytest.mark.parametrize("f", POLYS, ids=POLY_IDS)
+@pytest.mark.parametrize("window", PLUS_WINDOWS)
+def test_plus_sums_equal_unpruned_sums_exactly(f, window):
+    x, z, y = window
+    h, fx = x - z, f(x)
+    smooth = _flagged(f, x, z, y)
+    assert (len(smooth) == 0) == (window == PLUS_WINDOWS[-1])
+    primes = primes_up_to(int(min(y, fx)))
+    log_fz = log(f(z))
+    log_fzx = log_fz - log(x)
+
+    inst = VWInstance(f, x, z, y)
+    rep = vw_prop21(inst)
+    big = _prime_powers(fx, primes, lambda p: p * p > y)
+    small = _prime_powers(fx, primes, lambda p: p * p <= y)
+    assert rep.V == _literal_plus(f, smooth, [(1, 1.0)], big, fx, 1) / log_fz
+    pairs = _ordered_pairs(small, fx)
+    assert rep.W == (_literal_plus(f, smooth, pairs, [], fx, 0)
+                     / (log_fz * log_fz))
+
+    pool_y_h = _prime_powers(h, primes, lambda p: True)
+    pool_v1 = _prime_powers(h, primes, lambda p: p * p > y)
+    pool_sq_h = _prime_powers(h, primes, lambda p: p * p <= y)
+    pairs = _ordered_pairs(pool_sq_h, h)
+    for m in (1, 2, 3):
+        rep = vw_prop32(VWInstance(f, x, z, y, depth=m))
+        firsts = [(k, lp) for k, _, _, lp in pool_v1]
+        v_plus = _literal_plus(f, smooth, firsts, pool_y_h, h, m - 1)
+        assert rep.v_plus == v_plus / (log_fz * log_fzx ** (m - 1)), m
+        w_plus = _literal_plus(f, smooth, pairs, pool_y_h, h, m - 1)
+        assert rep.w_plus == w_plus / (log_fz * log_fz * log_fzx ** (m - 1)), m
+
+    pool_y_fx = _prime_powers(fx, primes, lambda p: True)
+    for kappa in [1, 2, 4, 5, 6, 10, 25, h]:
+        res = lemma31_check(inst, kappa)
+        assert res.lhs == sum(f(n) % kappa == 0 for n in smooth), kappa
+        head_sum = _literal_plus(f, smooth, [(kappa, 1.0)], pool_y_fx, h, 1)
+        assert res.head_sum == head_sum / log_fzx, kappa
+
+
+def test_plus_windows_reach_nonzero_off_diagonal_pairs():
+    # the exact "+" test above doubles some pair of distinct prime powers
+    # with a nonzero count, in W and in W_m^+
+    found = set()
+    for f in POLYS:
+        for x, z, y in PLUS_WINDOWS:
+            smooth = _flagged(f, x, z, y)
+            primes = primes_up_to(int(min(y, f(x))))
+            for bound, name in [(f(x), "W"), (x - z, "w_plus")]:
+                pool = _prime_powers(bound, primes, lambda p: p * p <= y)
+                if any(k1 != k2 and _lcm(k1, k2) <= bound
+                       and any(f(n) % _lcm(k1, k2) == 0 for n in smooth)
+                       for k1, _, _, _ in pool for k2, _, _, _ in pool):
+                    found.add(name)
+    assert found == {"W", "w_plus"}
+
+
+@pytest.fixture
+def counted_moduli(monkeypatch):
+    """The modulus of every `_count_smooth` call, in call order."""
+    moduli = []
+    count_smooth = vwmachinery._count_smooth
+
+    def spy(roots, fact, table):
+        moduli.append(prod(p**e for p, e in fact.items()))
+        return count_smooth(roots, fact, table)
+
+    monkeypatch.setattr(vwmachinery, "_count_smooth", spy)
+    return moduli
+
+
+def test_plus_walks_count_each_modulus_once(counted_moduli):
+    for f in POLYS:
+        for x, z, y in PLUS_WINDOWS:
+            inst = VWInstance(f, x, z, y)
+            runs = [lambda: vw_prop21(inst)]
+            runs += [lambda m=m: vw_prop32(VWInstance(f, x, z, y, depth=m))
+                     for m in (1, 2, 3)]
+            runs += [lambda k=k: lemma31_check(inst, k) for k in (1, 6, 25)]
+            for run in runs:
+                counted_moduli.clear()
+                run()
+                assert counted_moduli, (f, x)
+                assert max(Counter(counted_moduli).values()) == 1, (f, x)
+
+
+def test_plus_walks_of_a_window_without_smooth_values_are_empty(
+        counted_moduli):
+    x, z, y = PLUS_WINDOWS[-1]
+    h = x - z
+    for f in POLYS:
+        inst = VWInstance(f, x, z, y, depth=3)
+        fx, table, primes, roots = _window(inst)
+        assert table.psi == 0
+        count = _counter(roots, table)
+        pool = _prime_powers(h, primes, lambda p: True)
+        assert _counted(count, pool) == []
+        assert list(_smooth_walk(count, _ROOT, pool, h, 3)) == []
+        assert list(_smooth_walk(count, _pairs(pool, h), pool, h, 2)) == []
+        # the depth-3 split counts the window itself and the pool entries,
+        # never a tuple of two or more of them
+        counted_moduli.clear()
+        rep = vw_prop32(inst)
+        assert rep.v_plus == rep.w_plus == 0.0
+        assert 1 in counted_moduli
+        assert set(counted_moduli) <= {1, *(k for k, _, _, _ in pool)}

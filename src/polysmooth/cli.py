@@ -144,12 +144,22 @@ def _str_cells(*columns):
 
 _QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
+# repr(float(t)) writes the "{:.12g}" text t unchanged unless t is
+# integral (no ".", "e" or "n"), has an exponent of e+12 to e+15, which
+# repr writes positionally, or has one of e-308 to e-324, the subnormal
+# range, where 12 digits can exceed a float's precision.  The text, not
+# the value, decides: 999999999999.5 is written 1e+12.
+_REPR_TAILS = frozenset([f"e+1{d}" for d in range(2, 6)]
+                        + [f"-{e}" for e in range(308, 325)])
+
 
 def _float_cells(values, fmt):
     """The text _clean makes of floats, as _JSON writes it or as a CSV
     cell: 12 significant digits, and nan and the infinities as strings,
     quoted in JSON."""
-    cells = map(repr, map(float, map("{:.12g}".format, values.tolist())))
+    cells = (repr(float(t)) if t[-4:] in _REPR_TAILS
+             or not ("." in t or "e" in t or "n" in t) else t
+             for t in map("{:.12g}".format, values.tolist()))
     if fmt == "json" and not np.isfinite(values).all():
         return [_QUOTED.get(c, c) for c in cells]
     return cells

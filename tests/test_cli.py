@@ -534,7 +534,13 @@ def _config(cmd, fmt, **options):
 
 
 _FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324,
-           0.1 + 0.2, 1.0000000000005]
+           0.1 + 0.2, 1.0000000000005,
+           # where "{:.12g}" and repr may part: e+12 to e+15, integral text
+           # and the switch to an exponent below 1e-4
+           999999999999.5, 1e12, 123456789012.0, 1234567890123.0, 1.5e15,
+           9999999999999998.0, 1e-4, 1e-5,
+           # the largest subnormal, the least normal, the least subnormal
+           2.225073858507201e-308, 2.2250738585072014e-308, -5e-324]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -542,6 +548,10 @@ def test_float_cells_match_the_per_record_writer(fmt):
     rng = random.Random(7)
     values = _FLOATS + [rng.uniform(-1, 1) * 10.0 ** rng.randrange(-320, 300)
                         for _ in range(2000)] + [float(i) for i in range(-3, 20)]
+    # every decade from 1e-320 to 1e300, and integral floats up to 1e17
+    values += [rng.uniform(1, 10) * 10.0 ** e for e in range(-320, 301)]
+    values += [float(rng.randrange(10 ** e)) for e in range(1, 18)
+               for _ in range(20)]
     want = [cli._JSON.encode(cli._clean(v)) if fmt == "json"
             else cli._csv_cell(cli._clean(v)) for v in values]
     assert list(cli._float_cells(np.array(values), fmt)) == want

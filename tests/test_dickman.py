@@ -1,13 +1,21 @@
+"""Tests of rho, and the builder of its committed series table: run as a
+script,
+
+    PYTHONPATH=src python tests/test_dickman.py
+
+it rebuilds the table and rewrites src/polysmooth/_rho_series.py."""
+
 from math import log, nextafter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as L
 
-from polysmooth import dickman
+from polysmooth._rho_series import SERIES
 from polysmooth.dickman import (
+    _N_COEF,
     U_MAX,
-    _antiderivative,
     _series_eval,
     martin_prediction,
     rho,
@@ -69,28 +77,31 @@ def test_martin_prediction():
         martin_prediction([2], 11)  # 22 > U_MAX
 
 
-def test_rho_independent_of_build_order(monkeypatch):
-    grid = [2 + i / 10 for i in range(180)]  # 2.0 .. 19.9
-    monkeypatch.setattr(dickman, "_series", {})
-    assert rho(2.5) > 0 and sorted(dickman._series) == [1, 2]
-    monkeypatch.setattr(dickman, "_series", {})
-    down = {u: repr(rho(u)) for u in reversed(grid)}
-    monkeypatch.setattr(dickman, "_series", {})
-    up = {u: repr(rho(u)) for u in grid}
-    assert down == up
-
-
 def _numpy_antiderivative(c):
     ic = L.legint(c)
     ic[0] -= L.legval(-1.0, ic)
     return ic
 
 
+# The table's builder.  Picard iteration of u*rho(u) = integral_{u-1}^{u}
+# rho(t) dt on [k, k+1] acts on rho's values at the Gauss-Legendre nodes,
+# starting from the series on [k-1, k]; [1, 2] projects 1 - log(u).  It
+# runs to an exact fixed point or the 400-step cap: k = 3, 10 and 19 end
+# in an exact 2-cycle, where the cap picks the iterate kept.
+_nodes, _weights = L.leggauss(64)
+_proj = ((L.legvander(_nodes, _N_COEF - 1) * _weights[:, None]).T
+         * (np.arange(_N_COEF) + 0.5)[:, None])
+
+
+def _project(vals):
+    """Legendre coefficients of the interpolant through the Gauss nodes."""
+    return _proj @ vals
+
+
 def _numpy_series():
-    """The rho series built with numpy's legval and legint: the oracle for
-    the pure-Python Clenshaw build."""
-    nodes, project = dickman._nodes, dickman._project
-    out = {1: project(1.0 - np.log(1.0 + (nodes + 1.0) / 2.0))}
+    """{k: the series of rho on [k, k+1]} for k = 1..19, as ndarrays."""
+    nodes = _nodes
+    out = {1: _project(1.0 - np.log(1.0 + (nodes + 1.0) / 2.0))}
     for k in range(2, int(U_MAX)):
         prev_anti = _numpy_antiderivative(out[k - 1])
         a_vals = 0.5 * (L.legval(1.0, prev_anti) - L.legval(nodes, prev_anti))
@@ -98,53 +109,73 @@ def _numpy_series():
         rho_k = L.legval(1.0, out[k - 1])
         vals = np.full(len(nodes), rho_k)
         for _ in range(400):
-            cur_anti = _numpy_antiderivative(project(vals))
+            cur_anti = _numpy_antiderivative(_project(vals))
             new_vals = (a_vals + 0.5 * L.legval(nodes, cur_anti)) / u_vals
             done = np.max(np.abs(new_vals - vals)) < rho_k * 1e-17
             vals = new_vals
             if done:
                 break
-        out[k] = project(vals)
+        out[k] = _project(vals)
     return out
 
 
-def test_clenshaw_and_antiderivative_match_numpy_bitwise():
+_TABLE = Path(__file__).resolve().parents[1] / "src/polysmooth/_rho_series.py"
+
+
+def _series_module(series):
+    """The text of the table module for series {k: coefficients}."""
+    lines = [
+        '"""Legendre series of Dickman\'s rho, generated by',
+        "tests/test_dickman.py: do not edit.  Regenerate with",
+        "",
+        "    PYTHONPATH=src python tests/test_dickman.py",
+        "",
+        "SERIES[k - 2], k = 2..19, holds the coefficients of rho on [k, k+1]",
+        "in the Legendre polynomials of xi = 2(u - k) - 1, written by repr,",
+        'which reads back the same float."""',
+        "",
+        "SERIES = (",
+    ]
+    for k in range(2, int(U_MAX)):
+        lines.append(f"    (  # [{k}, {k + 1}]")
+        lines += [f"        {c!r}," for c in series[k].tolist()]
+        lines.append("    ),")
+    lines.append(")")
+    return "\n".join(lines) + "\n"
+
+
+def test_series_table_matches_numpy_build():
+    # a change of the BLAS summation order in _project moves coefficients
+    # by up to about 1e-14 of a series' largest, so no bitwise check here
+    want = _numpy_series()
+    assert len(SERIES) == int(U_MAX) - 2
+    for k, row in enumerate(SERIES, start=2):
+        scale = np.max(np.abs(want[k]))
+        assert len(row) == _N_COEF, k
+        assert np.max(np.abs(np.array(row) - want[k])) <= 1e-13 * scale, k
+
+
+def test_series_table_agrees_at_the_knots():
+    # rho is continuous: each series ends where the next one starts, and
+    # [2, 3] starts at the closed form's 1 - log 2.  The build leaves gaps
+    # of 1.2e-12 (k = 2) growing to 3.5e-12 (k = 19) of rho at the knot
+    ends = [1.0 - log(2.0)] + [_series_eval(c, 1.0) for c in SERIES]
+    starts = [_series_eval(c, -1.0) for c in SERIES]
+    for k, (end, start) in enumerate(zip(ends, starts), start=2):
+        assert abs(start - end) <= 1e-11 * end, k
+
+
+def test_clenshaw_matches_numpy_bitwise():
     rng = np.random.default_rng(20240601)
     vectors = [rng.standard_normal(40) * 10.0 ** rng.integers(-20, 3)
                for _ in range(50)]
-    vectors += [np.array(dickman._coef(k)) for k in range(1, int(U_MAX))]
+    vectors += [np.array(c) for c in SERIES]
     xs = np.concatenate([rng.uniform(-1.0, 1.0, 64), [-1.0, 0.0, 1.0]])
     for c in vectors:
         cl = c.tolist()
         assert _series_eval(cl, xs).tobytes() == L.legval(xs, c).tobytes()
         assert ([_series_eval(cl, x).hex() for x in xs.tolist()]
                 == [float(L.legval(x, c)).hex() for x in xs.tolist()])
-        assert (np.array(_antiderivative(cl)).tobytes()
-                == _numpy_antiderivative(c).tobytes())
-
-
-def test_series_match_numpy_build_bitwise(monkeypatch):
-    monkeypatch.setattr(dickman, "_series", {})
-    want = _numpy_series()
-    for k in range(1, int(U_MAX)):
-        assert np.array(dickman._coef(k)).tobytes() == want[k].tobytes(), k
-
-
-def test_series_build_stops_at_fixed_point_or_cycle(monkeypatch):
-    # k = 3, 10 and 19 fall into an exact 2-cycle: run to the 400-step cap,
-    # k = 1..19 make 1404 antiderivatives (the bits of the iterate kept are
-    # checked by test_series_match_numpy_build_bitwise)
-    calls = []
-
-    def counted(coef):
-        calls.append(1)
-        return _antiderivative(coef)
-
-    monkeypatch.setattr(dickman, "_series", {})
-    monkeypatch.setattr(dickman, "_antiderivative", counted)
-    for k in range(1, int(U_MAX)):
-        dickman._coef(k)
-    assert len(calls) <= 300
 
 
 def test_rho_grid_equals_scalar_rho_bitwise():
@@ -160,3 +191,7 @@ def test_rho_grid_equals_scalar_rho_bitwise():
     for bad in ([-0.1], [1.0, U_MAX + 0.01], [float("nan")]):
         with pytest.raises(ValueError):
             rho_grid(bad)
+
+
+if __name__ == "__main__":
+    _TABLE.write_text(_series_module(_numpy_series()))

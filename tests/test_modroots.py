@@ -517,11 +517,15 @@ def _assert_batch_matches_scalar(factors, primes):
         want = _scalar_roots(f, p)
         assert got.get(p, ()) == want, (factors, p)
         assert table[p, 1] == want, (factors, p)
+    _assert_one_lane_matches_scalar(f)
+
+
+def _assert_one_lane_matches_scalar(f):
     # the one-lane wrapper: p = 2, the primes of the lead, both sides of
     # SCAN and the largest prime below 2^32
     lead = prod(g.coeffs[-1] for g in f.factors)
     for p in {2, 251, 257, TOP_PRIMES[-1], *factorize(abs(lead))}:
-        assert lift_roots(f, p, 1) == _scalar_roots(f, p), (factors, p)
+        assert lift_roots(f, p, 1) == _scalar_roots(f, p), (f, p)
 
 
 def _random_factors(rng):
@@ -568,11 +572,17 @@ def _lanes_times_t(a, m, P):
     return (shifted - top * m[:, :-1]) % P[:, None]
 
 
-def _frobenius_root_counts(f, primes):
-    """deg gcd(f mod p, t^p - t) for each prime; the lanes of each degree of
-    f mod p run together (a prime of the lead lowers it)."""
-    P = np.array(primes, dtype=np.int64)
-    C = np.array(f.product.coeffs, dtype=np.int64)[None, :] % P[:, None]
+def _coeffs_mod(f, P):
+    """The coefficients of f, lowest first, mod each prime of P: a row per
+    prime."""
+    coeffs = np.array(f.product.coeffs, dtype=object)
+    return (coeffs[None, :] % P[:, None]).astype(np.int64)
+
+
+def _frobenius_root_counts(C, P):
+    """deg gcd(f mod p, t^p - t) for each prime of P, from C = f mod p (a
+    row per prime); the lanes of each degree of f mod p run together (a
+    prime of the lead lowers it)."""
     assert C.any(axis=1).all()  # f is primitive
     deg = C.shape[1] - 1 - np.argmax(C[:, ::-1] != 0, axis=1)
     counts = np.zeros(len(P), dtype=np.int64)
@@ -596,29 +606,41 @@ def _frobenius_root_counts(f, primes):
     return counts
 
 
-def test_batch_roots_random_factors():
-    # every prime below 2e5: each batch root is a root, the roots of a prime
-    # are sorted and distinct (one numpy pass), and there are as many as
-    # f has mod p
-    f = build_factored(_random_factors(random.Random(0)))
-    P, R = root_classes(f, PRIMES_2E5)
+def _assert_batch_roots_sound_and_complete(factors, primes):
+    """root_classes on sorted primes below 2e5 without the scalar root
+    finder: each batch root is a root below p, the roots of a prime are
+    sorted and distinct (one numpy pass), and there are as many as f has
+    mod p.  The one-lane wrapper is checked against the scalar reference
+    on a few primes."""
+    f = build_factored(factors)
+    P, R = root_classes(f, primes)
     assert P.dtype == R.dtype == np.int64
     assert ((0 <= R) & (R < P)).all()
+    primes = np.array(primes, dtype=np.int64)
+    at = np.searchsorted(primes, P)
+    assert (primes[at] == P).all()
+    C = _coeffs_mod(f, primes)
     value = np.zeros_like(R)
-    for c in reversed(f.product.coeffs):
-        value = (value * R + c) % P
+    for c in C.T[::-1]:
+        value = (value * R + c[at]) % P
     assert not value.any()
     same = P[1:] == P[:-1]
     assert (P[1:] >= P[:-1]).all() and (R[1:][same] > R[:-1][same]).all()
-    counts = np.bincount(np.searchsorted(PRIMES_2E5, P),
-                         minlength=len(PRIMES_2E5))
-    assert (counts == _frobenius_root_counts(f, PRIMES_2E5)).all()
+    counts = np.bincount(at, minlength=len(primes))
+    assert (counts == _frobenius_root_counts(C, primes)).all()
+    _assert_one_lane_matches_scalar(f)
+
+
+def test_batch_roots_random_factors():
+    # every prime below 2e5
+    _assert_batch_roots_sound_and_complete(
+        _random_factors(random.Random(0)), PRIMES_2E5)
 
 
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_batch_roots_more_random_factors(seed):
-    _assert_batch_matches_scalar(_random_factors(random.Random(seed)),
-                                 primes_up_to(20_000))
+    _assert_batch_roots_sound_and_complete(
+        _random_factors(random.Random(seed)), primes_up_to(20_000))
 
 
 # p | lead: 6t^2 + 5t + 1 = (2t + 1)(3t + 1), 6t^2 + 5t + 2, 10^30 t^2 + 1;
@@ -647,12 +669,12 @@ SPECIAL_GCD_FACTORS = [
 
 @pytest.mark.parametrize("factors", SPECIAL_FACTORS)
 def test_batch_roots_special_lanes(factors):
-    _assert_batch_matches_scalar(factors, PRIMES_2E5)
+    _assert_batch_roots_sound_and_complete(factors, PRIMES_2E5)
 
 
 @pytest.mark.parametrize("factors", SPECIAL_GCD_FACTORS)
 def test_batch_roots_special_lanes_gcd_path(factors):
-    _assert_batch_matches_scalar(factors, primes_up_to(30_000))
+    _assert_batch_roots_sound_and_complete(factors, primes_up_to(30_000))
 
 
 @pytest.mark.parametrize("text", ["t^2+1", "t^2-2", "t^3+2", "t^4+t+1"])

@@ -10,7 +10,7 @@ in real quadratic fields, primitive divisors of n^2 + b).
 __version__ = "0.1.0"
 
 from .polyarith import IntPoly, FactoredPoly, parse_poly, build_factored, t0
-from .modroots import lift_roots, omega
+from .modroots import omega
 from .smoothsieve import SmoothTable, psi, pplus_table
 from .dickman import rho, martin_prediction
 from .bounds import (

@@ -39,7 +39,7 @@ from .oracles import (
 )
 from .polyarith import build_factored
 from .primes import factorize, primes_up_to
-from .primdiv import n_arctan, r_b, verify_prop63
+from .primdiv import n_arctan, r_b, rb_table, verify_prop63
 from .quadfield import (
     c_alpha,
     classify_primes,
@@ -143,13 +143,13 @@ def criterion_3(quick=False):
         if [tab_pp.pplus_of(n) for n in range(1, x + 1)] != oracle_pp:
             mismatches += 1
         for y in y_grid:
-            table = psi(f, x, y)
+            table = sieve_range(f, 1, x, y)
             expect = [f(n) != 0 and oracle_pp[n - 1] <= y
                       for n in range(1, x + 1)]
             if not np.array_equal(table.flags, expect):
                 mismatches += 1
         # spot-check the count oracle too
-        if psi(f, min(x, 300), 10).psi != psi_oracle(f, min(x, 300), 10):
+        if psi(f, min(x, 300), 10) != psi_oracle(f, min(x, 300), 10):
             mismatches += 1
     details["x"] = x
     details["polys"] = len(_POLY_SPECS)
@@ -206,7 +206,7 @@ def criterion_4(quick=False):
     # recorded to show where the gap to the limit comes from.
     x, y, u = 10**6, 10**3, 2.0
     f = _poly("t")
-    count = psi(f, x, y).psi
+    count = psi(f, x, y)
     enum = _enumerate_smooth(x, y)
     ratio = count / x
     rho2 = rho(u)
@@ -234,7 +234,7 @@ def criterion_5(quick=False):
     ok = True
     f = _poly("t^2+1")
     x = 10**6
-    psi_full = psi(f, x, x).psi
+    psi_full = psi(f, x, x)
     main_1 = make_bound_report(f.d, f.g, 1, x=x).thm11_main_x
     details["psi_x_x"] = psi_full
     details["thm11_main_u1"] = main_1
@@ -242,7 +242,7 @@ def criterion_5(quick=False):
     ok &= psi_full < main_1
     for u in (1.5, 2.0):
         y = smooth_bound(x, u)
-        count = psi(f, x, y).psi
+        count = psi(f, x, y)
         main = make_bound_report(f.d, f.g, u, x=x).thm11_main_x
         ratio = count / main
         details["ratios"][str(u)] = ratio
@@ -522,7 +522,7 @@ def criterion_9(quick=False):
     ok &= res10.count == 7 == oracle10
 
     x_eq = 2000 if quick else 10**4
-    rb_has = r_b(1, x_eq).has_primitive
+    rb_has = rb_table(1, x_eq).dump_columns()["has_primitive"]
     f1 = _poly("t^2+1")
     table = pplus_table(f1, x_eq)
     per_n_fail = 0

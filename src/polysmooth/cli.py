@@ -22,9 +22,9 @@ from . import __version__
 from .bounds import make_bound_report
 from .dickman import U_MAX, martin_prediction, rho_grid
 from .polyarith import build_factored, parse_poly, t0
-from .primdiv import n_arctan, r_b
+from .primdiv import n_arctan, r_b, rb_table
 from .quadfield import c_alpha, make_context, verify_prop54, windowed_cassels
-from .smoothsieve import eval_range, sieve_range, smooth_bound
+from .smoothsieve import eval_range, psi, sieve_range, smooth_bound
 from .vwmachinery import VWInstance, lemma31_check, vw_prop21, vw_prop32
 
 __all__ = ["main"]
@@ -260,13 +260,15 @@ def _cmd_psi(args):
         y = args.y
     else:
         raise ValueError("one of --y / --u is required")
-    table = sieve_range(f, 1, args.x, y, need_pplus=args.dump)
+    if args.dump:  # per-n columns; a count alone reduces the segments
+        table = sieve_range(f, 1, args.x, y, need_pplus=True)
+    count = table.psi if args.dump else psi(f, args.x, y)
     rec = {
-        "psi": table.psi,
+        "psi": count,
         "x": args.x,
         "y": float(y),
         "u": args.u,
-        "ratio": table.psi / args.x,
+        "ratio": count / args.x,
         "t0": t0(f),
         "config": _config(args, resolved_y=float(y)),
     }
@@ -453,13 +455,14 @@ def _cmd_calpha(args):
 
 
 def _cmd_rb(args):
-    res = r_b(args.b, args.x)
     if args.dump:
-        names = res.dump_columns(0, 0)
+        table = rb_table(args.b, args.x)
+        names = table.dump_columns(0, 0)
         _write(args.out, ",".join(names) + "\n", args.x,
-               lambda i, j: _str_cells(*res.dump_columns(i, j).values()),
+               lambda i, j: _str_cells(*table.dump_columns(i, j).values()),
                _csv_row(len(names)))
         return 0
+    res = r_b(args.b, args.x)
     rec = {"b": args.b, "x": args.x, "count": res.count, "ratio": res.ratio,
            "config": _config(args)}
     _emit([rec], args.format, args.out)

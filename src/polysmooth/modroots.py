@@ -9,8 +9,8 @@ drops where p divides the leading coefficient: closed forms for degree
 >= 3.  p < SCAN is scanned.  Every level p^k, k >= 2, comes from one lifter,
 lift_classes, which Hensel lifts whole levels of classes at once: the
 sieve's plan lifts each factor, and lift_table lifts f for every (p, v) a
-caller of omega, the V/W sums or the acceptance suite asks for in one call.
-lift_roots is its one-lane wrapper; nothing is cached.
+caller of omega, the V/W sums or the acceptance suite asks for in one call;
+nothing is cached.
 """
 
 import random
@@ -25,8 +25,7 @@ from .polyarith import FactoredPoly
 # bench/oracles.py imports omega_scan from this module
 from .oracles import omega_scan
 
-__all__ = ["root_classes", "lift_roots", "omega", "omega_grid",
-           "omega_factored"]
+__all__ = ["root_classes", "omega", "omega_grid", "omega_factored"]
 
 MAX_PRIME = 1 << 32          # primality is checked deterministically below this
 MAX_PRIME_POWER = 1 << 64    # p^v magnitude budget for lifting
@@ -429,18 +428,6 @@ def lift_table(f: FactoredPoly, powers) -> dict:
                                 key=itemgetter(0)):
             table[p, v] = tuple(sorted(r for _, r in group))
     return table
-
-
-def lift_roots(f: FactoredPoly, p: int, v: int) -> tuple:
-    """All u (mod p^v) with f(u) = 0 (mod p^v), as a sorted tuple: one lane
-    of lift_table, once p is checked prime."""
-    if v < 1:
-        raise ValueError("v must be >= 1")
-    if p**v > MAX_PRIME_POWER:
-        raise ValueError(f"p^v = {p}^{v} exceeds the magnitude budget 2^64")
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    return lift_table(f, [(p, v)])[p, v]
 
 
 def omega_factored(f: FactoredPoly, fact: dict) -> int:

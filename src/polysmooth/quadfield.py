@@ -11,14 +11,14 @@ which the root-class sieve answers exactly.
 """
 
 from dataclasses import dataclass
-from math import isqrt, log
+from math import inf, isqrt, log
 
 import numpy as np
 
 from .modroots import lift_table
 from .polyarith import FactoredPoly, build_factored
 from .primes import factorize, is_prime
-from .smoothsieve import sieve_range
+from .smoothsieve import _segments
 
 __all__ = [
     "QuadContext",
@@ -100,18 +100,17 @@ class CAlphaResult:
     lo: int = 1
 
 
-def _unique_classes(table, exclusion_lo, exclusion_hi):
-    """The n in [table.lo, table.hi] such that some prime p | n^2 - m has its
-    class n (mod p) free of any other k in [exclusion_lo, exclusion_hi], as
-    (n, P+) rows.
+def _unique_classes(lo, pp, exclusion_lo, exclusion_hi):
+    """The n of the P+ segment pp (n = lo, lo + 1, ...) such that some prime
+    p | n^2 - m has its class n (mod p) free of any other k in
+    [exclusion_lo, exclusion_hi], as (n, P+) rows.
 
     The class of n mod p contains another excluded k iff p <= n - exclusion_lo
     or p <= exclusion_hi - n, so the test is P+(|n^2 - m|) > threshold; the
-    sieve's table provides exact P+ per n.  P+ = 1 marks a unit n^2 - m =
-    +-1, which no prime ideal divides (n^2 - m is never 0: m is no square).
+    sieve gives exact P+ per n.  P+ = 1 marks a unit n^2 - m = +-1, which no
+    prime ideal divides (n^2 - m is never 0: m is no square).
     """
-    pp = table.pplus
-    n = np.arange(table.lo, table.hi + 1)
+    n = np.arange(lo, lo + pp.size)
     hit = pp > np.maximum(np.maximum(n - exclusion_lo, exclusion_hi - n), 1)
     return np.column_stack((n[hit], pp[hit]))
 
@@ -124,8 +123,8 @@ def c_alpha(ctx: QuadContext, x: int) -> CAlphaResult:
     return windowed_cassels(ctx, 0, x, include_zero=False)
 
 
-def _window_table(ctx, N, M):
-    """Exact P+(|n^2 - m|) for n in (N, N+M], from one sieve."""
+def _window_segments(ctx, N, M):
+    """The sieve's exact P+(|n^2 - m|) segments for n in (N, N+M]."""
     if M < 0:
         raise ValueError("M must be >= 0")
     if N < 0:
@@ -133,17 +132,18 @@ def _window_table(ctx, N, M):
     if N + M > MAX_WINDOW_END:
         raise ValueError(f"window end {N + M} exceeds the oracle-grade "
                          f"bound {MAX_WINDOW_END}")
-    return sieve_range(ctx.f, N + 1, N + M, float("inf"), need_pplus=True)
+    return _segments(ctx.f, N + 1, N + M, inf, True)
 
 
 def windowed_cassels(ctx: QuadContext, N: int, M: int,
                      include_zero: bool = True) -> CAlphaResult:
     """Count n in (N, N+M] whose ideal (n + sqrt(m)) has a prime divisor
     dividing no (k + sqrt(m)) for k in [0, N+M] (k from 1 with
-    include_zero=False), k != n."""
-    table = _window_table(ctx, N, M)
+    include_zero=False), k != n: the witness rows of each segment, joined."""
     k0 = 0 if include_zero else 1
-    wit = _unique_classes(table, k0, N + M)
+    wit = np.concatenate([np.zeros((0, 2), dtype=np.int64)]
+                         + [_unique_classes(lo, pv, k0, N + M)
+                            for lo, _, pv in _window_segments(ctx, N, M)])
     return CAlphaResult(m=ctx.m, x=N + M, count=len(wit), witnesses=wit,
                         include_zero=include_zero, lo=N + 1)
 
@@ -161,21 +161,16 @@ class Prop54Report:
 
 def verify_prop54(ctx: QuadContext, x: int) -> Prop54Report:
     """c_alpha(x) against x - Psi_f(x, x) for f = t^2 - m, both counted from
-    one P+ table (Psi_f(x, x) is the number of n with P+(|f(n)|) <= x), with
-    the residual normalized by x/log x (the error-term shape, constant not
-    explicit)."""
+    one pass over the P+ segments (Psi_f(x, x) is the number of n with
+    P+(|f(n)|) <= x), with the residual normalized by x/log x (the
+    error-term shape, constant not explicit)."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    table = _window_table(ctx, 0, x)
-    c = len(_unique_classes(table, 1, x))
-    ps = int(np.count_nonzero(table.pplus <= x))
+    c = ps = 0
+    for lo, _, pv in _window_segments(ctx, 0, x):
+        c += len(_unique_classes(lo, pv, 1, x))
+        ps += int(np.count_nonzero(pv <= x))
     r = abs(c - (x - ps))
-    return Prop54Report(
-        m=ctx.m,
-        x=x,
-        c_alpha=c,
-        x_minus_psi=x - ps,
-        residual=r,
-        ratio_rlogx_over_x=r * log(x) / x,
-        r_over_x=r / x,
-    )
+    return Prop54Report(m=ctx.m, x=x, c_alpha=c, x_minus_psi=x - ps,
+                        residual=r, ratio_rlogx_over_x=r * log(x) / x,
+                        r_over_x=r / x)

@@ -21,6 +21,9 @@ larger c is tested by Miller-Rabin (is_prime) and, if composite, split by
 Pollard-Brent (factorize).  P+ is then exact and flags become P+ <= y.  The
 2^32 domain check applies to b0, so every certified cofactor is below 2^64.
 
+One producer (_segments) yields each segment's flags and P+: counts reduce
+it as it comes, and sieve_range writes it into per-n columns (SmoothTable).
+
 Both kernels split the plan by how often a class hits a segment (_dense): a
 class of q below 1/64 of the segment length is sieved along a strided view,
 and every other class through one gathered pass over all their hits
@@ -44,9 +47,10 @@ from .oracles import psi_oracle
 
 __all__ = ["SmoothTable", "psi", "pplus_table", "smooth_bound", "sieve_range"]
 
-# n sieved per segment.  A count-only sieve holds one segment: a few float64
-# arrays of this length.  Smaller segments pay more often for the
-# per-segment pass over the root classes.
+# n sieved per segment.  A count (psi, r_b, c_alpha) holds one segment at a
+# time, a few arrays of this length; only sieve_range's per-n columns grow
+# with the window.  Smaller segments pay more often for the per-segment pass
+# over the root classes.
 SEGMENT = 1 << 16
 
 _INT64_LIMIT = 1 << 63
@@ -74,7 +78,8 @@ _DENSE_HITS = 64
 
 @dataclass
 class SmoothTable:
-    """Per-n smoothness data for f(n), n in [lo, hi], plus the count psi.
+    """Per-n smoothness data for f(n), n in [lo, hi], plus the count psi:
+    the columns sieve_range writes for the callers that read n by n.
 
     `flags` is a bool array.  `pplus`, when built, holds P+(|f(n)|): int64
     when coeff_bound(f, hi) < 2^63 (eval_range's rule), else an object array
@@ -90,20 +95,14 @@ class SmoothTable:
     psi: int
     pplus: np.ndarray = None
 
-    def _index(self, n):
-        # a negative index would read the columns from the end
-        if not self.lo <= n <= self.hi:
-            raise ValueError(f"n = {n} is outside the table's window "
-                             f"[{self.lo}, {self.hi}]")
-        return n - self.lo
-
-    def flag(self, n):
-        return bool(self.flags[self._index(n)])
-
     def pplus_of(self, n):
         if self.pplus is None:
             raise ValueError("table was built without pplus")
-        return int(self.pplus[self._index(n)]) or inf
+        # a negative index would read the column from the end
+        if not self.lo <= n <= self.hi:
+            raise ValueError(f"n = {n} is outside the table's window "
+                             f"[{self.lo}, {self.hi}]")
+        return int(self.pplus[n - self.lo]) or inf
 
 
 def coeff_bound(f, height):
@@ -189,10 +188,11 @@ def _hits(Q, R, seg_lo, seg_len, start):
     segment, as arrays (c, i) of the class's index into Q and the offset."""
     Q, R = Q[start:], R[start:]
     first = (R - seg_lo) % Q
-    cls = (first < seg_len).nonzero()[0]
-    cls = np.repeat(cls, (seg_len - 1 - first[cls]) // Q[cls] + 1)
-    pos = first[cls] + (np.arange(cls.size) - cls.searchsorted(cls)) * Q[cls]
-    return cls + start, pos
+    live = (first < seg_len).nonzero()[0]
+    runs = (seg_len - 1 - first[live]) // Q[live] + 1
+    cls = np.repeat(live, runs)
+    j = np.arange(cls.size) - np.repeat(np.cumsum(runs) - runs, runs)
+    return cls + start, first[cls] + j * Q[cls]
 
 
 def _sieve_segment(f, seg_lo, seg_len, P, Q, R, deep):
@@ -373,16 +373,17 @@ def _log_flags(f, seg_lo, seg_len, P, Q, R, deep):
     return acc >= _log_values(f.product, seg_lo, seg_len) - _LOG_MARGIN
 
 
-def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
-    """SmoothTable for n in [lo, hi] (lo >= 0).
+def _segments(f, lo, hi, y, need_pplus, segment_size=SEGMENT):
+    """The sieve over n in [lo, hi] (lo >= 0): checks, mode and plan at
+    once, then an iterator of (seg_lo, flags, pv) per segment, pv its P+ in
+    prime mode and None in count mode.
 
     `y` is the smoothness bound (real).  When y reaches b0 = isqrt(max |f|)
     + 1, or with need_pplus whatever y is, the sieve runs in prime mode: it
-    divides out the primes up to B = min(2 * count, b0), certifies each
-    cofactor left above B^2, and the table carries exact P+(|f(n)|) per n
-    with need_pplus.  Otherwise the flags come from the log sieve over every
-    p <= y.  A prime bound of 2^32 or more is a domain error; in prime mode
-    that bound is b0, not B.
+    divides out the primes up to B = min(2 * count, b0) and certifies each
+    cofactor left above B^2, so pv is exact P+(|f(n)|).  Otherwise the flags
+    come from the log sieve over every p <= y.  A prime bound of 2^32 or
+    more is a domain error; in prime mode that bound is b0, not B.
     """
     if lo < 0:
         raise ValueError("range must start at a nonnegative integer")
@@ -392,9 +393,7 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
         raise ValueError("segment_size must be >= 1")
     count = hi - lo + 1
     if count <= 0:
-        return SmoothTable(f, lo, hi, y, np.zeros(0, dtype=bool), 0,
-                           pplus=np.zeros(0, dtype=np.int64)
-                           if need_pplus else None)
+        return iter(())
     mbound = coeff_bound(f, max(abs(lo), abs(hi)))
     b0 = isqrt(mbound) + 1  # least bound with b0^2 > max |f(n)|
     prime_mode = need_pplus or y >= b0  # before flooring: y may be infinite
@@ -408,30 +407,44 @@ def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
     bound = min(2 * count, b0) if prime_mode else effective
     plan = _plan(f, primes_up_to(bound), lo, hi)
 
+    def run():
+        for seg_lo in range(lo, hi + 1, segment_size):
+            seg_len = min(segment_size, hi - seg_lo + 1)
+            if prime_mode:
+                vals, best = _sieve_segment(f, seg_lo, seg_len, *plan)
+                yield seg_lo, *_aggregate(vals, best, y, bound)
+            else:
+                yield seg_lo, _log_flags(f, seg_lo, seg_len, *plan), None
+    return run()
+
+
+def sieve_range(f, lo, hi, y, *, need_pplus=False, segment_size=SEGMENT):
+    """SmoothTable for n in [lo, hi] (lo >= 0): the segments written into
+    per-n columns, flags and, with need_pplus, P+.  Only the per-n readers
+    build one (the V/W window, pplus_table, psi --dump and the acceptance
+    suite's per-n checks); a count reduces the segments as they come."""
+    segments = _segments(f, lo, hi, y, need_pplus, segment_size)
+    count = max(0, hi - lo + 1)
     flags = np.zeros(count, dtype=bool)
-    pplus = None
-    if need_pplus:
-        pplus = np.zeros(count, dtype=np.int64 if mbound < _INT64_LIMIT
-                         else object)
-    for seg_lo in range(lo, hi + 1, segment_size):
-        seg_len = min(segment_size, hi - seg_lo + 1)
-        seg = slice(seg_lo - lo, seg_lo - lo + seg_len)
-        if prime_mode:
-            vals, best = _sieve_segment(f, seg_lo, seg_len, *plan)
-            flags[seg], pv = _aggregate(vals, best, y, bound)
-            if need_pplus:
-                pplus[seg] = pv
-        else:
-            flags[seg] = _log_flags(f, seg_lo, seg_len, *plan)
+    wide = coeff_bound(f, max(abs(lo), abs(hi))) >= _INT64_LIMIT
+    pplus = (np.zeros(count, object if wide else np.int64) if need_pplus
+             else None)
+    for seg_lo, ok, pv in segments:
+        seg = slice(seg_lo - lo, seg_lo - lo + ok.size)
+        flags[seg] = ok
+        if need_pplus:
+            pplus[seg] = pv
     return SmoothTable(f, lo, hi, y, flags, int(np.count_nonzero(flags)),
                        pplus=pplus)
 
 
 def psi(f, x, y):
-    """Exact Psi_f(x, y): the number of n in [1, x] with f(n) y-smooth."""
+    """Exact Psi_f(x, y): the number of n in [1, x] with f(n) y-smooth,
+    summed segment by segment."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    return sieve_range(f, 1, x, y)
+    return sum(int(np.count_nonzero(ok))
+               for _, ok, _ in _segments(f, 1, x, y, False))
 
 
 def pplus_table(f, x):

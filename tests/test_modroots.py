@@ -11,7 +11,6 @@ import pytest
 from polysmooth import modroots
 from polysmooth.polyarith import IntPoly, build_factored
 from polysmooth.modroots import (
-    lift_roots,
     lift_table,
     omega,
     omega_grid,
@@ -27,6 +26,11 @@ T_T2P1 = build_factored(["t", "t^2+1"])
 CUBIC = build_factored(["t^3-2"])
 QUARTIC = build_factored(["t^4+1"])
 MIXED = build_factored(["t+1", "t^2+2"])
+
+
+def _lift_roots(f, p, v):
+    """The sorted roots of f mod p^v: one (p, v) of lift_table."""
+    return lift_table(f, [(p, v)])[p, v]
 
 
 # ------------------------------------------- the scalar reference over F_p
@@ -258,16 +262,9 @@ def _scalar_lift(f, p):
 
 
 def test_roots_mod_p_examples():
-    assert lift_roots(T2P1, 5, 1) == (2, 3)
-    assert lift_roots(T2P1, 3, 1) == ()
-    assert lift_roots(T2P1, 2, 1) == (1,)
-
-
-def test_roots_mod_p_rejects_composite():
-    with pytest.raises(ValueError):
-        lift_roots(T2P1, 10, 1)
-    with pytest.raises(ValueError):
-        lift_roots(T2P1, 1 << 33, 1)
+    assert _lift_roots(T2P1, 5, 1) == (2, 3)
+    assert _lift_roots(T2P1, 3, 1) == ()
+    assert _lift_roots(T2P1, 2, 1) == (1,)
 
 
 def _scan_roots(f, p):
@@ -290,7 +287,7 @@ def test_roots_agree_with_scan_oracle(f):
         assert got.get(p, ()) == _scan_roots(f, p), (f, p)
     # the one-lane wrapper on both sides of SCAN
     for p in (2, 251, 257):
-        assert lift_roots(f, p, 1) == _scan_roots(f, p), (f, p)
+        assert _lift_roots(f, p, 1) == _scan_roots(f, p), (f, p)
 
 
 # leading coefficients 6, 10, 12, 30, 65537, 70, 9, 6, 10 and 30: mod a prime
@@ -311,7 +308,7 @@ def test_roots_when_p_divides_leading_coefficient(coeffs):
     for p in primes:
         assert got.get(p, ()) == _scan_roots(f, p), (coeffs, p)
     for p in [2, *factorize(coeffs[-1])]:
-        assert lift_roots(f, p, 1) == _scan_roots(f, p), (coeffs, p)
+        assert _lift_roots(f, p, 1) == _scan_roots(f, p), (coeffs, p)
 
 
 def test_roots_deterministic_across_fresh_objects():
@@ -326,11 +323,11 @@ def test_roots_deterministic_across_fresh_objects():
 
 
 def test_lift_roots_examples():
-    assert lift_roots(T2P1, 5, 2) == (7, 18)
-    assert lift_roots(T2P1, 2, 2) == ()
+    assert _lift_roots(T2P1, 5, 2) == (7, 18)
+    assert _lift_roots(T2P1, 2, 2) == ()
     t = build_factored(["t"])
     for p, v in [(3, 4), (7, 3), (2, 10)]:
-        assert lift_roots(t, p, v) == (0,)
+        assert _lift_roots(t, p, v) == (0,)
 
 
 def test_lift_roots_scan_oracle():
@@ -344,7 +341,7 @@ def test_lift_roots_scan_oracle():
         for v in range(1, top + 1):
             mod = p**v
             expect = tuple(u for u in range(mod) if f(u) % mod == 0)
-            assert lift_roots(f, p, v) == expect, (f, p, v)
+            assert _lift_roots(f, p, v) == expect, (f, p, v)
 
 
 def test_omega_of_a_singular_prime_square_needs_no_scan():
@@ -357,21 +354,9 @@ def test_omega_of_a_singular_prime_square_needs_no_scan():
     assert time.perf_counter() - start < 1.0
 
 
-def test_lift_budget():
-    with pytest.raises(ValueError):
-        lift_roots(T2P1, 2, 65)
-
-
 def test_root_store_domain_errors():
     f = build_factored(["t^2+1"])
     p32 = (1 << 32) + 15  # the least prime above 2^32
-    for p, v, msg in [(5, 0, "v must be >= 1"), (5, -1, "v must be >= 1"),
-                      (2, 65, "budget 2\\^64"), (3, 41, "budget 2\\^64"),
-                      (10, 1, "p=10 is not prime"), (10, 2, "p=10 is not prime"),
-                      (1, 1, "p=1 is not prime"), (p32, 1, "bound 2\\^32"),
-                      ((1 << 32) - 1, 1, "not prime")]:
-        with pytest.raises(ValueError, match=msg):
-            lift_roots(f, p, v)
     # the largest prime is checked, wherever it stands: a lane of p >= 2^32
     # would overflow its uint64 products
     for primes in ([2, 3, p32], [p32, 5]):
@@ -388,20 +373,19 @@ def test_lift_roots_levels_match_the_scalar_lifter():
     f = build_factored(["t^3+2", "t^2+7"])
     for p in (2, 3, 5, 7, 11, 101, 103, 251, 257):
         want = list(islice(_scalar_lift(f, p), 3))
-        assert [lift_roots(f, p, v) for v in (1, 2, 3)] == want, p
-        assert lift_roots(f, p, 1) == want[0], p
+        assert [_lift_roots(f, p, v) for v in (1, 2, 3)] == want, p
+        assert _lift_roots(f, p, 1) == want[0], p
 
 
 @pytest.mark.parametrize("factors", [["t^2+1"], ["t", "t^2+1"]])
 def test_f_holds_nothing_per_prime_after_a_sieve(factors):
     # the roots mod the 9592 primes below 10^5 live only in the sieve's own
-    # arrays: once its table is dropped, f holds a few KB
+    # arrays: once psi returns its count, f holds a few KB
     psi(build_factored(factors), 10, 10)  # numpy's lazy imports, loaded once
     f = build_factored(factors)
     tracemalloc.start()
     try:
-        table = psi(f, 10**5, 10**5)
-        del table
+        psi(f, 10**5, 10**5)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -453,7 +437,7 @@ def test_huxley_bound():
         for p in primes_up_to(100):
             tp = theta.get(p, 0)
             for v in range(1, 5):
-                w = len(lift_roots(f, p, v))
+                w = len(_lift_roots(f, p, v))
                 assert w * w <= f.d * f.d * p**tp, (f, p, v)
                 assert w * w <= f.d * f.d * f.discriminant_abs
 
@@ -464,9 +448,9 @@ def test_hensel_stability():
         for p in primes_up_to(100):
             if f.discriminant_abs % p == 0:
                 continue
-            w1 = len(lift_roots(f, p, 1))
+            w1 = len(_lift_roots(f, p, 1))
             for v in range(2, 5):
-                assert len(lift_roots(f, p, v)) == w1
+                assert len(_lift_roots(f, p, v)) == w1
 
 
 def test_lemma42_inequality_small():
@@ -493,7 +477,7 @@ def test_lemma42_inequality_small():
         rhs_prod = 1
         for j in s_idx:
             p, v = tup[j]
-            rhs_prod *= len(lift_roots(f, p, v))
+            rhs_prod *= len(_lift_roots(f, p, v))
         # compare lhs <= (d sqrt(Delta))^(m-|S|) * rhs_prod via squaring
         k = m - len(s_idx)
         assert lhs * lhs <= (f.d * f.d * delta) ** k * rhs_prod * rhs_prod, tup
@@ -525,7 +509,7 @@ def _assert_one_lane_matches_scalar(f):
     # SCAN and the largest prime below 2^32
     lead = prod(g.coeffs[-1] for g in f.factors)
     for p in {2, 251, 257, TOP_PRIMES[-1], *factorize(abs(lead))}:
-        assert lift_roots(f, p, 1) == _scalar_roots(f, p), (f, p)
+        assert _lift_roots(f, p, 1) == _scalar_roots(f, p), (f, p)
 
 
 def _random_factors(rng):
@@ -728,7 +712,7 @@ def test_lift_table_matches_the_scalar_lifter(factors):
     assert lift_table(f, tops) == want
     ks = [p**v for p, v in want]
     assert omega_grid(f, ks) == [len(roots) for roots in want.values()]
-    assert [lift_roots(f, p, v) for p, v in tops] == [want[pv] for pv in tops]
+    assert [_lift_roots(f, p, v) for p, v in tops] == [want[pv] for pv in tops]
 
 
 def test_root_classes_overlapping_calls_agree():
@@ -748,7 +732,7 @@ def test_root_classes_overlapping_calls_agree():
 def test_root_classes_runs_in_lane_blocks(monkeypatch):
     # 3245 primes up to 3e4 at 1000 lanes a block: four blocks, the last
     # short, joined in order, once for root_classes and once for lift_table
-    # (then one lane per lift_roots call)
+    # (then one lane per _lift_roots call)
     monkeypatch.setattr(modroots, "LANE_BLOCK", 1000)
     sizes = []
     batch = modroots._batch_roots

@@ -35,7 +35,7 @@ from polysmooth.oracles import (
     trial_factorize,
 )
 from polysmooth.polyarith import build_factored
-from polysmooth.primdiv import r_b
+from polysmooth.primdiv import r_b, rb_table
 from polysmooth.primes import factorize, primes_up_to
 from polysmooth.quadfield import make_context, windowed_cassels
 from polysmooth.smoothsieve import psi, sieve_range
@@ -119,16 +119,16 @@ def _drop_largest_prime(monkeypatch):
 
 def test_psi_oracle_rejects_a_missing_prime(monkeypatch):
     f = build_factored(["t^2+1"])
-    assert psi(f, 1000, 13).psi == psi_oracle(f, 1000, 13)
+    assert psi(f, 1000, 13) == psi_oracle(f, 1000, 13)
     _drop_largest_prime(monkeypatch)
-    assert psi(f, 1000, 13).psi != psi_oracle(f, 1000, 13)
+    assert psi(f, 1000, 13) != psi_oracle(f, 1000, 13)
 
 
 def test_enumerate_smooth_rejects_a_missing_prime(monkeypatch):
     t = build_factored(["t"])
-    assert psi(t, 10**4, 100).psi == _enumerate_smooth(10**4, 100)
+    assert psi(t, 10**4, 100) == _enumerate_smooth(10**4, 100)
     _drop_largest_prime(monkeypatch)
-    assert psi(t, 10**4, 100).psi != _enumerate_smooth(10**4, 100)
+    assert psi(t, 10**4, 100) != _enumerate_smooth(10**4, 100)
 
 
 def test_omega_scan_rejects_a_lost_lifted_root(monkeypatch):
@@ -217,32 +217,33 @@ def test_oomega_counts_roots_without_the_library(monkeypatch):
         _oomega.__wrapped__(f, 2 * 30011)
 
 
+def _lose_pplus(monkeypatch, module, n):
+    """Make the P+ segments `module` reduces read P+ = 1 at n: the prime
+    that singled n out is lost."""
+    segments = module._segments
+
+    def lost(*args, **kwargs):
+        for lo, flags, pv in segments(*args, **kwargs):
+            if lo <= n < lo + pv.size:
+                pv[n - lo] = 1
+            yield lo, flags, pv
+
+    monkeypatch.setattr(module, "_segments", lost)
+
+
 def test_windowed_oracle_rejects_a_lost_witness(monkeypatch):
     ctx, N, M = make_context(2), 100, 50
     want = _windowed_oracle(2, N, M, True)
     got = windowed_cassels(ctx, N, M)
     assert got.count == want
-    n = int(got.witnesses[0, 0])
-
-    def witness_lost(*args, **kwargs):
-        tab = sieve_range(*args, **kwargs)
-        tab.pplus[n - tab.lo] = 1
-        return tab
-
-    monkeypatch.setattr(quadfield, "sieve_range", witness_lost)
+    _lose_pplus(monkeypatch, quadfield, int(got.witnesses[0, 0]))
     assert windowed_cassels(ctx, N, M).count != want
 
 
 def test_primitive_definition_oracle_rejects_a_wrong_flag(monkeypatch):
     want = [_primitive_definition_oracle(1, n) for n in range(1, 31)]
-    assert r_b(1, 30).has_primitive.tolist() == want
-    n = max(i for i, has in enumerate(want, 1) if has)
-    table = primdiv.pplus_table
-
-    def divisor_lost(f, x):
-        tab = table(f, x)
-        tab.pplus[n - 1] = 1
-        return tab
-
-    monkeypatch.setattr(primdiv, "pplus_table", divisor_lost)
-    assert r_b(1, 30).has_primitive.tolist() != want
+    assert rb_table(1, 30).dump_columns()["has_primitive"].tolist() == want
+    assert r_b(1, 30).count == sum(want)
+    _lose_pplus(monkeypatch, primdiv,
+                max(i for i, has in enumerate(want, 1) if has))
+    assert r_b(1, 30).count != sum(want)

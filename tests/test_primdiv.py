@@ -5,9 +5,15 @@ from polysmooth.oracles import _primitive_definition_oracle
 from polysmooth.primdiv import (
     n_arctan,
     r_b,
+    rb_table,
     verify_prop63,
 )
 from polysmooth.primes import factorize
+
+
+def _has_primitive(b, x):
+    """The per-n flags of r_b's rule, from the rb --dump table."""
+    return rb_table(b, x).dump_columns()["has_primitive"]
 
 
 def _first_occurrence_flags(b, x):
@@ -29,7 +35,7 @@ def _first_occurrence_flags(b, x):
 
 
 def test_examples():
-    has = r_b(1, 7).has_primitive
+    has = _has_primitive(1, 7)
     assert has[1]  # P+(5) = 5 > 4
     assert not has[2]  # arctan 3 reducible
     assert not has[6]  # 50 = 2 * 5^2
@@ -43,7 +49,7 @@ def test_hypothesis_violation():
 
 
 def test_n1_definition_vs_criterion():
-    row = {k: c[0] for k, c in r_b(1, 1).dump_columns().items()}
+    row = {k: c[0] for k, c in rb_table(1, 1).dump_columns().items()}
     assert row["has_primitive"]  # A_1 = 2, empty earlier-term relation
     assert row["method"] == "direct"
     assert row["criterion_mismatch"]  # P+(2) = 2 is not > 2
@@ -61,15 +67,13 @@ def test_criterion_matches_definition():
     # n | b also decides): negative b, and b with many prime divisors
     for b in [1, 2, 3, 5, -2, -6, 30, -30, 210, -399, 2000]:
         flags = _first_occurrence_flags(b, 2000)
-        res = r_b(b, 2000)
-        for n in range(1, 2001):
-            assert res.has_primitive[n - 1] == flags[n - 1], (b, n)
-        assert r_b(b, 2000).count == res.count == sum(flags), b
+        assert _has_primitive(b, 2000).tolist() == flags, b
+        assert r_b(b, 2000).count == sum(flags), b
 
 
 def test_boundary_direct_method():
     for b in [3, 5, 7, -2, -3, -6]:
-        cols = r_b(b, abs(b) + 1).dump_columns()
+        cols = rb_table(b, abs(b) + 1).dump_columns()
         assert cols["method"][-1] == "criterion"
         for n in range(1, abs(b) + 1):
             assert cols["n"][n - 1] == n
@@ -79,9 +83,8 @@ def test_boundary_direct_method():
 
 
 def test_r1_of_10():
-    res = r_b(1, 10)
-    assert res.count == 7
-    members = (np.flatnonzero(res.has_primitive) + 1).tolist()
+    assert r_b(1, 10).count == 7
+    members = (np.flatnonzero(_has_primitive(1, 10)) + 1).tolist()
     assert members == [1, 2, 4, 5, 6, 9, 10]
 
 
@@ -99,14 +102,13 @@ def test_n_arctan_examples():
 
 
 def test_n_equals_r1():
-    res = r_b(1, 2000)
     # N(x) = R_1(x) for every x <= 2000: the prefix counts of R_1's column
     count = 0
-    for n, has in enumerate(res.has_primitive.tolist(), 1):
+    for n, has in enumerate(_has_primitive(1, 2000).tolist(), 1):
         count += has
         if n % 97 == 0 or n <= 20:
             assert n_arctan(n).count == count, n
-    assert n_arctan(2000).count == count == res.count
+    assert n_arctan(2000).count == count == r_b(1, 2000).count
 
 
 def test_prop63_shape():
@@ -116,6 +118,6 @@ def test_prop63_shape():
 
 
 def test_degenerate_range_below_b():
-    res = r_b(100, 5)
-    assert len(res.has_primitive) == 5
-    assert all(m == "direct" for m in res.dump_columns()["method"])
+    cols = rb_table(100, 5).dump_columns()
+    assert len(cols["has_primitive"]) == 5
+    assert all(m == "direct" for m in cols["method"])

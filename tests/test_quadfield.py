@@ -2,7 +2,7 @@ from collections import defaultdict
 
 import pytest
 
-from polysmooth.modroots import lift_roots
+from polysmooth.modroots import lift_table
 from polysmooth.oracles import _windowed_oracle, pplus_oracle
 from polysmooth.primes import factorize, primes_up_to
 from polysmooth.quadfield import (
@@ -159,7 +159,7 @@ def test_lemma53_congruence_classes():
             continue
         for v in [1, 2, 3]:
             mod = p**v
-            lifted = lift_roots(ctx.f, p, v)
+            lifted = lift_table(ctx.f, [(p, v)])[p, v]
             assert len(lifted) == 2
             for n in range(1, 4000):
                 in_class = n % mod in lifted

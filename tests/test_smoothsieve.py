@@ -1,14 +1,17 @@
 import signal
+import tracemalloc
 from math import inf, isqrt, prod
 
 import numpy as np
 import pytest
 
-from polysmooth import smoothsieve
+from polysmooth import primdiv, quadfield, smoothsieve
 from polysmooth.cli import main
 from polysmooth.oracles import pplus_oracle, psi_oracle
 from polysmooth.polyarith import build_factored
+from polysmooth.primdiv import r_b, rb_table
 from polysmooth.primes import factorize, primes_up_to
+from polysmooth.quadfield import make_context, windowed_cassels
 from polysmooth.smoothsieve import (
     SEGMENT,
     _aggregate,
@@ -67,9 +70,9 @@ def test_smooth_bound_exact_rationals():
 
 
 def test_psi_examples():
-    assert psi(T, 10, 3).psi == 7  # {1,2,3,4,6,8,9}
-    assert psi(T2P1, 10, 5).psi == 4  # {1,2,3,7}
-    assert psi(T2P1, 10, 200).psi == 10  # y exceeds max f(n) = 101
+    assert psi(T, 10, 3) == 7  # {1,2,3,4,6,8,9}
+    assert psi(T2P1, 10, 5) == 4  # {1,2,3,7}
+    assert psi(T2P1, 10, 200) == 10  # y exceeds max f(n) = 101
 
 
 def test_psi_oracle_examples():
@@ -82,7 +85,7 @@ def test_psi_oracle_examples():
 def test_psi_matches_oracle_small(f):
     x = 300
     for y in [1, 2, 3, 5, 10, 50, x, x * x]:
-        assert psi(f, x, y).psi == psi_oracle(f, x, y), (f, y)
+        assert psi(f, x, y) == psi_oracle(f, x, y), (f, y)
 
 
 def test_pplus_examples():
@@ -101,8 +104,6 @@ def test_lookups_outside_the_window_raise():
                                                    need_pplus=True)):
         for n in (tab.lo - 1, 0, tab.hi + 1):
             with pytest.raises(ValueError, match=rf"\[{tab.lo}, {tab.hi}\]"):
-                tab.flag(n)
-            with pytest.raises(ValueError, match=rf"\[{tab.lo}, {tab.hi}\]"):
                 tab.pplus_of(n)
         assert tab.pplus_of(tab.lo) == pplus_oracle(T2P1(tab.lo))
         assert tab.pplus_of(tab.hi) == pplus_oracle(T2P1(tab.hi))
@@ -118,9 +119,9 @@ def test_pplus_matches_oracle(f):
 
 def test_zero_value_never_smooth(capsys):
     f = build_factored(["t-5", "t^2+1"])
-    tab = psi(f, 10, 10**9)
-    assert not tab.flag(5)  # f(5) = 0, P+(0) = +inf
-    assert tab.flag(4)
+    tab = sieve_range(f, 1, 10, 10**9)
+    assert not tab.flags[5 - 1]  # f(5) = 0, P+(0) = +inf
+    assert tab.flags[4 - 1]
     tab = pplus_table(f, 10)
     assert tab.pplus[5 - 1] == 0  # the stored sentinel
     assert tab.pplus_of(5) == float("inf")
@@ -131,9 +132,9 @@ def test_zero_value_never_smooth(capsys):
 
 
 def test_unit_values_always_smooth():
-    tab = psi(T2M2, 2, 1)  # f(1) = -1: P+(-1) = 1 <= 1
-    assert tab.flag(1)
-    assert not tab.flag(2)  # f(2) = 2 not 1-smooth
+    # f(1) = -1: P+(-1) = 1 <= 1; f(2) = 2 is not 1-smooth
+    assert sieve_range(T2M2, 1, 2, 1).flags.tolist() == [True, False]
+    assert psi(T2M2, 2, 1) == 1
 
 
 # Windows with thousands of root classes on both sides of the kernels'
@@ -167,6 +168,60 @@ def test_segment_independence(factors, hi, y, need_pplus, segs, pplus_ref):
             assert np.array_equal(tab.pplus, base.pplus), seg
 
 
+_SEGMENTS = smoothsieve._segments
+
+
+def _at_segment_size(monkeypatch, seg):
+    """Run every count (psi, r_b, c_alpha) over segments of `seg` n."""
+    sizes = []
+
+    def fixed(f, lo, hi, y, need_pplus, segment_size=SEGMENT):
+        sizes.append(seg)
+        return _SEGMENTS(f, lo, hi, y, need_pplus, seg)
+
+    for module in (smoothsieve, primdiv, quadfield):
+        monkeypatch.setattr(module, "_segments", fixed)
+    return sizes
+
+
+def test_segment_independence_of_the_counts(monkeypatch):
+    # each count reduces the segment stream; at every segment size it is the
+    # count read off the column writer's one-segment table.  700 values of
+    # t^2+1 at y = 20 and y = 10^5 run the log sieve and prime mode; r_b at
+    # b = -6 (where n = 2 and 3 qualify by n | b) and c_alpha at m = 6 run
+    # prime mode
+    want_psi = {y: sieve_range(T2P1, 1, 700, y).psi for y in (20, 10**5)}
+    want_rb = int(np.count_nonzero(
+        rb_table(-6, 700).dump_columns()["has_primitive"]))
+    ctx = make_context(6)
+    tab = sieve_range(ctx.f, 1, 700, inf, need_pplus=True)
+    n = np.arange(1, 701)
+    hit = tab.pplus > np.maximum(np.maximum(n, 700 - n), 1)
+    want_wit = np.column_stack((n[hit], tab.pplus[hit]))
+    for seg in (7, 97, 700, SEGMENT):
+        sizes = _at_segment_size(monkeypatch, seg)
+        for y, want in want_psi.items():
+            assert psi(T2P1, 700, y) == want, (seg, y)
+        assert r_b(-6, 700).count == want_rb, seg
+        assert np.array_equal(windowed_cassels(ctx, 0, 700).witnesses,
+                              want_wit), seg
+        assert sizes == [seg] * 4
+
+
+def test_count_holds_one_segment():
+    # 4 * 10^6 values in 62 segments: the count holds one segment's arrays
+    # and the plan of the primes up to 2000, never a column of 4 * 10^6
+    # flags (4 MB)
+    psi(T2P1, 10**5, 2000)  # numpy's lazy imports, loaded once
+    tracemalloc.start()
+    try:
+        assert psi(T2P1, 4 * 10**6, 2000) == 24545
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
+
+
 def test_segment_size_not_dividing_range():
     # 900 values in segments of 7: the last segment holds 4; y = 10^7 takes
     # the cofactor-primality path
@@ -184,9 +239,9 @@ def test_segment_size_must_be_positive():
 
 
 def test_monotone_in_x_and_y():
-    vals = [psi(T2P1, x, 10).psi for x in [50, 100, 200, 400]]
+    vals = [psi(T2P1, x, 10) for x in [50, 100, 200, 400]]
     assert vals == sorted(vals)
-    vals = [psi(T2P1, 200, y).psi for y in [2, 5, 10, 100, 10**5]]
+    vals = [psi(T2P1, 200, y) for y in [2, 5, 10, 100, 10**5]]
     assert vals == sorted(vals)
 
 
@@ -227,7 +282,7 @@ def test_kernel_either_side_of_int64_limit(lo, hi, dtype):
         # one segment strides every p < 301; segments of 7 gather p >= 7
         for seg in [SEGMENT, 7]:
             tab = sieve_range(QUARTIC, lo, hi, y, segment_size=seg)
-            assert [tab.flag(n) for n in range(lo, hi + 1)] == want, (y, seg)
+            assert tab.flags.tolist() == want, (y, seg)
             assert tab.psi == sum(want)
 
 
@@ -237,7 +292,7 @@ def test_object_window_with_a_zero_of_f():
     for y in [13, 1000]:
         for seg in [SEGMENT, 7]:
             tab = sieve_range(f, 55290, 55310, y, segment_size=seg)
-            assert not tab.flag(55300)
+            assert not tab.flags[55300 - 55290]
             assert tab.psi == sum(_smooth_flags(f, 55290, 55310, y))
 
 
@@ -288,7 +343,7 @@ def test_prime_mode_window_certifies_cofactors(poly, lo, hi, pplus_ref):
         tab = sieve_range(f, lo, hi, y, need_pplus=True)
         assert [tab.pplus_of(n) for n in range(lo, hi + 1)] == pplus, y
         want = [p <= y for p in pplus]
-        assert [tab.flag(n) for n in range(lo, hi + 1)] == want, y
+        assert tab.flags.tolist() == want, y
         assert tab.psi == sum(want)
         # without need_pplus: prime mode at y = inf, every prime up to y at
         # y < b0
@@ -327,8 +382,7 @@ def test_prime_mode_past_int64_certifies_cofactors(pplus_ref):
     pplus = [pplus_ref(QUARTIC(n)) for n in range(lo, hi + 1)]
     assert tab.pplus.dtype == object
     assert [tab.pplus_of(n) for n in range(lo, hi + 1)] == pplus
-    assert [tab.flag(n) for n in range(lo, hi + 1)] == [p <= 10**18
-                                                       for p in pplus]
+    assert tab.flags.tolist() == [p <= 10**18 for p in pplus]
 
 
 def _smooth(v, y):
@@ -380,7 +434,7 @@ def test_log_sieve_exact_steps(factors, lo, hi, ys, pplus_ref):
         assert y < b0
         want = [_smooth(f(n), y) for n in range(lo, hi + 1)]
         tab = sieve_range(f, lo, hi, y)
-        assert [tab.flag(n) for n in range(lo, hi + 1)] == want, y
+        assert tab.flags.tolist() == want, y
         assert tab.psi == sum(want)
     if b0 < 2**32:
         tab = sieve_range(f, lo, hi, y, need_pplus=True)

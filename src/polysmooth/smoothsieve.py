@@ -5,13 +5,17 @@ per quantity, and one step (_settle_deep) for the exact v_p where a higher
 power of p may still divide g(n).
 
 Flags (count mode, y < b0 = isqrt(max |f|) + 1 and no P+ asked for) come
-from a log sieve: log p is added at each hit of a class of p <= y, so the
-sum at n is log of the y-smooth part of |f(n)|.  n is smooth iff the sum
-reaches log |f(n)| - (log 2)/2: a non-smooth n leaves a cofactor R >= 2
-unsieved, so it falls short by log R >= log 2.  |f(n)| is evaluated in
-float64 and stated error bounds (_log_values) keep the test exact; n near a
-real root, where the float value is not trusted, is evaluated exactly.
-f(n) = 0 is never smooth; f(n) = +-1 always is.
+from a log sieve: log p, read from a column of the plan's logs built once
+per sieve, is added at each hit of a class of p <= y, so the sum at n is
+log of the y-smooth part of |f(n)|.  n is smooth iff the sum reaches
+log |f(n)| - (log 2)/2: a non-smooth n leaves a cofactor R >= 2 unsieved,
+so it falls short by log R >= log 2.  Past t0(f), where f is increasing and
+> 1, one threshold serves each block of n over which log f spreads by less
+than (log 2)/2 (_log_flags), its ends' logs taken from the integers.  At
+n <= t0(f), |f(n)| is evaluated per n in float64 and stated error bounds
+(_log_values) keep the test exact; n near a real root, where the float
+value is not trusted, is evaluated exactly.  f(n) = 0 is never smooth;
+f(n) = +-1 always is.
 
 P+ (prime mode, y >= b0 or P+ asked for) comes from division: each hit of a
 class of p <= B = min(2 * count, b0) divides |f(n)| by p, for a window of
@@ -27,9 +31,9 @@ it as it comes, and sieve_range writes it into per-n columns (SmoothTable).
 Both kernels split the plan by how often a class hits a segment (_dense): a
 class of q below 1/64 of the segment length is sieved along a strided view,
 and every other class through one gathered pass over all their hits
-(_hits): np.bincount adds the logs, unbuffered np.floor_divide.at and
-np.maximum.at divide and keep the largest p, so two primes that hit one n
-both count.
+(_hits): unbuffered np.add.at adds the logs in place, np.floor_divide.at
+and np.maximum.at divide and keep the largest p, so two primes that hit one
+n both count.
 """
 
 import sys
@@ -39,7 +43,7 @@ from math import exp, inf, isqrt, log
 
 import numpy as np
 
-from .polyarith import FactoredPoly
+from .polyarith import FactoredPoly, t0
 from .primes import factorize, is_prime, primes_up_to
 from .modroots import MAX_PRIME, MAX_PRIME_POWER, lift_classes, root_classes
 # bench/oracles.py imports psi_oracle from this module
@@ -48,9 +52,10 @@ from .oracles import psi_oracle
 __all__ = ["SmoothTable", "psi", "pplus_table", "smooth_bound", "sieve_range"]
 
 # n sieved per segment.  A count (psi, r_b, c_alpha) holds one segment at a
-# time, a few arrays of this length; only sieve_range's per-n columns grow
-# with the window.  Smaller segments pay more often for the per-segment pass
-# over the root classes.
+# time, a few arrays of this length (in count mode one float column of log
+# sums and the flags: past t0(f) no per-n logs); only sieve_range's per-n
+# columns grow with the window.  Smaller segments pay more often for the
+# per-segment pass over the root classes.
 SEGMENT = 1 << 16
 
 _INT64_LIMIT = 1 << 63
@@ -65,6 +70,11 @@ _NEAR_ROOT = 2.0**-10
 # Past this coefficient bound float values could overflow: every n of the
 # segment is evaluated exactly.
 _FLOAT_LIMIT = 1 << 1000
+# Past t0(f), n whose log f spreads by at most this share one threshold;
+# a block of at most _BLOCK_MIN n that spreads wider takes per-n logs
+# (_log_flags).
+_BLOCK_SPREAD = _LOG_MARGIN - 0.002
+_BLOCK_MIN = 64
 # Values of 2^_LOG_BITS or more are a domain error: past them the float sum
 # of logs could drift by 0.001 (_log_flags).
 _LOG_BITS = 1 << 20
@@ -282,14 +292,15 @@ def _plan(f, primes, lo, hi):
 
 
 def _settle_deep(P, Q, R, deep, seg_lo, seg_len, vals=None):
-    """The exact v_p at every hit n = seg_lo + i of a deep class, as arrays
-    (i, p, v): of g(n) / q per class and hit in count mode; in prime mode, of
-    the cofactor the classes left in `vals`, which is divided out in place,
-    one entry per (n, p) as deep classes of two factors may hit one n."""
+    """The exact v_p at every hit n = seg_lo + i of a deep class.  In count
+    mode, of g(n) / q per class and hit, returned as arrays (i, c, v), c the
+    class's index into P, Q, R; in prime mode, of the cofactor the classes
+    left in `vals`, which is divided out in place, one entry per (n, p) as
+    deep classes of two factors may hit one n."""
     gs, DG, DI = deep
     cls, pos = _hits(Q[DI], R[DI], seg_lo, seg_len, 0)
     if not cls.size:
-        return pos, pos, pos
+        return pos, cls, pos
     fac, cls = DG[cls], DI[cls]
     p = P[cls]
     if vals is None:  # Horner in int64 is exact by eval_range's rule
@@ -308,13 +319,16 @@ def _settle_deep(P, Q, R, deep, seg_lo, seg_len, vals=None):
     while (live := live[w[live] % ph[live] == 0]).size:
         w[live] //= ph[live]
         v[live] += 1
-    if vals is not None:
-        np.floor_divide.at(vals, pos, ph ** v.astype(w.dtype))
-    return pos, p, v
+    if vals is None:
+        return pos, cls, v
+    np.floor_divide.at(vals, pos, ph ** v.astype(w.dtype))
 
 
 def _log_values(poly, seg_lo, seg_len):
-    """log |f(n)| for n in [seg_lo, seg_lo + seg_len), +inf where f(n) = 0.
+    """log |f(n)| for n in [seg_lo, seg_lo + seg_len), +inf where f(n) = 0:
+    the log sieve's per-n logs at n <= t0(f), and in a block past it of at
+    most _BLOCK_MIN n over which log f spreads too far for one threshold
+    (_log_flags).
 
     Horner in float64, on coefficients rounded once and n rounded twice
     (seg_lo + i), is off by at most gamma_{4d+2} * S with S =
@@ -350,27 +364,59 @@ def _log_values(poly, seg_lo, seg_len):
     return logs
 
 
-def _log_flags(f, seg_lo, seg_len, P, Q, R, deep):
-    """Smooth flags of a segment by the log sieve over the plan (_plan).
+def _log_flags(f, seg_lo, seg_len, P, Q, R, deep, LP, t0f):
+    """Smooth flags of a segment by the log sieve over the plan (_plan) and
+    its log column LP = log P, built once per sieve.
 
     The sum at n is log of the y-smooth part of |f(n)|: min(v_p(g(n)), k)
     terms log p from the levels of (g, p), plus the rest of v_p(g(n)),
     counted exactly, at the hits of a deep class.  It has m <= 2 log2 |f(n)|
     terms, each log p within an ulp, so in any order of summation its float
-    error is below 2 m u log |f(n)| < 0.001 for |f(n)| < 2^_LOG_BITS.  With
-    _log_values' 0.001 both stay far inside the (log 2)/2 margin: the test
-    is exact.
+    error is below 2 m u log |f(n)| < 0.001 for |f(n)| < 2^_LOG_BITS.
+
+    The sum at n <= t0f = t0(f) is tested against log |f(n)| - (log 2)/2
+    from _log_values, whose 0.001 with the sum's stays far inside the
+    (log 2)/2 margin.  Past t0f, f is increasing and > 1, and the rest of
+    the segment is bisected into blocks [a, b] with log f(b) - log f(a) <=
+    (log 2)/2 - 0.002, each endpoint's log taken from the integer (math.log,
+    within an ulp at any size).  Every n of a block is tested against the
+    one threshold log f(b) - (log 2)/2: a smooth n has a sum of at least
+    log f(n) - 0.001 >= log f(a) - 0.001 >= log f(b) - (log 2)/2 + 0.001,
+    and a non-smooth one, whose unsieved cofactor is >= 2, at most
+    log f(n) - log 2 + 0.001 <= log f(b) - log 2 + 0.001, below it.  A
+    block of at most _BLOCK_MIN n that spreads wider takes _log_values.
+    The test is exact either way.
     """
     acc = np.zeros(seg_len)
     dense = _dense(Q, seg_len)
     for q, r, lp in zip(Q[:dense].tolist(), R[:dense].tolist(),
-                        np.log(P[:dense]).tolist()):
+                        LP[:dense].tolist()):
         acc[(r - seg_lo) % q::q] += lp
     cls, pos = _hits(Q, R, seg_lo, seg_len, dense)
-    acc += np.bincount(pos, weights=np.log(P[cls]), minlength=seg_len)
-    pos, p, v = _settle_deep(P, Q, R, deep, seg_lo, seg_len)
-    np.add.at(acc, pos, v * np.log(p))
-    return acc >= _log_values(f.product, seg_lo, seg_len) - _LOG_MARGIN
+    np.add.at(acc, pos, LP[cls])
+    pos, cls, v = _settle_deep(P, Q, R, deep, seg_lo, seg_len)
+    np.add.at(acc, pos, v * LP[cls])
+    poly = f.product
+    flags = np.empty(seg_len, dtype=bool)
+    k = min(max(t0f + 1 - seg_lo, 0), seg_len)  # offsets of n <= t0f
+    per_n = [(0, k)] if k else []
+    # (i, j, la, lb): offsets [i, j) and la <= log f(a), lb = log f(b)
+    blocks = [(k, seg_len, log(poly(seg_lo + k)),
+               log(poly(seg_lo + seg_len - 1)))] if k < seg_len else []
+    while blocks:
+        i, j, la, lb = blocks.pop()
+        if lb - la <= _BLOCK_SPREAD:
+            np.greater_equal(acc[i:j], lb - _LOG_MARGIN, out=flags[i:j])
+        elif j - i <= _BLOCK_MIN:
+            per_n.append((i, j))
+        else:
+            m = (i + j) // 2
+            lm = log(poly(seg_lo + m - 1))  # <= log f(seg_lo + m)
+            blocks += (i, m, la, lm), (m, j, lm, lb)
+    for i, j in per_n:
+        np.greater_equal(acc[i:j], _log_values(poly, seg_lo + i, j - i)
+                         - _LOG_MARGIN, out=flags[i:j])
+    return flags
 
 
 def _segments(f, lo, hi, y, need_pplus, segment_size=SEGMENT):
@@ -406,6 +452,8 @@ def _segments(f, lo, hi, y, need_pplus, segment_size=SEGMENT):
                          "the log sieve")
     bound = min(2 * count, b0) if prime_mode else effective
     plan = _plan(f, primes_up_to(bound), lo, hi)
+    if not prime_mode:  # the log column and the blocks' start (_log_flags)
+        plan = (*plan, np.log(plan[0]), t0(f))
 
     def run():
         for seg_lo in range(lo, hi + 1, segment_size):

@@ -63,7 +63,9 @@ def test_random_polynomial_against_oracles(f, pplus_ref):
 
 
 LOG_CASES = 16
-LOG_WINDOWS = ((0, 300), (3001, 3300))
+# the last window lies past every case's t0(f), where count mode tests a
+# block of n against one threshold
+LOG_WINDOWS = ((0, 300), (3001, 3300), (200000, 203000))
 LOG_YS = (2, 5, 60, 1000)
 
 

@@ -426,6 +426,15 @@ M = 2**27 + 1
     # where f(n) = 3 * 2^41 and 3 * 11 * 2^45
     ([[0, 1], [2**20, 1]], 2**21 - 50, 2**21 + 50, [2, 3]),
     ([[0, 1], [2**20, 1]], 2**25 - 500, 2**25 + 500, [2, 11]),
+    # Past t0(f), f is increasing and > 1: n are tested a block at a time
+    # against one threshold while log f spreads by at most (log 2)/2 - 0.002
+    # over the block.  t0(t) = 2, and log f spreads by 0.69 over the one
+    # segment, so it is bisected
+    (["t"], 1000, 1999, [7, 43]),
+    # t0 = 500001: per-n logs up to it, through f(500000) = 0, blocks past it
+    ([[-500000, 1], [7, 0, 1]], 499000, 501000, [2, 50]),
+    # coefficients past the float range: each block's ends are logs of ints
+    ([[10**400, 1]], 1, 5000, [5]),
 ])
 def test_log_sieve_exact_steps(factors, lo, hi, ys, pplus_ref):
     f = build_factored(factors)

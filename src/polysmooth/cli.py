@@ -523,47 +523,32 @@ def _add_common(sp, cmd, poly=False):
                         help="JSON array of coefficient arrays (lowest degree first)")
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="polysmooth",
-        description="Smooth values of integer polynomials: exact sieves, "
-                    "Dickman rho, bound coefficients, V/W machinery, and the "
-                    "quadratic-field / primitive-divisor applications.",
-    )
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    sp = sub.add_parser("psi", help="exact Psi_f(x, y)")
-    _add_common(sp, "psi", poly=True)
+def _psi_args(sp):
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--y", type=float)
     sp.add_argument("--u", type=float)
     sp.add_argument("--dump", action="store_true",
                     help="emit the per-n CSV table (n, f(n), pplus, smooth)")
-    sp.set_defaults(func=_cmd_psi)
 
-    sp = sub.add_parser("bound", help="closed-form bound coefficients")
-    _add_common(sp, "bound")
+
+def _bound_args(sp):
     sp.add_argument("--d", required=True, help="total degree (comma grid ok)")
     sp.add_argument("--g", required=True, help="factor count (comma grid ok)")
     sp.add_argument("--u", required=True, help="parameter u (comma grid ok)")
     sp.add_argument("--eps", type=float, default=0.0)
     sp.add_argument("--x", type=float, default=None)
-    sp.set_defaults(func=_cmd_bound)
 
-    sp = sub.add_parser("dickman", help="(u, rho(u)) on a grid")
-    _add_common(sp, "dickman")
+
+def _dickman_args(sp):
     sp.add_argument("--u-max", type=float, default=10.0)
     sp.add_argument("--step", type=float, default=0.01)
-    sp.set_defaults(func=_cmd_dickman)
 
-    sp = sub.add_parser("omega", help="root counts omega_f(k)")
-    _add_common(sp, "omega", poly=True)
+
+def _omega_args(sp):
     sp.add_argument("--k", required=True, help="modulus (comma grid ok)")
-    sp.set_defaults(func=_cmd_omega)
 
-    sp = sub.add_parser("vw-verify", help="V/W reports on instances")
-    _add_common(sp, "vw-verify", poly=True)
+
+def _vw_args(sp):
     sp.add_argument("--config", help="JSON file with an instance array")
     sp.add_argument("--x", type=int)
     sp.add_argument("--z", type=int)
@@ -571,10 +556,9 @@ def build_parser():
     sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--kappa", type=int, default=None,
                     help="also run the recursion-lemma check at this kappa")
-    sp.set_defaults(func=_cmd_vw)
 
-    sp = sub.add_parser("calpha", help="unique prime-ideal count in Q(sqrt m)")
-    _add_common(sp, "calpha")
+
+def _calpha_args(sp):
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--x", type=int)
     sp.add_argument("--window", help="N,M for the windowed count on (N, N+M]")
@@ -584,30 +568,69 @@ def build_parser():
     sp.add_argument("--prop54", action="store_true",
                     help="attach the residual report against x - Psi_f(x,x)")
     sp.add_argument("--dump", action="store_true", help="emit witnesses")
-    sp.set_defaults(func=_cmd_calpha)
 
-    sp = sub.add_parser("rb", help="primitive-divisor count R_b(x)")
-    _add_common(sp, "rb")
+
+def _rb_args(sp):
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--dump", action="store_true",
                     help="emit the per-n CSV table")
-    sp.set_defaults(func=_cmd_rb)
 
-    sp = sub.add_parser("arctan", help="arctangent irreducibility count N(x)")
-    _add_common(sp, "arctan")
+
+def _arctan_args(sp):
     sp.add_argument("--x", type=int, required=True)
-    sp.set_defaults(func=_cmd_arctan)
 
-    sp = sub.add_parser("verify", help="run the acceptance suite")
-    _add_common(sp, "verify")
+
+def _verify_args(sp):
     sp.add_argument("--level", choices=["quick", "full"], default="full")
-    sp.set_defaults(func=_cmd_verify)
+
+
+# name: (help, handler, takes --poly/--factors, its own arguments)
+_COMMANDS = {
+    "psi": ("exact Psi_f(x, y)", _cmd_psi, True, _psi_args),
+    "bound": ("closed-form bound coefficients", _cmd_bound, False, _bound_args),
+    "dickman": ("(u, rho(u)) on a grid", _cmd_dickman, False, _dickman_args),
+    "omega": ("root counts omega_f(k)", _cmd_omega, True, _omega_args),
+    "vw-verify": ("V/W reports on instances", _cmd_vw, True, _vw_args),
+    "calpha": ("unique prime-ideal count in Q(sqrt m)", _cmd_calpha, False,
+               _calpha_args),
+    "rb": ("primitive-divisor count R_b(x)", _cmd_rb, False, _rb_args),
+    "arctan": ("arctangent irreducibility count N(x)", _cmd_arctan, False,
+               _arctan_args),
+    "verify": ("run the acceptance suite", _cmd_verify, False, _verify_args),
+}
+
+
+def build_parser(cmd=None):
+    """The parser of every subcommand, or of `cmd` alone when it names one:
+    each add_argument builds a help formatter, so a parse whose argv[0]
+    names a subcommand skips the others' (2.1 against 0.3 ms).  No
+    arguments, --help, --version and an unknown name get the full parser."""
+    ap = argparse.ArgumentParser(
+        prog="polysmooth",
+        description="Smooth values of integer polynomials: exact sieves, "
+                    "Dickman rho, bound coefficients, V/W machinery, and the "
+                    "quadratic-field / primitive-divisor applications.",
+    )
+    ap.add_argument("--version", action="version", version=__version__)
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    names = _COMMANDS
+    if cmd in _COMMANDS:
+        # an unrecognized argument is reported with the top-level usage
+        # line, which still lists every subcommand
+        names, sub.metavar = [cmd], "{" + ",".join(_COMMANDS) + "}"
+    for name in names:
+        help_, func, poly, add_args = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_)
+        _add_common(sp, name, poly)
+        add_args(sp)
+        sp.set_defaults(func=func)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

@@ -64,10 +64,11 @@ def _pow(base, E, P):
     """base^E mod p per lane, by left-to-right square-and-multiply over the
     bits of the per-lane exponent E."""
     r = np.ones_like(P)
+    less = base - 1  # wraps at 0
     for bit in range(int(E.max(initial=0)).bit_length() - 1, -1, -1):
         r = r * r % P
-        # base where the bit is set, else 1 (base - 1 wraps at 0)
-        r = r * (((E >> bit) & 1) * (base - 1) + 1) % P
+        # base where the bit is set, else 1
+        r = r * (((E >> bit) & 1) * less + 1) % P
     return r
 
 
@@ -91,29 +92,53 @@ def _squarings(x, K, P):
     return x
 
 
+def _non_residues(P):
+    """The least quadratic non-residue z mod p per lane (p odd), with no
+    exponentiation mod p.  z is prime (a product of residues is a residue),
+    so the candidates are 2, then the odd primes q in turn, each tried on
+    the lanes still open: (2/p) = -1 iff p = 3, 5 (mod 8), and by quadratic
+    reciprocity (q/p) = (p/q), negated where p = q = 3 (mod 4), with (p/q)
+    read from the squares mod q.  Every odd prime has a prime non-residue
+    below sqrt(p) + 1, so the loop ends before q reaches p; below 2^32 the
+    largest is 97, at p = 2929911599 (OEIS A000229)."""
+    Z = np.zeros_like(P)
+    Z[((P & 7) == 3) | ((P & 7) == 5)] = 2
+    idx = np.flatnonzero(Z == 0)
+    q = 3
+    while idx.size:
+        if all(q % d for d in range(3, isqrt(q) + 1, 2)):
+            square = np.zeros(q, dtype=bool)
+            square[np.arange(q) ** 2 % q] = True
+            Pi = P[idx]
+            r = Pi % q
+            hit = ~square[r]  # (p/q) = -1; p = q has r = 0, a square
+            if q & 3 == 3:
+                hit ^= ((Pi & 3) == 3) & (r != 0)
+            Z[idx[hit]] = q
+            idx = idx[~hit]
+        q += 2
+    return Z
+
+
 def _sqrt(D, P):
     """A square root of D mod p per lane (p odd) by Tonelli-Shanks, and
-    whether D is a square.  Only the lanes that still need work stay in
-    each loop, so a lane with a long power of 2 in p - 1 costs only
-    itself."""
-    Q, S = P - 1, np.zeros_like(P)
-    while (even := (Q & 1) == 0).any():
-        Q, S = Q >> even, S + even
+    whether D is a square.  One exponentiation over every lane gives
+    D^((Q+1)/2) and D^Q, p - 1 = Q 2^S with Q odd; only the lanes where D^Q
+    != 1 need a non-residue z (Shanks, "Five number-theoretic algorithms",
+    1973), which _non_residues finds without exponentiating mod p, and one
+    more exponentiation gives their z^Q.  Only the lanes that still need
+    work stay in each loop, so a lane with a long power of 2 in p - 1 costs
+    only itself."""
+    X = P - 1
+    low = X & (~X + 1)  # 2^S, whose log2 is exact
+    Q, S = X // low, np.log2(low).astype(np.uint64)
     w = _pow(D, Q >> 1, P)  # D^((Q-1)/2)
     root = D * w % P  # D^((Q+1)/2): the root wherever D^Q = 1 or D = 0
     T = root * w % P  # D^Q
     ok = (_squarings(T, S - 1, P) == 1) | (D == 0)  # Euler's criterion
     idx = np.flatnonzero(ok & (T != 1) & (D != 0))
-    P, M, T, R, Q = P[idx], S[idx], T[idx], root[idx], Q[idx]
-    # C = z^Q for a non-residue z per lane, found by z^(Q 2^(M-1)) = -1
-    C = np.zeros_like(P)
-    todo, z = np.arange(idx.size), 2
-    while todo.size:
-        Pt = P[todo]
-        c = _pow(np.full(todo.size, z, dtype=np.uint64), Q[todo], Pt)
-        hit = _squarings(c, M[todo] - 1, Pt) == Pt - 1
-        C[todo[hit]] = c[hit]
-        todo, z = todo[~hit], z + 1
+    P, M, T, R = P[idx], S[idx], T[idx], root[idx]
+    C = _pow(_non_residues(P), Q[idx], P)
     while idx.size:
         # least I >= 1 with T^(2^I) = 1; I < M since T^(2^(M-1)) = 1
         I, x, live = np.zeros_like(P), T, np.arange(idx.size)
@@ -307,15 +332,14 @@ def _factor_lanes(cs, P, rng):
     return np.concatenate(lanes), np.concatenate(roots)
 
 
-def _batch_roots(f, primes):
-    """The roots of f mod every prime of `primes`, as int64 arrays (lane,
-    root) sorted by lane and then root, each root once.
+def _batch_roots(f, P):
+    """The roots of f mod every prime of the uint64 array P, as int64 arrays
+    (lane, root) sorted by lane and then root, each root once.
 
     A lane p < SCAN is scanned: f is evaluated at every residue mod p.  The
     splitting constants of the other lanes are drawn from a generator
     seeded with f.
     """
-    P = np.array(primes, dtype=np.uint64)
     lane = np.repeat(np.flatnonzero(P < SCAN), P[P < SCAN].astype(np.intp))
     U = (np.arange(lane.size) - lane.searchsorted(lane)).astype(np.uint64)
     Pu, v = P[lane], np.zeros_like(U)
@@ -343,18 +367,21 @@ def root_classes(f: FactoredPoly, primes):
     P, R with f(R[i]) = 0 (mod P[i]), in the order of `primes` and sorted
     within each prime.
 
-    `primes` is an ascending list of primes, as primes_up_to returns it;
-    only its largest is checked, not the primality of each entry.  The roots
-    come from _batch_roots, in blocks of LANE_BLOCK primes; none is kept.
+    `primes` is an ascending sequence of primes, as primes_up_to returns
+    it, turned into one array; only its largest is checked, not the
+    primality of each entry.  The roots come from _batch_roots, in blocks of
+    LANE_BLOCK primes; none is kept.
     """
-    if (top := max(primes, default=0)) >= MAX_PRIME:
+    P = np.asarray(primes)
+    if (top := P.max(initial=0)) >= MAX_PRIME:
         raise ValueError(f"p={top} exceeds the desk-scale prime bound 2^32")
+    P = P.astype(np.int64, copy=False)
     lanes, roots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for start in range(0, len(primes), LANE_BLOCK):
-        lane, root = _batch_roots(f, primes[start:start + LANE_BLOCK])
+    U = P.view(np.uint64)
+    for start in range(0, P.size, LANE_BLOCK):
+        lane, root = _batch_roots(f, U[start:start + LANE_BLOCK])
         lanes.append(lane + start)
         roots.append(root)
-    P = np.array(primes, dtype=np.int64)
     return P[np.concatenate(lanes)], np.concatenate(roots)
 
 

@@ -311,7 +311,12 @@ def _settle_deep(P, Q, R, deep, seg_lo, seg_len, vals=None):
             at = fac == i
             w[at] = np.polyval(g.coeffs[::-1], n[at]) // Q[cls[at]]
     else:
-        p, pos = np.divmod(np.unique(p * seg_len + pos), seg_len)
+        # one key per (p, n), by a sort: np.unique's first plain call in a
+        # process imports numpy.ma
+        keys = np.sort(p * seg_len + pos)
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        p, pos = np.divmod(keys[first], seg_len)
         w = vals[pos]
     ph = p.astype(w.dtype)
     v = np.zeros(w.size, dtype=np.int64)

@@ -309,6 +309,67 @@ def test_schema_dump(capsys):
         assert json.loads(out) == cli._SCHEMAS[cmd]
 
 
+# one valid argv per subcommand
+VALID_ARGV = {
+    "psi": ["--poly", "t^2+1", "--x", "100", "--y", "10", "--dump"],
+    "bound": ["--d", "2,3", "--g", "1", "--u", "2", "--eps", "0.1"],
+    "dickman": ["--u-max", "3", "--format", "csv"],
+    "omega": ["--factors", "[[1,0,1]]", "--k", "5,25"],
+    "vw-verify": ["--poly", "t^2+1", "--x", "10", "--z", "5", "--y", "3",
+                  "--kappa", "2"],
+    "calpha": ["--m", "2", "--window", "10,5", "--exclude-zero"],
+    "rb": ["--b", "1", "--x", "10", "--out", "rb.csv"],
+    "arctan": ["--x", "10"],
+    "verify": ["--level", "quick"],
+}
+
+
+def _parse(capsys, ap, argv):
+    """What parsing argv gives: the namespace or the exit code, and the
+    captured stdout and stderr."""
+    try:
+        got = vars(ap.parse_args(argv))
+    except SystemExit as e:
+        got = e.code
+    return got, capsys.readouterr()
+
+
+@pytest.mark.parametrize("cmd", list(VALID_ARGV))
+def test_one_subcommand_parser_parses_as_the_full_one(capsys, cmd):
+    assert list(VALID_ARGV) == list(cli._COMMANDS)
+    one, full = cli.build_parser(cmd), cli.build_parser()
+    assert len(one._subparsers._group_actions[0].choices) == 1
+    got = _parse(capsys, one, [cmd, *VALID_ARGV[cmd]])
+    assert got == _parse(capsys, full, [cmd, *VALID_ARGV[cmd]])
+    assert got[0]["cmd"] == cmd
+    # help exits 0, a missing value or an unrecognized argument 2
+    for argv, code in (([cmd, "--help"], 0), ([cmd, "--format"], 2),
+                       ([cmd, "--bogus"], 2),
+                       ([cmd, *VALID_ARGV[cmd], cmd], 2)):
+        got = _parse(capsys, one, argv)
+        assert got == _parse(capsys, full, argv), argv
+        assert got[0] == code, argv
+    # a missing required option
+    if cmd in ("psi", "bound", "omega", "calpha", "rb", "arctan"):
+        got = _parse(capsys, one, [cmd])
+        assert got == _parse(capsys, full, [cmd])
+        assert got[0] == 2
+        assert "the following arguments are required" in got[1].err
+
+
+def test_parser_without_a_subcommand_is_the_full_one(capsys):
+    for arg in (None, "--help", "--version", "nonsense"):
+        ap = cli.build_parser(arg)
+        assert len(ap._subparsers._group_actions[0].choices) == 9
+    assert cli.main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(help_ in out for help_, *_ in cli._COMMANDS.values())
+    assert cli.main([]) == 2
+    assert "required: cmd" in capsys.readouterr().err
+    assert cli.main(["nonsense"]) == 2
+    assert "'verify')" in capsys.readouterr().err
+
+
 def test_required_options_still_required_without_schema(capsys):
     for argv in (["psi", "--poly", "t"], ["bound", "--d", "2"],
                  ["omega", "--poly", "t"], ["calpha"], ["rb", "--x", "5"],

@@ -667,6 +667,36 @@ def test_batch_roots_near_2_32(text):
     _assert_batch_matches_scalar([text], TOP_PRIMES)
 
 
+def _least_non_residue(p):
+    return next(z for z in range(2, p) if legendre(z, p) == -1)
+
+
+# primes = 1 (mod 8) with 2^3 to 2^5 in p - 1 whose least non-residues are
+# 47, 53, 59, 67, 71 and 79, and 2929911599, whose least non-residue 97 is
+# the largest below 2^32 (OEIS A000229)
+NON_RESIDUE_RECORDS = {3818929: 47, 9257329: 53, 22000801: 59, 48473881: 67,
+                       175244281: 71, 427733329: 79, 2929911599: 97}
+
+
+def test_non_residues_are_the_least():
+    primes = primes_up_to(10**5)[1:] + list(NON_RESIDUE_RECORDS)
+    got = modroots._non_residues(np.array(primes, dtype=np.uint64)).tolist()
+    want = [_least_non_residue(p) for p in primes[:-len(NON_RESIDUE_RECORDS)]]
+    assert got == want + list(NON_RESIDUE_RECORDS.values())
+
+
+@pytest.mark.parametrize("a", [-7, -1, 2, 3, 5, 47, 79, 97, 316, 10**9 + 7])
+def test_square_roots_where_the_least_non_residue_is_large(a):
+    primes = list(NON_RESIDUE_RECORDS)
+    P, R = root_classes(build_factored([[-a, 0, 1]]), primes)
+    roots = _by_prime(P, R)
+    for p in primes:
+        got = roots.get(p, ())
+        assert all(pow(r, 2, p) == a % p for r in got), (a, p)
+        # Euler's criterion
+        assert len(got) == 1 + legendre(a, p), (a, p)
+
+
 # primes with many levels below 2^32, and the largest below 2^16, whose
 # level 2 comes near 2^32
 LIFT_PRIMES = primes_up_to(200) + [65497, 65519, 65521]

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import polysmooth
 from polysmooth.oracles import _primitive_definition_oracle
 from polysmooth.primdiv import (
     n_arctan,
@@ -121,3 +127,16 @@ def test_degenerate_range_below_b():
     cols = rb_table(100, 5).dump_columns()
     assert len(cols["has_primitive"]) == 5
     assert all(m == "direct" for m in cols["method"])
+
+
+def test_r_b_leaves_numpy_ma_unimported():
+    # the prime-mode sieve's deep hits are deduplicated by a sort: on numpy
+    # 2.x, np.unique's first plain call imports numpy.ma, 9-15 ms
+    code = ("import sys\n"
+            "from polysmooth.primdiv import r_b\n"
+            "assert r_b(-18, 10**5).count == 69530\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(polysmooth.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
